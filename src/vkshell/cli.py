@@ -20,7 +20,6 @@ Exit codes: 0 success, 1 solver failure, 2 config error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -60,7 +59,6 @@ from .growth import (
     eval_poly,
     growth_preset,
     effective_growth,
-    incompatibility,
     lambda_g,
     omega_g,
     omega_sine_reference,
@@ -540,18 +538,9 @@ def _run_scaling(cfg: ExperimentConfig, outdir: Path, threads: int) -> dict:
     regime = sh.resolve_regime(cfg0)
     state = _scaling_state(cfg, regime)
 
-    if threads > 1:
-        # fan out across thicknesses; each row is independent
-        def one(h):
-            return sh.scaling_study(cfg.alpha, [h], cfg.growth, cfg.v0, state, cfg.material, n_t=n_t).rows[0]
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, h_list))
-        _, inorm = incompatibility(cfg.growth)
-        study = sh.ScalingStudy(tuple(rows), regime, sh.limit_functional_name(regime), inorm)
-    else:
-        study = sh.scaling_study(cfg.alpha, h_list, cfg.growth, cfg.v0, state, cfg.material, n_t=n_t)
-
+    study = sh.scaling_study(
+        cfg.alpha, h_list, cfg.growth, cfg.v0, state, cfg.material, n_t=n_t, workers=threads
+    )
     (outdir / "scaling.csv").write_text("\n".join(study.csv_lines()) + "\n", encoding="utf-8")
     return {
         "scaling": study.metadata(),

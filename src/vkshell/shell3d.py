@@ -16,7 +16,12 @@ W(F) = mu/4 |F^T F - Id|^2 + lambda/8 tr(F^T F - Id)^2: exactly frame
 indifferent and isotropic, with D^2 W(Id) inducing the Q3 of the energy
 module.  It violates the global quadratic lower bound far from SO(3),
 which none of the desk-scale deformations approach; a distance guard
-flags any quadrature point beyond 0.3.
+flags any quadrature point beyond 0.3.  Each thickness node forms the
+strain e = F^T F - Id once; W and the distance to SO(3) both read it, the
+distance through the closed-form eigenvalues of e (singular values of F,
+the smallest one signed by det F).  The 3x3 determinants and inverses are
+closed-form elementwise kernels (cofactor expansion, adjugate) on whole
+(..., 3, 3) stacks, not batched LAPACK calls.
 
 Recovery.  One Kirchhoff-Love-plus-warping ansatz covers all regimes:
 deformed mid-surface Y(x) (per-regime displacement scaling), exact unit
@@ -35,6 +40,7 @@ regime-matched two-dimensional functional.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import warnings
 from dataclasses import dataclass
@@ -49,6 +55,7 @@ from .fields import (
     VectorField3,
     grad_values,
     hessian_values,
+    sym_grad_values,
     sym_values,
 )
 from .growth import GrowthFields, embed2, incompatibility
@@ -178,40 +185,119 @@ class GrowthEvaluator:
         self.cfg = cfg
         self._eye = np.eye(3)
 
-    def at(self, x3: float) -> np.ndarray:
+    def _assemble(self, x3: float) -> np.ndarray:
         if abs(x3) > 0.5 * self.cfg.h * (1.0 + 1e-12):
             raise ValueError(f"x3 = {x3} outside the shell of thickness {self.cfg.h}")
         h = self.cfg.h
-        q = self._eye + h * h * self.g.eps_g.data + h * x3 * self.g.kappa_g.data
-        dets = np.linalg.det(q)
+        return self._eye + h * h * self.g.eps_g.data + h * x3 * self.g.kappa_g.data
+
+    @staticmethod
+    def _require_invertible(dets: np.ndarray):
         if np.any(dets <= 0.0):
             raise ValueError("growth tensor q^h is not invertible at some node")
+
+    def at(self, x3: float) -> np.ndarray:
+        q = self._assemble(x3)
+        self._require_invertible(_det3(q))
         return q
 
     def inverse_at(self, x3: float) -> np.ndarray:
-        return np.linalg.inv(self.at(x3))
+        with np.errstate(divide="ignore", invalid="ignore"):  # a singular q^h raises below
+            inv, dets = _inv3(self._assemble(x3))
+        self._require_invertible(dets)
+        return inv
 
 
 def growth_qh(g: GrowthFields, cfg: ShellConfig) -> GrowthEvaluator:
     return GrowthEvaluator(g, cfg)
 
 
+# -- closed-form kernels on (..., 3, 3) stacks ---------------------------------------
+
+def _cofactor(a: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Signed cofactor (i, j); the cyclic index form carries the sign."""
+    i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+    return a[..., i1, j1] * a[..., i2, j2] - a[..., i1, j2] * a[..., i2, j1]
+
+
+def _det3(a: np.ndarray) -> np.ndarray:
+    """Determinant by cofactor expansion along the first row."""
+    return sum(a[..., 0, j] * _cofactor(a, 0, j) for j in range(3))
+
+
+def _inv3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse (adjugate over determinant) and the determinant itself."""
+    adj = np.empty_like(a)
+    for i in range(3):
+        for j in range(3):
+            adj[..., j, i] = _cofactor(a, i, j)
+    det = sum(a[..., 0, j] * adj[..., j, 0] for j in range(3))
+    adj /= det[..., None, None]
+    return adj, det
+
+
+def _strain(F: np.ndarray) -> np.ndarray:
+    """e = F^T F - Id, symmetric by construction."""
+    e = np.empty(F.shape)
+    for i in range(3):
+        for j in range(i, 3):
+            e[..., i, j] = e[..., j, i] = sum(F[..., k, i] * F[..., k, j] for k in range(3))
+        e[..., i, i] -= 1.0
+    return e
+
+
+def _density_from_strain(e: np.ndarray, m: en.Material) -> np.ndarray:
+    """St. Venant-Kirchhoff density mu/4 |e|^2 + lambda/8 (tr e)^2."""
+    tr = e[..., 0, 0] + e[..., 1, 1] + e[..., 2, 2]
+    return 0.25 * m.mu * np.sum(e * e, axis=(-2, -1)) + 0.125 * m.lam * tr * tr
+
+
+def _sym_eigvals3(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues l1 >= l2 >= l3 of a symmetric stack (trigonometric form).
+
+    With q = tr e / 3 and p the scaled Frobenius norm of e - q Id, the
+    eigenvalues are q + 2 p cos(phi + 2 pi k / 3) with
+    phi = acos(det((e - q Id) / p) / 2) / 3.  The rule is scale invariant, so
+    small strains keep their relative accuracy.  Near a double eigenvalue
+    acos loses half the digits of the split pair, but their symmetric
+    functions (and so the distance to SO(3) for det F > 0) keep full accuracy.
+    """
+    q = (e[..., 0, 0] + e[..., 1, 1] + e[..., 2, 2]) / 3.0
+    b0, b1, b2 = e[..., 0, 0] - q, e[..., 1, 1] - q, e[..., 2, 2] - q
+    e01, e02, e12 = e[..., 0, 1], e[..., 0, 2], e[..., 1, 2]
+    p = np.sqrt((b0 * b0 + b1 * b1 + b2 * b2 + 2.0 * (e01 * e01 + e02 * e02 + e12 * e12)) / 6.0)
+    det_b = b0 * (b1 * b2 - e12 * e12) - e01 * (e01 * b2 - e12 * e02) + e02 * (e01 * e12 - b1 * e02)
+    # p = 0 means e = q Id: any phi gives the triple eigenvalue q
+    r = det_b / (2.0 * np.where(p > 0.0, p, 1.0) ** 3)
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    l1 = q + 2.0 * p * np.cos(phi)
+    l3 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    return l1, 3.0 * q - l1 - l3, l3
+
+
+def _dist_from_strain(e: np.ndarray, det_f: np.ndarray) -> np.ndarray:
+    """Frobenius distance of F to SO(3) from e = F^T F - Id and the sign of det F.
+
+    The singular values are sigma = sqrt(1 + l) for the eigenvalues l of e;
+    sigma - 1 = l / (1 + sqrt(1 + l)) avoids the cancellation.  The nearest
+    rotation of an orientation-reversing F flips the smallest sigma, whose
+    term becomes (-sigma - 1)^2 = ((sigma - 1) + 2)^2.
+    """
+    s1, s2, s3 = (l / (1.0 + np.sqrt(np.maximum(1.0 + l, 0.0))) for l in _sym_eigvals3(e))
+    s3 = np.where(det_f < 0.0, s3 + 2.0, s3)
+    return np.sqrt(s1 * s1 + s2 * s2 + s3 * s3)
+
+
 def density_W(F: np.ndarray, m: en.Material) -> np.ndarray | float:
     """St. Venant-Kirchhoff density; zero exactly on SO(3)."""
-    F = np.asarray(F, dtype=float)
-    e = np.einsum("...ki,...kj->...ij", F, F)
-    e[..., 0, 0] -= 1.0
-    e[..., 1, 1] -= 1.0
-    e[..., 2, 2] -= 1.0
-    tr = np.trace(e, axis1=-2, axis2=-1)
-    out = 0.25 * m.mu * np.sum(e * e, axis=(-2, -1)) + 0.125 * m.lam * tr * tr
+    out = _density_from_strain(_strain(np.asarray(F, dtype=float)), m)
     return float(out) if out.ndim == 0 else out
 
 
 def dist_so3(F: np.ndarray) -> np.ndarray:
-    """Frobenius distance to SO(3) via singular values (orientation kept)."""
-    sv = np.linalg.svd(F, compute_uv=False)
-    return np.sqrt(np.sum((sv - 1.0) ** 2, axis=-1))
+    """Frobenius distance to SO(3) (orientation kept: a reflection is 2 away)."""
+    F = np.asarray(F, dtype=float)
+    return _dist_from_strain(_strain(F), _det3(F))
 
 
 @dataclass(frozen=True)
@@ -266,16 +352,17 @@ def energy_3d(
     max_dist = 0.0
     flagged = 0
     for k, (x3, gw) in enumerate(zip(u.x3, u.weights)):
-        gp = imm.grad_phi_tilde(x3)
-        jac = np.linalg.det(gp)
-        a = u.grad_y[k] @ np.linalg.inv(gp)
-        det_u = np.linalg.det(a)
+        gp_inv, jac = _inv3(imm.grad_phi_tilde(x3))
+        a = u.grad_y[k] @ gp_inv
+        det_u = _det3(a)
         min_det = min(min_det, float(det_u.min()))
         f = a @ qh.inverse_at(x3)
-        d = dist_so3(f)
+        e = _strain(f)
+        # det q^h > 0 (checked by inverse_at), so det f has the sign of det_u
+        d = _dist_from_strain(e, det_u)
         max_dist = max(max_dist, float(d.max()))
         flagged += int(np.count_nonzero(d > DIST_SO3_GUARD))
-        wvals = density_W(f, m)
+        wvals = _density_from_strain(e, m)
         contributions.append((gw / cfg.h) * qw * wvals * jac)
     total = math.fsum(np.concatenate([c.ravel() for c in contributions]).tolist())
     diag = {"min_det_grad_u": min_det, "max_dist_so3": max_dist, "points_beyond_guard": flagged}
@@ -357,8 +444,6 @@ def build_recovery(
     dv = grad_values(grid, v.data)
     dv0 = grad_values(grid, cfg.v0.data)
     outer_vv = dv[..., :, None] * dv[..., None, :]
-    from .fields import sym_grad_values  # local: avoid a wide import list above
-
     stretch = sym_grad_values(grid, w.data) + 0.5 * outer_vv - sym_values(g.eps_g.data)[..., :2, :2]
     bend = hessian_values(grid, v.data) + sym_values(g.kappa_g.data)[..., :2, :2]
 
@@ -496,12 +581,15 @@ def scaling_study(
     m: en.Material,
     n_t: int = 5,
     wtilde: VectorField2 | None = None,
+    workers: int = 1,
 ) -> ScalingStudy:
     """Recovery-sequence energy sweep h -> h^-4 I^3d against the 2d limit.
 
     Rows are ordered by the given (decreasing) h list; the regime-matched
     limit functional supplies E2d; the incompatibility norm of the growth
-    rides along as metadata.
+    rides along as metadata; all three are computed once per sweep.  With
+    workers > 1 the rows are computed on that many threads, each row whole
+    on one thread, so the table is bitwise the serial one.
     """
     h_list = [float(h) for h in h_list]
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
@@ -518,12 +606,17 @@ def scaling_study(
     else:
         e2d = en.energy_i4inf(state, g, m, v0, 0.0)[0]
 
-    rows = []
-    for h in h_list:
+    def row(h: float) -> ScalingRow:
         cfg = ShellConfig(v0, alpha=alpha, h=h, n_t=n_t)
         u = build_recovery(state.v, state.w, g, cfg, m, vtilde=state.vtilde, wtilde=wtilde)
         e3 = energy_3d(u, g, cfg, m)
         scaled = e3 / h**4
         ratio = scaled / e2d if e2d != 0.0 else math.nan
-        rows.append(ScalingRow(h, cfg.gamma, e3, scaled, e2d, ratio))
-    return ScalingStudy(tuple(rows), regime, limit_name, inorm)
+        return ScalingRow(h, cfg.gamma, e3, scaled, e2d, ratio)
+
+    if workers > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = tuple(pool.map(row, h_list))
+    else:
+        rows = tuple(map(row, h_list))
+    return ScalingStudy(rows, regime, limit_name, inorm)

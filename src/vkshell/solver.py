@@ -37,6 +37,7 @@ from .fields import (
     VectorField2,
     airy_bracket,
     cof2_values,
+    curl_t_curl,
     det2_values,
     hessian_values,
     grad_values,
@@ -260,8 +261,6 @@ def solve_mystery(v0: ScalarField, B: MatrixField2) -> tuple[ScalarField, Vector
     dmin = float(dets.min())
     if dmin <= 1e-12:
         raise EllipticityError(f"det(hess v0) must be uniformly positive; min is {dmin:.3e}")
-
-    from .fields import curl_t_curl  # local import to keep module top tidy
 
     f = -curl_t_curl(B).data
 
@@ -510,10 +509,17 @@ def vk_residual(
     only mean-compatible to stencil accuracy), which is the solvable part's
     natural measure of convergence.
     """
-    grid = state.grid
     if v0 is None:
-        v0 = ScalarField.zeros(grid)
-    lam, om, det0, bilap0 = _vk_sources(model, g, m, v0)
+        v0 = ScalarField.zeros(state.grid)
+    return _vk_residual(state, _vk_sources(model, g, m, v0), m, project_means)
+
+
+def _vk_residual(
+    state: VKState, sources: tuple, m: en.Material, project_means: bool = False
+) -> tuple[float, float]:
+    """vk_residual against sources already built by _vk_sources."""
+    grid = state.grid
+    lam, om, det0, bilap0 = sources
     y, z = m.young, m.bending
     detv = det2_values(hessian_values(grid, state.v.data))
     r1 = grid.bilap(state.phi.data) + y * (detv - det0 + lam)
@@ -551,7 +557,8 @@ def solve_vk(
         v0 = ScalarField.zeros(grid)
     grid.require_same(v0.grid, "growth and v0")
     t0 = time.perf_counter()
-    lam, om, det0, bilap0 = _vk_sources(model, g, m, v0)
+    sources = _vk_sources(model, g, m, v0)
+    lam, om, det0, bilap0 = sources
     y, z = m.young, m.bending
 
     scale = 1.0 + grid.norm_l2(lam) + grid.norm_l2(om)
@@ -565,7 +572,7 @@ def solve_vk(
     converged = False
     sweeps = 0
     state = VKState(ScalarField(grid, v), ScalarField(grid, phi))
-    r1, r2 = vk_residual(state, model, g, m, v0, project_means=True)
+    r1, r2 = _vk_residual(state, sources, m, project_means=True)
     rho = max(r1 / y, r2 / z) / scale
     history.append(rho)
     while sweeps < opts.max_sweeps:
@@ -588,7 +595,7 @@ def solve_vk(
         sweeps += 1
 
         state = VKState(ScalarField(grid, v), ScalarField(grid, phi))
-        r1, r2 = vk_residual(state, model, g, m, v0, project_means=True)
+        r1, r2 = _vk_residual(state, sources, m, project_means=True)
         rho_new = max(r1 / y, r2 / z) / scale
         grow_streak = grow_streak + 1 if rho_new > 1.01 * rho else 0
         history.append(rho_new)
@@ -600,7 +607,7 @@ def solve_vk(
                 residual=rho,
             )
 
-    r1_raw, r2_raw = vk_residual(state, model, g, m, v0)
+    r1_raw, r2_raw = _vk_residual(state, sources, m)
     report = SolveReport(
         iterations=sweeps,
         final_energy=None,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,11 @@ from vkshell.fields import (
 from vkshell.growth import GrowthFields, incompatibility
 
 
-def random_rotation(rng):
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
+def random_rotation(rng, n=None):
+    """One rotation, or a stack of n."""
+    q, r = np.linalg.qr(rng.standard_normal((3, 3) if n is None else (n, 3, 3)))
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
     return q
 
 
@@ -94,6 +96,14 @@ def test_growth_qh(grid48):
     assert np.allclose(avg, np.eye(3))
     with pytest.raises(ValueError):
         qk.at(0.2)
+    assert np.max(np.abs(qk.inverse_at(x3) - np.linalg.inv(qk.at(x3)))) < 1e-15
+    # h^2 eps_11 = -1 makes q^h singular at every node
+    eps = np.zeros_like(kap)
+    eps[..., 0, 0] = -1.0 / 0.1**2
+    qs = sh.growth_qh(GrowthFields.from_arrays(grid48, eps, np.zeros_like(kap)), cfg)
+    for call in (qs.at, qs.inverse_at):
+        with pytest.raises(ValueError, match="not invertible"):
+            call(0.0)
 
 
 def test_density_w(rng):
@@ -321,3 +331,114 @@ def test_scaling_bands(grid48):
     vals = [r.e3d_over_h4 for r in study.rows]
     ref = vals[2]
     assert all(0.5 * ref <= v <= 2.0 * ref for v in vals)
+
+
+# -- closed-form 3x3 kernels against LAPACK -------------------------------------------
+
+def well_conditioned_stack(rng, n):
+    """O(1) matrices R1 diag(s) R2 with singular values s in [0.5, 2]."""
+    s = rng.uniform(0.5, 2.0, (n, 3))
+    return random_rotation(rng, n) @ (s[..., :, None] * random_rotation(rng, n))
+
+
+def svd_dist_reference(F):
+    """Distance to SO(3) from LAPACK singular values, smallest one signed by det F."""
+    sv = np.linalg.svd(F, compute_uv=False)
+    sv[..., -1] *= np.sign(np.linalg.det(F))
+    return np.sqrt(np.sum((sv - 1.0) ** 2, axis=-1))
+
+
+def test_closed_form_det_and_inverse_match_linalg(rng):
+    for a in (np.eye(3) + 1e-3 * rng.standard_normal((400, 3, 3)), well_conditioned_stack(rng, 400)):
+        inv, det = sh._inv3(a)
+        ref_inv = np.linalg.inv(a)
+        ref_det = np.linalg.det(a)
+        assert np.max(np.abs(det - ref_det) / np.abs(ref_det)) < 1e-12
+        assert np.max(np.abs(sh._det3(a) - ref_det) / np.abs(ref_det)) < 1e-12
+        err = np.linalg.norm(inv - ref_inv, axis=(-2, -1)) / np.linalg.norm(ref_inv, axis=(-2, -1))
+        assert np.max(err) < 1e-12
+    inv, det = sh._inv3(np.diag([2.0, 4.0, 0.5]))
+    assert det == 4.0 and np.array_equal(inv, np.diag([0.5, 0.25, 2.0]))
+
+
+def test_dist_so3_matches_svd_for_positive_determinant(rng):
+    n = 300
+    r = random_rotation(rng, n)
+    stacks = {
+        "rotations": r,
+        "near identity": np.eye(3) + 1e-3 * rng.standard_normal((n, 3, 3)),
+        "O(1)": well_conditioned_stack(rng, n),
+        "R diag(a, a, b)": r @ np.diag([1.3, 1.3, 0.7]),
+        "R diag(a, b, b)": r @ np.diag([1.3, 0.7, 0.7]),
+        "(1 + t) R": (1.0 + rng.uniform(-0.5, 0.5, (n, 1, 1))) * r,
+    }
+    for name, F in stacks.items():
+        assert np.all(np.linalg.det(F) > 0.0), name
+        d, ref = sh.dist_so3(F), svd_dist_reference(F)
+        assert np.max(np.abs(d - ref) / (1.0 + ref)) < 1e-12, name
+    assert np.max(sh.dist_so3(r)) < 1e-14
+    assert sh.dist_so3(np.eye(3)) == 0.0
+
+
+def test_dist_so3_keeps_orientation(rng):
+    # a reflection is 2 away from SO(3), though its singular values are all 1
+    assert sh.dist_so3(np.diag([1.0, 1.0, -1.0])) == pytest.approx(2.0, abs=1e-15)
+    assert sh.dist_so3(-np.eye(3)) == pytest.approx(2.0, abs=1e-15)
+    r = random_rotation(rng, 200)
+    assert np.max(np.abs(sh.dist_so3(r @ np.diag([1.0, 1.0, -1.0])) - 2.0)) < 1e-13
+    F = -well_conditioned_stack(rng, 400)
+    assert np.all(np.linalg.det(F) < 0.0)
+    ref = svd_dist_reference(F)
+    assert np.max(np.abs(sh.dist_so3(F) - ref) / (1.0 + ref)) < 1e-12
+
+
+def energy_3d_linalg(u, g, cfg, m):
+    """energy_3d written with np.linalg: the reference for the closed-form kernels."""
+    imm = sh.Immersion(cfg)
+    h = cfg.h
+    terms, dets, dists = [], [], []
+    for k, (x3, gw) in enumerate(zip(u.x3, u.weights)):
+        gp = imm.grad_phi_tilde(x3)
+        q = np.eye(3) + h * h * g.eps_g.data + h * x3 * g.kappa_g.data
+        a = u.grad_y[k] @ np.linalg.inv(gp)
+        f = a @ np.linalg.inv(q)
+        e = np.einsum("...ki,...kj->...ij", f, f) - np.eye(3)
+        tr = np.trace(e, axis1=-2, axis2=-1)
+        wvals = 0.25 * m.mu * np.sum(e * e, axis=(-2, -1)) + 0.125 * m.lam * tr * tr
+        terms.append((gw / h) * cfg.grid.quad_weights * wvals * np.linalg.det(gp))
+        dets.append(np.linalg.det(a).min())
+        dists.append(svd_dist_reference(f).max())
+    return math.fsum(np.concatenate([t.ravel() for t in terms]).tolist()), min(dets), max(dists)
+
+
+@pytest.mark.parametrize("h", [1e-1, 1e-2, 1e-3])
+def test_energy_3d_matches_linalg_reference(square33, h):
+    grid = square33
+    m = en.Material(1.2, 0.6)
+    g = sine_growth(grid)
+    v0 = ScalarField(grid, 0.25 * (grid.X1**2 + grid.X2**2))
+    v = ScalarField(grid, v0.data + 0.3 * np.sin(np.pi * grid.X1) * np.sin(np.pi * grid.X2))
+    w = VectorField2(grid, np.stack([0.1 * grid.X1**2 * grid.X2, -0.05 * grid.X2**2], axis=-1))
+    cfg = sh.ShellConfig(v0, alpha=1.0, h=h, n_t=5)
+    u = sh.build_recovery(v, w, g, cfg, m)
+    total, diag = sh.energy_3d(u, g, cfg, m, return_diagnostics=True)
+    ref, min_det, max_dist = energy_3d_linalg(u, g, cfg, m)
+    assert total == pytest.approx(ref, rel=1e-10)
+    assert diag["min_det_grad_u"] == pytest.approx(min_det, rel=1e-12)
+    assert diag["max_dist_so3"] == pytest.approx(max_dist, rel=1e-10)
+
+
+def test_scaling_study_workers_match_serial(grid48):
+    m = en.Material(1.0, 1.0)
+    g = sine_growth(grid48)
+    v0 = ScalarField(grid48, 0.25 * (grid48.X1**2 + grid48.X2**2))
+    st = en.PlateState(
+        en.I40,
+        VectorField2(grid48, np.stack([0.1 * grid48.X1, 0.05 * grid48.X2], axis=-1)),
+        ScalarField(grid48, v0.data + 0.2 * np.sin(np.pi * grid48.X1) * np.sin(np.pi * grid48.X2)),
+    )
+    h_list = [1e-1, 3e-2, 1e-2, 1e-3, 1e-4]
+    serial = sh.scaling_study(1.0, h_list, g, v0, st, m, n_t=3)
+    threaded = sh.scaling_study(1.0, h_list, g, v0, st, m, n_t=3, workers=2)
+    assert threaded.rows == serial.rows
+    assert threaded.metadata() == serial.metadata()
