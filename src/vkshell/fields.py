@@ -22,7 +22,6 @@ outputs, so fields can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -450,12 +449,16 @@ def save_csv(fld, path) -> None:
     if k not in _RANK_LABELS:
         raise ValueError(f"unsupported component count {k}")
     header = ",".join(["x1", "x2"] + _RANK_LABELS[k])
-    lines = [header]
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            vals = [grid.x1[i], grid.x2[j]] + list(comps[i, j])
-            lines.append(",".join(f"{v:.17g}" for v in vals))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # one %-format per grid row; '%.17g' % v == f'{v:.17g}' for every float
+    row_fmt = (",".join(["%.17g"] * (k + 2)) + "\n") * grid.ny
+    block = np.empty((grid.ny, k + 2))
+    block[:, 1] = grid.x2
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for i in range(grid.nx):
+            block[:, 0] = grid.x1[i]
+            block[:, 2:] = comps[i]
+            fh.write(row_fmt % tuple(block.ravel().tolist()))
 
 
 def load_csv(path, grid: Grid2D):

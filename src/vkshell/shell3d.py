@@ -18,8 +18,9 @@ module.  It violates the global quadratic lower bound far from SO(3),
 which none of the desk-scale deformations approach; a distance guard
 flags any quadrature point beyond 0.3.  Each thickness node forms the
 strain e = F^T F - Id once; W and the distance to SO(3) both read it, the
-distance through the closed-form eigenvalues of e (singular values of F,
-the smallest one signed by det F).  The 3x3 determinants and inverses are
+distance through the closed-form eigenvalues of e (singular values of F).
+Points with det F < 0, whose distance hinges on the smallest singular value
+alone, take it from an SVD of F instead.  The 3x3 determinants and inverses are
 closed-form elementwise kernels (cofactor expansion, adjugate) on whole
 (..., 3, 3) stacks, not batched LAPACK calls.
 
@@ -261,6 +262,8 @@ def _sym_eigvals3(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     small strains keep their relative accuracy.  Near a double eigenvalue
     acos loses half the digits of the split pair, but their symmetric
     functions (and so the distance to SO(3) for det F > 0) keep full accuracy.
+    The distance for det F < 0 needs the smallest one alone; see
+    _dist_from_strain.
     """
     q = (e[..., 0, 0] + e[..., 1, 1] + e[..., 2, 2]) / 3.0
     b0, b1, b2 = e[..., 0, 0] - q, e[..., 1, 1] - q, e[..., 2, 2] - q
@@ -275,17 +278,26 @@ def _sym_eigvals3(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return l1, 3.0 * q - l1 - l3, l3
 
 
-def _dist_from_strain(e: np.ndarray, det_f: np.ndarray) -> np.ndarray:
-    """Frobenius distance of F to SO(3) from e = F^T F - Id and the sign of det F.
+def _dist_from_strain(e: np.ndarray, F: np.ndarray, det_f: np.ndarray) -> np.ndarray:
+    """Frobenius distance of F to SO(3), given e = F^T F - Id and det F.
 
     The singular values are sigma = sqrt(1 + l) for the eigenvalues l of e;
     sigma - 1 = l / (1 + sqrt(1 + l)) avoids the cancellation.  The nearest
-    rotation of an orientation-reversing F flips the smallest sigma, whose
-    term becomes (-sigma - 1)^2 = ((sigma - 1) + 2)^2.
+    rotation of an orientation-reversing F flips the smallest sigma, so that
+    distance depends on sigma_3 by itself, which the trigonometric rule
+    splits from a nearby sigma_2 with only half the digits: the points with
+    det F < 0 take their singular values from an SVD of F.
     """
     s1, s2, s3 = (l / (1.0 + np.sqrt(np.maximum(1.0 + l, 0.0))) for l in _sym_eigvals3(e))
-    s3 = np.where(det_f < 0.0, s3 + 2.0, s3)
-    return np.sqrt(s1 * s1 + s2 * s2 + s3 * s3)
+    d = np.sqrt(s1 * s1 + s2 * s2 + s3 * s3)
+    flip = det_f < 0.0
+    if np.any(flip):
+        sv = np.linalg.svd(F[flip], compute_uv=False)
+        sv[:, 2] *= -1.0
+        d = np.array(d)  # writable, also for a single matrix
+        d[flip] = np.sqrt(np.sum((sv - 1.0) ** 2, axis=-1))
+        d = d[()]  # a single matrix gets a scalar back, as on the other path
+    return d
 
 
 def density_W(F: np.ndarray, m: en.Material) -> np.ndarray | float:
@@ -297,7 +309,7 @@ def density_W(F: np.ndarray, m: en.Material) -> np.ndarray | float:
 def dist_so3(F: np.ndarray) -> np.ndarray:
     """Frobenius distance to SO(3) (orientation kept: a reflection is 2 away)."""
     F = np.asarray(F, dtype=float)
-    return _dist_from_strain(_strain(F), _det3(F))
+    return _dist_from_strain(_strain(F), F, _det3(F))
 
 
 @dataclass(frozen=True)
@@ -359,7 +371,7 @@ def energy_3d(
         f = a @ qh.inverse_at(x3)
         e = _strain(f)
         # det q^h > 0 (checked by inverse_at), so det f has the sign of det_u
-        d = _dist_from_strain(e, det_u)
+        d = _dist_from_strain(e, f, det_u)
         max_dist = max(max_dist, float(d.max()))
         flagged += int(np.count_nonzero(d > DIST_SO3_GUARD))
         wvals = _density_from_strain(e, m)

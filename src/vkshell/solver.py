@@ -6,7 +6,7 @@ Contents:
                     gauge modes (translations, in-plane rotation, affine
                     deflection with its compensating quadratic in w),
 * solve_biharmonic -- periodic discrete bilaplacian solve; conjugate
-                    gradients preconditioned by the exact FFT symbol
+                    gradients preconditioned by the exact real-FFT symbol
                     inverse, so it converges in O(1) iterations,
 * solve_mystery  -- the mixed-type Dirichlet problem
                     cof(hess v0) : hess v = -curl^T curl B
@@ -16,7 +16,11 @@ Contents:
                     discrete plate energies, with a doubling penalty
                     schedule for the constrained functional,
 * solve_vk       -- under-relaxed Picard iteration for the prestrained
-                    von Karman systems (flat and blooming variants).
+                    von Karman systems (flat and blooming variants), which
+                    stops once its residual sits on the roundoff floor.
+
+Every SolveReport carries a `status`: CONVERGED, ROUNDOFF_FLOOR (solve_vk),
+BUDGET_EXHAUSTED or LINE_SEARCH_FAILED (minimize).
 """
 
 from __future__ import annotations
@@ -58,6 +62,12 @@ class EllipticityError(ValueError):
     """v0 fails the det(hess v0) >= c > 0 requirement."""
 
 
+CONVERGED = "converged"
+ROUNDOFF_FLOOR = "roundoff_floor"
+BUDGET_EXHAUSTED = "budget_exhausted"
+LINE_SEARCH_FAILED = "line_search_failed"
+
+
 @dataclass
 class SolveReport:
     iterations: int = 0
@@ -67,6 +77,8 @@ class SolveReport:
     converged: bool = False
     wall_time_s: float = 0.0
     extras: dict = field(default_factory=dict)
+    # why the solve stopped: one of the four status constants above
+    status: str = BUDGET_EXHAUSTED
 
     def to_json_dict(self, include_wall_time: bool = True) -> dict:
         out = {
@@ -75,6 +87,7 @@ class SolveReport:
             "grad_norm": self.grad_norm,
             "constraint_residual": self.constraint_residual,
             "converged": self.converged,
+            "status": self.status,
         }
         if include_wall_time:
             out["wall_time_s"] = self.wall_time_s
@@ -133,12 +146,23 @@ def gauge_fix(s: en.PlateState) -> en.PlateState:
 
 # -- periodic biharmonic solve -------------------------------------------------
 
-def _lap_symbol(grid: Grid2D) -> np.ndarray:
+def _inv_bilap_symbol(grid: Grid2D) -> np.ndarray:
+    """Inverse of the periodic bilaplacian symbol on the rfft2 half spectrum.
+
+    The zero mode maps to zero, so applying it projects onto zero mean.
+    Building it costs about 4 % of one preconditioner application at 256^2;
+    a cache kept per grid would hold the array, and with it heap pages,
+    for the life of the process.
+    """
     kx = np.arange(grid.nx)
-    ky = np.arange(grid.ny)
+    ky = np.arange(grid.ny // 2 + 1)
     lx = (2.0 * np.cos(2.0 * np.pi * kx / grid.nx) - 2.0) / grid.dx**2
     ly = (2.0 * np.cos(2.0 * np.pi * ky / grid.ny) - 2.0) / grid.dy**2
-    return lx[:, None] + ly[None, :]
+    sym2 = (lx[:, None] + ly[None, :]) ** 2
+    sym2[0, 0] = 1.0
+    inv = 1.0 / sym2
+    inv[0, 0] = 0.0
+    return inv
 
 
 def solve_biharmonic(
@@ -153,7 +177,14 @@ def solve_biharmonic(
     The right-hand side is projected onto zero mean first (the projection
     magnitude is reported through `info`).  Conjugate gradients on the
     composed laplacian-of-laplacian operator, preconditioned by its exact
-    Fourier inverse; non-convergence raises SolverError with the residual.
+    inverse symbol applied through rfft2/irfft2; non-convergence raises
+    SolverError with the residual.
+
+    CG stops on its recursively updated residual, not on the true one
+    bilap(u) - rhs.  The two part at roundoff: on the 256^2 von Karman
+    right-hand sides the recursive residual falls below 1e-16 in two steps,
+    while the true relative residual floors between 4e-10 and 1.7e-9, above
+    the default tol.
     """
     grid = rhs.grid
     if bc is not None and bc != grid.bc:
@@ -170,16 +201,11 @@ def solve_biharmonic(
             info.update(iterations=0, residual=0.0)
         return ScalarField.zeros(grid)
 
-    sym2 = _lap_symbol(grid) ** 2
-    sym2[0, 0] = 1.0
-
-    def apply_a(u):
-        return grid.bilap(u)
+    inv_sym = _inv_bilap_symbol(grid)
+    shape = (grid.nx, grid.ny)
 
     def apply_minv(r):
-        rf = np.fft.fftn(r) / sym2
-        rf[0, 0] = 0.0
-        return np.real(np.fft.ifftn(rf))
+        return np.fft.irfft2(np.fft.rfft2(r) * inv_sym, s=shape)
 
     x = np.zeros_like(b)
     r = b.copy()
@@ -189,7 +215,7 @@ def solve_biharmonic(
     res = bnorm
     it = 0
     while res > tol * bnorm and it < max_iter:
-        ap = apply_a(p)
+        ap = grid.bilap(p)
         alpha = rz / float(np.sum(p * ap))
         x += alpha * p
         r -= alpha * ap
@@ -457,6 +483,12 @@ def minimize(
         final_energy, resid = en.energy_i4inf(final, g, m, v0, 0.0)
     else:
         final_energy = en.total_energy(functional, final, g, m, v0, 0.0)
+    if converged:
+        status = CONVERGED
+    elif ls_failed:
+        status = LINE_SEARCH_FAILED
+    else:
+        status = BUDGET_EXHAUSTED
     report = SolveReport(
         iterations=total_iters,
         final_energy=final_energy,
@@ -465,6 +497,7 @@ def minimize(
         converged=converged,
         wall_time_s=time.perf_counter() - t0,
         extras={"line_search_failed": ls_failed, "penalty_stages": stage_rows},
+        status=status,
     )
     return final, report
 
@@ -515,13 +548,21 @@ def vk_residual(
 
 
 def _vk_residual(
-    state: VKState, sources: tuple, m: en.Material, project_means: bool = False
+    state: VKState,
+    sources: tuple,
+    m: en.Material,
+    project_means: bool = False,
+    detv: np.ndarray | None = None,
 ) -> tuple[float, float]:
-    """vk_residual against sources already built by _vk_sources."""
+    """vk_residual against sources already built by _vk_sources.
+
+    detv, when given, is det(hess v) of the state, already computed.
+    """
     grid = state.grid
     lam, om, det0, bilap0 = sources
     y, z = m.young, m.bending
-    detv = det2_values(hessian_values(grid, state.v.data))
+    if detv is None:
+        detv = det2_values(hessian_values(grid, state.v.data))
     r1 = grid.bilap(state.phi.data) + y * (detv - det0 + lam)
     r2 = (
         z * (grid.bilap(state.v.data) - bilap0)
@@ -532,6 +573,29 @@ def _vk_residual(
         r1 = r1 - r1.mean()
         r2 = r2 - r2.mean()
     return grid.norm_l2(r1), grid.norm_l2(r2)
+
+
+# Roundoff-floor detection over the Picard residual history: a floor is
+# flat and non-monotone.  The last _FLOOR_WINDOW residuals stay within a
+# factor _FLOOR_GAIN of the one before them, either way, and they go both up
+# and down.  Slow linear contraction falls every sweep and an oscillating
+# divergence leaves the band, so neither qualifies.
+_FLOOR_WINDOW = 5
+_FLOOR_GAIN = 0.9
+
+
+def _roundoff_floor(history: list[float]) -> float | None:
+    """The floor estimate (median of the window) if the history sits on one."""
+    if len(history) <= _FLOOR_WINDOW:
+        return None
+    window = history[-_FLOOR_WINDOW:]
+    before = history[-_FLOOR_WINDOW - 1]
+    if not _FLOOR_GAIN * before < min(window) <= max(window) < before / _FLOOR_GAIN:
+        return None
+    steps = list(zip(window, window[1:]))
+    if not (any(b > a for a, b in steps) and any(b < a for a, b in steps)):
+        return None
+    return float(np.median(window))
 
 
 def solve_vk(
@@ -547,7 +611,9 @@ def solve_vk(
     means are projected out (the periodic torus forces compatibility) and
     the projection magnitudes are reported.  Residual growth over five
     consecutive sweeps aborts with a hint to lower the relaxation or the
-    growth amplitude.
+    growth amplitude.  A residual that has stopped falling and wanders on
+    its roundoff floor above tol ends the solve with status ROUNDOFF_FLOOR
+    (converged stays False; extras["roundoff_floor"] holds the estimate).
     """
     opts = opts or VKOptions()
     grid = g.grid
@@ -569,18 +635,26 @@ def solve_vk(
     history = []
     max_proj = 0.0
     grow_streak = 0
-    converged = False
+    status = BUDGET_EXHAUSTED
+    floor = None
     sweeps = 0
     state = VKState(ScalarField(grid, v), ScalarField(grid, phi))
-    r1, r2 = _vk_residual(state, sources, m, project_means=True)
+    # det(hess v) of the current v: the residual and the next phi source share it
+    detv = det2_values(hessian_values(grid, v))
+    r1, r2 = _vk_residual(state, sources, m, project_means=True, detv=detv)
     rho = max(r1 / y, r2 / z) / scale
     history.append(rho)
-    while sweeps < opts.max_sweeps:
+    while True:
         if rho <= opts.tol:
-            converged = True
+            status = CONVERGED
+            break
+        floor = _roundoff_floor(history)
+        if floor is not None:
+            status = ROUNDOFF_FLOOR
+            break
+        if sweeps >= opts.max_sweeps:
             break
         info: dict = {}
-        detv = det2_values(hessian_values(grid, v))
         rhs1 = -y * (detv - det0 + lam)
         phi_new = solve_biharmonic(ScalarField(grid, rhs1), tol=opts.cg_tol, info=info).data
         max_proj = max(max_proj, info.get("mean_projected", 0.0))
@@ -595,7 +669,8 @@ def solve_vk(
         sweeps += 1
 
         state = VKState(ScalarField(grid, v), ScalarField(grid, phi))
-        r1, r2 = _vk_residual(state, sources, m, project_means=True)
+        detv = det2_values(hessian_values(grid, v))
+        r1, r2 = _vk_residual(state, sources, m, project_means=True, detv=detv)
         rho_new = max(r1 / y, r2 / z) / scale
         grow_streak = grow_streak + 1 if rho_new > 1.01 * rho else 0
         history.append(rho_new)
@@ -607,13 +682,13 @@ def solve_vk(
                 residual=rho,
             )
 
-    r1_raw, r2_raw = _vk_residual(state, sources, m)
+    r1_raw, r2_raw = _vk_residual(state, sources, m, detv=detv)
     report = SolveReport(
         iterations=sweeps,
         final_energy=None,
         grad_norm=rho,
         constraint_residual=0.0,
-        converged=converged,
+        converged=status == CONVERGED,
         wall_time_s=time.perf_counter() - t0,
         extras={
             "residual_history": history,
@@ -621,7 +696,10 @@ def solve_vk(
             "projected_residuals": {"r1": r1, "r2": r2},
             "max_mean_projection": max_proj,
         },
+        status=status,
     )
-    if not converged:
+    if status == ROUNDOFF_FLOOR:
+        report.extras["roundoff_floor"] = floor
+    elif status == BUDGET_EXHAUSTED:
         report.extras["warning"] = "sweep budget exhausted before tolerance"
     return state, report

@@ -7,9 +7,11 @@ from vkshell.fields import (
     Grid2D,
     GridMismatchError,
     MatrixField2,
+    MatrixField3,
     ScalarField,
     SizingError,
     VectorField2,
+    VectorField3,
     airy_bracket,
     apply_diff,
     cof2,
@@ -205,3 +207,42 @@ def test_csv_roundtrip(tmp_path, square33, rng):
         assert np.allclose(back.data, fld.data, rtol=0, atol=0)
     header = (tmp_path / "ScalarField.csv").read_text().splitlines()[0]
     assert header == "x1,x2,c11"
+
+
+def reference_csv(fld, labels):
+    """The plain writer: one f-string per value, row-major over nodes."""
+    grid = fld.grid
+    comps = fld.data.reshape(grid.nx, grid.ny, -1)
+    lines = [",".join(["x1", "x2"] + labels)]
+    for i in range(grid.nx):
+        for j in range(grid.ny):
+            vals = [grid.x1[i], grid.x2[j]] + list(comps[i, j])
+            lines.append(",".join(f"{v:.17g}" for v in vals))
+    return "\n".join(lines) + "\n"
+
+
+def test_save_csv_format_is_the_per_value_reference(tmp_path, rng):
+    grid = Grid2D(9, 11, (-0.3, 1.7, 0.0, 2.0), bc=DIRICHLET)
+    cases = [
+        (ScalarField, (), ["c11"]),
+        (VectorField2, (2,), ["c11", "c12"]),
+        (MatrixField2, (2, 2), ["c11", "c12", "c21", "c22"]),
+        (MatrixField3, (3, 3), ["c11", "c12", "c13", "c21", "c22", "c23", "c31", "c32", "c33"]),
+    ]
+    for cls, suffix, labels in cases:
+        shape = (grid.nx, grid.ny) + suffix
+        # mixed magnitudes and signs, exact integers, signed zeros, subnormals
+        data = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        flat = data.reshape(-1)
+        flat[:6] = [0.0, -0.0, 1.0, -3.0, 5e-324, 0.1]
+        fld = cls(grid, data)
+        path = tmp_path / f"{cls.__name__}.csv"
+        save_csv(fld, str(path))
+        assert path.read_bytes() == reference_csv(fld, labels).encode("utf-8"), cls.__name__
+        back = load_csv(path, grid)
+        assert type(back) is cls
+        assert np.array_equal(back.data, fld.data)
+    # VectorField3 shares the writer; its three components round-trip too
+    fld = VectorField3(grid, rng.standard_normal((grid.nx, grid.ny, 3)))
+    save_csv(fld, tmp_path / "v3.csv")
+    assert np.array_equal(load_csv(tmp_path / "v3.csv", grid).data, fld.data)

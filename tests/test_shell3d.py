@@ -392,6 +392,21 @@ def test_dist_so3_keeps_orientation(rng):
     assert np.max(np.abs(sh.dist_so3(F) - ref) / (1.0 + ref)) < 1e-12
 
 
+def test_dist_so3_exact_for_reflections_with_a_near_double_singular_value(rng):
+    # det F < 0 with sigma_2 ~ sigma_3: the trigonometric eigenvalue rule splits
+    # the pair with half the digits, so these points go through an SVD
+    r = random_rotation(rng, 1000)
+    for diag in ([1.3, 0.7, -0.7], [1.3, 0.7, -0.7 * (1.0 + 1e-9)], [0.7, 0.7, -0.7]):
+        F = r @ np.diag(diag)
+        ref = svd_dist_reference(F)
+        assert np.max(np.abs(sh.dist_so3(F) - ref) / ref) < 1e-12, diag
+    # a mixed stack: each point takes its own path
+    F = np.concatenate([r[:500] @ np.diag([1.3, 0.7, -0.7]), r[500:] @ np.diag([1.3, 0.7, 0.7])])
+    ref = svd_dist_reference(F)
+    assert np.max(np.abs(sh.dist_so3(F) - ref) / (1.0 + ref)) < 1e-12
+    assert isinstance(sh.dist_so3(np.diag([1.3, 0.7, -0.7])), float)
+
+
 def energy_3d_linalg(u, g, cfg, m):
     """energy_3d written with np.linalg: the reference for the closed-form kernels."""
     imm = sh.Immersion(cfg)
@@ -442,3 +457,23 @@ def test_scaling_study_workers_match_serial(grid48):
     threaded = sh.scaling_study(1.0, h_list, g, v0, st, m, n_t=3, workers=2)
     assert threaded.rows == serial.rows
     assert threaded.metadata() == serial.metadata()
+
+
+def test_energy_3d_reflected_deformation(square33):
+    # D grad y with D = diag(1, 1, -1) keeps the strain, so the energy, and
+    # reverses the orientation, so the distance runs through the SVD branch
+    grid = square33
+    m = en.Material(1.2, 0.6)
+    g = sine_growth(grid)
+    v0 = ScalarField(grid, 0.25 * (grid.X1**2 + grid.X2**2))
+    v = ScalarField(grid, v0.data + 0.3 * np.sin(np.pi * grid.X1) * np.sin(np.pi * grid.X2))
+    cfg = sh.ShellConfig(v0, alpha=1.0, h=1e-2, n_t=3)
+    u = sh.build_recovery(v, VectorField2.zeros(grid), g, cfg, m)
+    refl = sh.Deformation3D(cfg, u.x3, u.weights, np.diag([1.0, 1.0, -1.0]) @ u.grad_y)
+    with pytest.warns(UserWarning):
+        total, diag = sh.energy_3d(refl, g, cfg, m, return_diagnostics=True)
+    ref, min_det, max_dist = energy_3d_linalg(refl, g, cfg, m)
+    assert diag["orientation_lost"] and min_det < 0.0
+    assert total == pytest.approx(ref, rel=1e-10)
+    assert total == pytest.approx(sh.energy_3d(u, g, cfg, m), rel=1e-12)
+    assert diag["max_dist_so3"] == pytest.approx(max_dist, rel=1e-12)

@@ -82,6 +82,22 @@ def test_biharmonic_discrete_symbol_oracle(torus64):
     assert np.max(np.abs(u.data - np.sin(2 * grid.X1) / 16.0)) < 10.0 * grid.dx**2
 
 
+@pytest.mark.parametrize("shape", [(45, 32), (32, 45)])
+def test_biharmonic_discrete_symbol_oracle_odd_and_non_square(shape):
+    # plane waves, the Nyquist mode of the even axis included, on tori whose
+    # real-FFT half spectrum has an odd or an even last axis
+    nx, ny = shape
+    grid = Grid2D(nx, ny, (0.0, TWO_PI, 0.0, 3.0), bc=PERIODIC)
+    lap1 = lambda k, h: (2.0 - 2.0 * np.cos(k * h)) / h**2
+    nyquist = (16, 4) if nx == 32 else (4, 16)
+    for k1, k2 in ((1, 0), (0, 2), (3, 5), nyquist):
+        rhs = np.cos(k1 * grid.X1 + k2 * TWO_PI / 3.0 * grid.X2 + 0.3)
+        sym = lap1(k1, grid.dx) + lap1(k2 * TWO_PI / 3.0, grid.dy)
+        want = rhs / sym**2
+        u = so.solve_biharmonic(ScalarField(grid, rhs))
+        assert np.max(np.abs(u.data - want)) < 1e-10 * np.max(np.abs(want)), (k1, k2)
+
+
 def test_biharmonic_residual_postcondition(torus64, rng):
     raw = rng.standard_normal((torus64.nx, torus64.ny))
     info = {}
@@ -269,6 +285,19 @@ def test_minimize_penalty_schedule(square33, rng):
     assert all(b <= a + 1e-10 * (1 + a) for a, b in zip(resids, resids[1:]))
 
 
+def test_minimize_reports_status(square33):
+    m = en.Material(1.0, 1.0)
+    st = en.PlateState.zeros(square33, en.I40)
+    _, rep = so.minimize(en.I40, st, GrowthFields.zeros(square33), m)
+    assert rep.converged and rep.status == so.CONVERGED
+    assert rep.to_json_dict()["status"] == so.CONVERGED
+    g = growth_preset("kappa_sine", square33, 1.0)
+    _, rep = so.minimize(en.I40, st, g, m, opts=so.MinimizeOptions(max_iter=5))
+    assert rep.iterations == 5 and not rep.converged
+    assert rep.status == so.BUDGET_EXHAUSTED
+    assert rep.to_json_dict(include_wall_time=False)["status"] == so.BUDGET_EXHAUSTED
+
+
 def test_minimize_nan_energy_fatal(square33):
     m = en.Material(1.0, 1.0)
     bad = en.PlateState(
@@ -337,6 +366,54 @@ def test_vk_residual_perturbation_linearization(torus64):
     # r1 responds through the determinant cross term cof(hess v) : hess(pert)
     pred1 = m.young * delta * torus64.norm_l2(np.sin(torus64.X1) * np.sin(torus64.X2))
     assert r1b == pytest.approx(pred1, rel=1e-2)
+
+
+def test_vk_stops_at_roundoff_floor():
+    # at 256^2 the projected residual flattens near 1.2e-9, above tol = 1e-10
+    grid = Grid2D(256, 256, (0, TWO_PI, 0, TWO_PI), bc=PERIODIC)
+    g = growth_preset("kappa_sine", grid, 0.5)
+    _, rep = so.solve_vk("old", g, en.Material(1.0, 1.0), opts=so.VKOptions(tol=1e-10))
+    assert rep.status == so.ROUNDOFF_FLOOR and not rep.converged
+    assert rep.iterations <= 25
+    assert rep.grad_norm <= 1.2e-8
+    floor = rep.extras["roundoff_floor"]
+    assert 0.9 * floor <= rep.grad_norm <= floor / 0.9
+    assert "warning" not in rep.extras
+    assert rep.to_json_dict()["status"] == so.ROUNDOFF_FLOOR
+
+
+def test_vk_slow_contraction_exhausts_budget(torus64):
+    # relaxation 0.05 contracts by about 0.95 per sweep: slow, not a floor
+    g = growth_preset("kappa_sine", torus64, 0.5)
+    opts = so.VKOptions(max_sweeps=60, relaxation=0.05)
+    _, rep = so.solve_vk("old", g, en.Material(1.0, 1.0), opts=opts)
+    assert rep.status == so.BUDGET_EXHAUSTED and not rep.converged
+    assert rep.iterations == 60
+    assert "roundoff_floor" not in rep.extras and "warning" in rep.extras
+
+
+def test_vk_converged_status(torus64):
+    g = growth_preset("kappa_sine", torus64, 0.5)
+    _, rep = so.solve_vk("old", g, en.Material(1.0, 1.0))
+    assert rep.converged and rep.status == so.CONVERGED
+    assert rep.grad_norm <= so.VKOptions().tol
+
+
+def test_vk_oscillating_divergence_is_not_a_floor(torus64):
+    # over-relaxed sweeps make the residual swing up and down while it grows
+    g = growth_preset("kappa_sine", torus64, 0.5)
+    with pytest.raises(so.SolverError):
+        so.solve_vk("old", g, en.Material(1.0, 1.0), opts=so.VKOptions(relaxation=1.9))
+
+
+def test_roundoff_floor_rule():
+    assert so._roundoff_floor([1.0, 1.02, 0.98, 1.01, 0.99, 1.0]) == 1.0
+    # too short, falling every sweep, rising every sweep, or leaving the band
+    assert so._roundoff_floor([1.0, 1.02, 0.98, 1.01, 0.99]) is None
+    assert so._roundoff_floor([0.98**k for k in range(6)]) is None
+    assert so._roundoff_floor([1.005**k for k in range(6)]) is None
+    assert so._roundoff_floor([1.0, 0.9, 1.05, 0.95, 1.2, 1.0]) is None
+    assert so._roundoff_floor([1.0, 0.95, 0.89, 0.93, 0.92, 0.91]) is None
 
 
 def test_vk_requires_periodic(square33):
