@@ -281,9 +281,7 @@ def identity_suite(cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
     dv0 = grad_values(grid, v0.data)
     r46 = curl_t_curl(
         MatrixField2(grid, sym_values(dv3[..., :, None] * dv0[..., None, :]), symmetric=True)
-    ).data + np.sum(
-        cof2_values(hessian_values(grid, v0.data)) * hessian_values(grid, v3.data), axis=(-2, -1)
-    )
+    ).data + en.constraint_values(v3, v0)
     checks.append(_check("rank_one_curl_identity", float(np.max(np.abs(r46))), 40.0 * dx2 * scale0))
 
     # curl^T curl annihilates symmetrized gradients
@@ -421,6 +419,12 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_json_safe(payload), sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _write_report(outdir: Path, report: so.SolveReport) -> None:
+    """report.json: the solve report with wall time and the solver's extras."""
+    payload = {**report.to_json_dict(include_wall_time=True), "extras": report.extras}
+    _write_json(outdir / "report.json", payload)
+
+
 def _parse_poly_field(grid: Grid2D, terms, where: str) -> np.ndarray:
     try:
         checked = GrowthSpec(eps_entries={(1, 1): terms}).eps_entries[(1, 1)]
@@ -497,7 +501,7 @@ def _run_minimize(cfg: ExperimentConfig, outdir: Path) -> dict:
     save_csv(state.w, fields_dir / "w.csv")
     if state.vtilde is not None:
         save_csv(state.vtilde, fields_dir / "vtilde.csv")
-    _write_json(outdir / "report.json", report.to_json_dict(include_wall_time=True))
+    _write_report(outdir, report)
     return {"solve": report.to_json_dict(include_wall_time=False), "functional": functional}
 
 
@@ -517,7 +521,7 @@ def _run_solve_vk(cfg: ExperimentConfig, outdir: Path) -> dict:
     fields_dir.mkdir(exist_ok=True)
     save_csv(state.v, fields_dir / "v.csv")
     save_csv(state.phi, fields_dir / "phi.csv")
-    _write_json(outdir / "report.json", report.to_json_dict(include_wall_time=True))
+    _write_report(outdir, report)
     out = {
         "solve": report.to_json_dict(include_wall_time=False),
         "model": model,

@@ -31,7 +31,7 @@ from .fields import (
     sym_grad_values,
     sym_values,
 )
-from .growth import GrowthFields
+from .growth import GrowthFields, sym_tan
 
 I40 = "I40"
 I41 = "I41"
@@ -183,10 +183,6 @@ class PlateState:
         return cls(variant, w, v, vt)
 
 
-def _tan_sym(m3: np.ndarray) -> np.ndarray:
-    return sym_values(m3)[..., :2, :2]
-
-
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, None] * b[..., None, :]
 
@@ -201,7 +197,7 @@ def stretching_values(s: PlateState, g: GrowthFields, v0: ScalarField | None = N
     """
     grid = s.grid
     dv = grad_values(grid, s.v.data)
-    out = sym_grad_values(grid, s.w.data) + 0.5 * _outer(dv, dv) - _tan_sym(g.eps_g.data)
+    out = sym_grad_values(grid, s.w.data) + 0.5 * _outer(dv, dv) - sym_tan(g.eps_g)
     if s.variant == I41 and v0 is not None:
         dv0 = grad_values(grid, v0.data)
         out = out - 0.5 * _outer(dv0, dv0)
@@ -215,7 +211,7 @@ def stretching_values(s: PlateState, g: GrowthFields, v0: ScalarField | None = N
 def bending_values(s: PlateState, g: GrowthFields, v0: ScalarField | None = None) -> np.ndarray:
     """Bending integrand argument: hess v [- hess v0 for I41] + (sym kappa_g)_tan."""
     grid = s.grid
-    out = hessian_values(grid, s.v.data) + _tan_sym(g.kappa_g.data)
+    out = hessian_values(grid, s.v.data) + sym_tan(g.kappa_g)
     if s.variant == I41 and v0 is not None:
         out = out - hessian_values(grid, v0.data)
     return out

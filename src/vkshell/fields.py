@@ -262,9 +262,6 @@ class VectorField2:
     def zeros(cls, grid: Grid2D) -> "VectorField2":
         return cls(grid, np.zeros((grid.nx, grid.ny, 2)))
 
-    def component(self, i: int) -> np.ndarray:
-        return self.data[..., i]
-
 
 @dataclass(frozen=True, eq=False)
 class VectorField3:
@@ -321,15 +318,9 @@ def apply_diff(f: ScalarField, kind: str):
     g = f.grid
     a = f.data
     if kind == "grad":
-        return VectorField2(g, np.stack([g.d1(a, 0), g.d1(a, 1)], axis=-1))
+        return VectorField2(g, grad_values(g, a))
     if kind == "hessian":
-        hxx, hyy, hxy = g.d2(a, 0), g.d2(a, 1), g.dcross(a)
-        h = np.empty((g.nx, g.ny, 2, 2))
-        h[..., 0, 0] = hxx
-        h[..., 0, 1] = hxy
-        h[..., 1, 0] = hxy
-        h[..., 1, 1] = hyy
-        return MatrixField2(g, h, symmetric=True)
+        return MatrixField2(g, hessian_values(g, a), symmetric=True)
     if kind == "laplacian":
         return ScalarField(g, g.lap(a))
     if kind == "bilaplacian":
@@ -397,10 +388,6 @@ def integrate(f: ScalarField) -> float:
 
 def norm_l2(f: ScalarField) -> float:
     return f.grid.norm_l2(f.data)
-
-
-def norm_inf(f: ScalarField) -> float:
-    return float(np.max(np.abs(f.data)))
 
 
 def sym_values(b: np.ndarray) -> np.ndarray:

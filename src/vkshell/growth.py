@@ -138,14 +138,14 @@ def eval_growth(spec: GrowthSpec, grid: Grid2D) -> GrowthFields:
     return GrowthFields.from_arrays(grid, eps, kappa)
 
 
-def _sym_tan(m: MatrixField3) -> np.ndarray:
+def sym_tan(m: MatrixField3) -> np.ndarray:
     """Tangential (2x2) minor of the symmetric part, as raw values."""
     return sym_values(m.data)[..., :2, :2]
 
 
 def lambda_g(g: GrowthFields) -> ScalarField:
     """curl^T curl of the tangential minor of eps_g."""
-    tan = _sym_tan(g.eps_g)
+    tan = sym_tan(g.eps_g)
     return curl_t_curl(MatrixField2(g.grid, tan, symmetric=True))
 
 
@@ -153,7 +153,7 @@ def omega_g(g: GrowthFields, nu: float) -> ScalarField:
     """div^T div ((sym kappa_g)_tan + nu cof (sym kappa_g)_tan)."""
     if not 0.0 <= nu < 0.5:
         raise ValueError(f"Poisson ratio must sit in [0, 1/2), got {nu}")
-    tan = _sym_tan(g.kappa_g)
+    tan = sym_tan(g.kappa_g)
     comb = tan + nu * cof2_values(tan)
     return div_t_div(MatrixField2(g.grid, comb, symmetric=True))
 
@@ -187,7 +187,7 @@ def incompatibility(g: GrowthFields) -> tuple[VectorField2, float]:
     bending growth is a hessian.
     """
     grid = g.grid
-    tan = _sym_tan(g.kappa_g)
+    tan = sym_tan(g.kappa_g)
     c = np.empty((grid.nx, grid.ny, 2))
     for i in range(2):
         c[..., i] = grid.d1(tan[..., i, 1], 0) - grid.d1(tan[..., i, 0], 1)

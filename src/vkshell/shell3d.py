@@ -32,8 +32,11 @@ normal nu of Y, and the normal warping
     d0 = l(eps_g) + 2 c(stretching integrand),
     d1 = l(kappa_g) - 2 c(bending integrand),
 
-with l and c from the energy module.  Expanding (grad y)^T grad y against
-the pulled-back metric shows the order-h^2 strain is exactly
+with l and c from the energy module.  The stretching and bending
+integrands S and K are energy.stretching_values / bending_values of the
+regime's plate state (I40, I41 or I4INF), the very arguments the 2-D limit
+functional integrates.  Expanding (grad y)^T grad y against the
+pulled-back metric shows the order-h^2 strain is exactly
 [S - (x3/h) K]^* + sym((d0 + (x3/h) d1 - l(...)) x e3), which the above
 warping relaxes pointwise to Q2; the scaled energies then converge to the
 regime-matched two-dimensional functional.
@@ -56,10 +59,9 @@ from .fields import (
     VectorField3,
     grad_values,
     hessian_values,
-    sym_grad_values,
     sym_values,
 )
-from .growth import GrowthFields, embed2, incompatibility
+from .growth import GrowthFields, effective_growth, incompatibility
 from .solver import reconstruct_displacement
 
 FLAT = "flat"  # alpha > 1, or v0 identically zero: limit I40
@@ -172,11 +174,6 @@ class Immersion:
         return float(np.max(np.abs(dots)))
 
 
-def immersion(cfg: ShellConfig) -> Immersion:
-    """Shell chart with unit normal; |n| = 1 holds exactly at every node."""
-    return Immersion(cfg)
-
-
 class GrowthEvaluator:
     """q^h(x, x3) = Id + h^2 eps_g(x) + h x3 kappa_g(x), exact in x3."""
 
@@ -207,10 +204,6 @@ class GrowthEvaluator:
             inv, dets = _inv3(self._assemble(x3))
         self._require_invertible(dets)
         return inv
-
-
-def growth_qh(g: GrowthFields, cfg: ShellConfig) -> GrowthEvaluator:
-    return GrowthEvaluator(g, cfg)
 
 
 # -- closed-form kernels on (..., 3, 3) stacks ---------------------------------------
@@ -357,7 +350,7 @@ def energy_3d(
         raise ValueError("deformation was built for a different shell configuration")
     cfg.grid.require_same(g.grid, "growth and shell")
     imm = Immersion(cfg)
-    qh = growth_qh(g, cfg)
+    qh = GrowthEvaluator(g, cfg)
     qw = cfg.grid.quad_weights
     contributions = []
     min_det = math.inf
@@ -453,32 +446,28 @@ def build_recovery(
     h = cfg.h
     gamma = cfg.gamma
 
-    dv = grad_values(grid, v.data)
-    dv0 = grad_values(grid, cfg.v0.data)
-    outer_vv = dv[..., :, None] * dv[..., None, :]
-    stretch = sym_grad_values(grid, w.data) + 0.5 * outer_vv - sym_values(g.eps_g.data)[..., :2, :2]
-    bend = hessian_values(grid, v.data) + sym_values(g.kappa_g.data)[..., :2, :2]
-
     disp12 = h * h * w.data.copy()
     if regime == FLAT:
+        state = en.PlateState(en.I40, w, v)
         y3 = gamma * cfg.v0.data + h * v.data
     elif regime == DMV:
+        state = en.PlateState(en.I41, w, v)
         y3 = h * v.data
-        outer_00 = dv0[..., :, None] * dv0[..., None, :]
-        stretch = stretch - 0.5 * outer_00
-        bend = bend - hessian_values(grid, cfg.v0.data)
     else:
         if vtilde is None:
             raise RegimeError("the constrained regime needs vtilde")
         grid.require_same(vtilde.grid, "state and shell")
+        state = en.PlateState(en.I4INF, w, v, vtilde)
         if wtilde is None:
+            dv = grad_values(grid, v.data)
+            dv0 = grad_values(grid, cfg.v0.data)
             e = -sym_values(dv[..., :, None] * dv0[..., None, :])
             wtilde = VectorField2(grid, reconstruct_displacement(e, grid))
         grid.require_same(wtilde.grid, "state and shell")
         y3 = gamma * cfg.v0.data + h * v.data + h ** (2.0 - cfg.alpha) * vtilde.data
         disp12 = disp12 + h ** (1.0 + cfg.alpha) * wtilde.data
-        dvt = grad_values(grid, vtilde.data)
-        stretch = stretch + sym_values(dvt[..., :, None] * dv0[..., None, :])
+    stretch = en.stretching_values(state, g, cfg.v0)
+    bend = en.bending_values(state, g, cfg.v0)
 
     ycomps = np.empty((grid.nx, grid.ny, 3))
     ycomps[..., 0] = grid.X1 + disp12[..., 0]
@@ -521,27 +510,22 @@ def metric_residual(g: GrowthFields, v0: ScalarField, h: float, n_t: int = 3) ->
 
     Assembles g^h = (grad phi_tilde)^T (q^h)^T q^h (grad phi_tilde) exactly
     and subtracts Id + h^2 (2 sym eps_g + (grad v0 x grad v0)^*)
-    + 2 h x3 (sym kappa_g - (hess v0)^*); the defect is O(h^3) with a
+    + 2 h x3 (sym kappa_g - (hess v0)^*), i.e. Id + 2 h^2 eps_eff
+    + 2 h x3 kappa_eff of growth.effective_growth; the defect is O(h^3) with a
     grid-independent constant because both sides share one set of discrete
     derivatives.
     """
     cfg = ShellConfig(v0, alpha=1.0, h=h, n_t=n_t)
-    grid = cfg.grid
     imm = Immersion(cfg)
-    qh = growth_qh(g, cfg)
-    dv0 = grad_values(grid, v0.data)
-    hv0 = hessian_values(grid, v0.data)
-    outer = embed2(dv0[..., :, None] * dv0[..., None, :])
-    hess3 = embed2(hv0)
-    eps_s = sym_values(g.eps_g.data)
-    kap_s = sym_values(g.kappa_g.data)
+    qh = GrowthEvaluator(g, cfg)
+    eff = effective_growth(g, v0)
     eye = np.eye(3)
     worst = 0.0
     for x3 in (-0.5 * h, 0.0, 0.5 * h):
         gp = imm.grad_phi_tilde(x3)
         q = qh.at(x3)
         assembled = np.einsum("...ki,...kl,...lj->...ij", gp, np.einsum("...ki,...kj->...ij", q, q), gp)
-        predicted = eye + h * h * (2.0 * eps_s + outer) + 2.0 * h * x3 * (kap_s - hess3)
+        predicted = eye + h * h * (2.0 * eff.eps_g.data) + 2.0 * h * x3 * eff.kappa_g.data
         worst = max(worst, float(np.max(np.abs(assembled - predicted))))
     return worst
 

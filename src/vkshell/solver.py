@@ -167,7 +167,6 @@ def _inv_bilap_symbol(grid: Grid2D) -> np.ndarray:
 
 def solve_biharmonic(
     rhs: ScalarField,
-    bc: str | None = None,
     tol: float = 1e-10,
     max_iter: int = 10_000,
     info: dict | None = None,
@@ -187,8 +186,6 @@ def solve_biharmonic(
     the default tol.
     """
     grid = rhs.grid
-    if bc is not None and bc != grid.bc:
-        raise ValueError(f"requested mode {bc!r} but rhs lives on a {grid.bc} grid")
     if not grid.periodic:
         raise ValueError("solve_biharmonic supports the periodic verification arena only")
 
@@ -282,8 +279,9 @@ def solve_mystery(v0: ScalarField, B: MatrixField2) -> tuple[ScalarField, Vector
     grid = v0.grid
     if grid.periodic:
         raise ValueError("solve_mystery poses a Dirichlet problem; use a ghost-mode grid")
-    a = cof2_values(hessian_values(grid, v0.data))
-    dets = det2_values(hessian_values(grid, v0.data))
+    hv0 = hessian_values(grid, v0.data)
+    a = cof2_values(hv0)
+    dets = det2_values(hv0)
     dmin = float(dets.min())
     if dmin <= 1e-12:
         raise EllipticityError(f"det(hess v0) must be uniformly positive; min is {dmin:.3e}")
@@ -345,19 +343,23 @@ def solve_mystery(v0: ScalarField, B: MatrixField2) -> tuple[ScalarField, Vector
 
 # -- limited-memory BFGS --------------------------------------------------------
 
+# L-BFGS history length and the Armijo line search: sufficient-decrease
+# constant, backtracking factor, smallest step tried
+_LBFGS_MEMORY = 10
+_ARMIJO_C1 = 1e-4
+_BACKTRACK = 0.5
+_MIN_STEP = 1e-16
+
+
 @dataclass
 class MinimizeOptions:
     tol: float = 1e-8
     max_iter: int = 1000
-    memory: int = 10
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    min_step: float = 1e-16
     penalty_init: float = 1.0
     penalty_doublings: int = 3
 
 
-def _lbfgs(fg, x0: np.ndarray, tol_abs: float, opts: MinimizeOptions):
+def _lbfgs(fg, x0: np.ndarray, tol_abs: float, max_iter: int):
     """Two-loop L-BFGS with Armijo backtracking; energies never increase."""
     x = x0.copy()
     f, g = fg(x)
@@ -366,7 +368,7 @@ def _lbfgs(fg, x0: np.ndarray, tol_abs: float, opts: MinimizeOptions):
     rho_hist: list[float] = []
     it = 0
     line_search_failed = False
-    while it < opts.max_iter:
+    while it < max_iter:
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol_abs:
             return x, f, gnorm, it, True, line_search_failed
@@ -389,12 +391,12 @@ def _lbfgs(fg, x0: np.ndarray, tol_abs: float, opts: MinimizeOptions):
             slope = -gnorm * gnorm
         t = 1.0 if y_hist else min(1.0, 1.0 / max(gnorm, 1.0))
         accepted = False
-        while t >= opts.min_step:
+        while t >= _MIN_STEP:
             f_new, g_new = fg(x + t * d)
-            if f_new <= f + opts.armijo_c1 * t * slope:
+            if f_new <= f + _ARMIJO_C1 * t * slope:
                 accepted = True
                 break
-            t *= opts.backtrack
+            t *= _BACKTRACK
         if not accepted:
             line_search_failed = True
             return x, f, gnorm, it, False, line_search_failed
@@ -406,7 +408,7 @@ def _lbfgs(fg, x0: np.ndarray, tol_abs: float, opts: MinimizeOptions):
             s_hist.append(s_vec)
             y_hist.append(y_vec)
             rho_hist.append(1.0 / sy)
-            if len(s_hist) > opts.memory:
+            if len(s_hist) > _LBFGS_MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
                 rho_hist.pop(0)
@@ -464,7 +466,7 @@ def minimize(
         fg = make_fg(wgt)
         f0 = fg(x)[0]
         tol_abs = opts.tol * (1.0 + abs(f0))
-        x, f, gnorm, its, ok, lsf = _lbfgs(fg, x, tol_abs, opts)
+        x, f, gnorm, its, ok, lsf = _lbfgs(fg, x, tol_abs, opts.max_iter)
         total_iters += its
         converged = converged and ok
         ls_failed = ls_failed or lsf
@@ -509,7 +511,6 @@ class VKOptions:
     tol: float = 1e-10
     max_sweeps: int = 400
     relaxation: float = 0.7
-    cg_tol: float = 1e-10
 
 
 def _vk_sources(model: str, g: GrowthFields, m: en.Material, v0: ScalarField):
@@ -656,13 +657,13 @@ def solve_vk(
             break
         info: dict = {}
         rhs1 = -y * (detv - det0 + lam)
-        phi_new = solve_biharmonic(ScalarField(grid, rhs1), tol=opts.cg_tol, info=info).data
+        phi_new = solve_biharmonic(ScalarField(grid, rhs1), info=info).data
         max_proj = max(max_proj, info.get("mean_projected", 0.0))
         phi = (1.0 - omega_relax) * phi + omega_relax * phi_new
 
         bracket = airy_bracket(ScalarField(grid, v), ScalarField(grid, phi)).data
         rhs2 = bracket / z - om + bilap0
-        v_new = solve_biharmonic(ScalarField(grid, rhs2), tol=opts.cg_tol, info=info).data
+        v_new = solve_biharmonic(ScalarField(grid, rhs2), info=info).data
         max_proj = max(max_proj, info.get("mean_projected", 0.0))
         v = (1.0 - omega_relax) * v + omega_relax * v_new
         v -= v.mean()

@@ -138,6 +138,24 @@ def test_run_solve_vk_reference_error(tmp_path):
     assert summary["outputs"]["solve"]["converged"]
 
 
+def test_report_carries_solver_extras(tmp_path):
+    doc = base_config(growth={"preset": "omega_sine", "amplitude": 1.0})
+    doc["geometry"]["v0"] = "zero"
+    doc["run"] = {"command": "solve-vk", "model": "old"}
+    out = tmp_path / "vk"
+    assert cli.main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["extras"]["residual_history"]) == report["iterations"] + 1
+    assert "extras" not in json.loads((out / "summary.json").read_text())["outputs"]["solve"]
+
+    doc = base_config(growth={"preset": "zero"})
+    doc["run"] = {"command": "minimize", "functional": "I4INF", "penalty": {"doublings": 2}}
+    out = tmp_path / "min"
+    assert cli.main(["run", "--config", str(write_config(tmp_path, doc, "min.json")), "--out", str(out)]) == 0
+    stages = json.loads((out / "report.json").read_text())["extras"]["penalty_stages"]
+    assert [s["penalty"] for s in stages] == [1.0, 2.0, 4.0]
+
+
 def test_run_scaling_ratio_improves(tmp_path):
     doc = base_config()
     doc["grid"] = {"nx": 48, "ny": 48, "domain": [0.0, 1.0, 0.0, 1.0], "bc": "dirichlet-ghost"}

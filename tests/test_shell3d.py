@@ -59,20 +59,20 @@ def test_shell_config_validation(grid48):
 
 def test_immersion_flat_and_tilted(grid48):
     z = ScalarField.zeros(grid48)
-    imm = sh.immersion(sh.ShellConfig(z, alpha=1.0, h=0.05))
+    imm = sh.Immersion(sh.ShellConfig(z, alpha=1.0, h=0.05))
     assert np.allclose(imm.normal.data[..., 2], 1.0)
     pts = imm.phi_tilde(0.02)
     assert np.allclose(pts[..., 2], 0.02)
     # v0 = x1, gamma = 1: normal is (-1, 0, 1)/sqrt(2) everywhere
     v0 = ScalarField.sample(grid48, lambda x, y: x + 0 * y)
-    imm2 = sh.immersion(sh.ShellConfig(v0, alpha=0.0, h=0.05))
+    imm2 = sh.Immersion(sh.ShellConfig(v0, alpha=0.0, h=0.05))
     expect = np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0)
     assert np.max(np.abs(imm2.normal.data - expect)) < 1e-12
 
 
 def test_immersion_unit_normal_and_orthogonality(grid48):
     v0 = ScalarField.sample(grid48, lambda x, y: 0.4 * x * y + 0.2 * x * x)
-    imm = sh.immersion(sh.ShellConfig(v0, alpha=0.5, h=0.05))
+    imm = sh.Immersion(sh.ShellConfig(v0, alpha=0.5, h=0.05))
     norms = np.linalg.norm(imm.normal.data, axis=-1)
     assert np.max(np.abs(norms - 1.0)) < 1e-14
     assert imm.tangent_normal_defect() < 1e-14
@@ -82,12 +82,12 @@ def test_growth_qh(grid48):
     v0 = ScalarField.sample(grid48, lambda x, y: x * y)
     cfg = sh.ShellConfig(v0, alpha=1.0, h=0.1)
     g0 = GrowthFields.zeros(grid48)
-    q = sh.growth_qh(g0, cfg)
+    q = sh.GrowthEvaluator(g0, cfg)
     assert np.allclose(q.at(0.03), np.eye(3))
     kap = np.zeros((grid48.nx, grid48.ny, 3, 3))
     kap[..., 0, 0] = 1.0
     gk = GrowthFields.from_arrays(grid48, np.zeros_like(kap), kap)
-    qk = sh.growth_qh(gk, cfg)
+    qk = sh.GrowthEvaluator(gk, cfg)
     top = qk.at(0.05)
     assert np.allclose(top[..., 0, 0], 1.0 + 0.1 * 0.05)
     # affine structure: q(x3) + q(-x3) = 2 (Id + h^2 eps)
@@ -100,7 +100,7 @@ def test_growth_qh(grid48):
     # h^2 eps_11 = -1 makes q^h singular at every node
     eps = np.zeros_like(kap)
     eps[..., 0, 0] = -1.0 / 0.1**2
-    qs = sh.growth_qh(GrowthFields.from_arrays(grid48, eps, np.zeros_like(kap)), cfg)
+    qs = sh.GrowthEvaluator(GrowthFields.from_arrays(grid48, eps, np.zeros_like(kap)), cfg)
     for call in (qs.at, qs.inverse_at):
         with pytest.raises(ValueError, match="not invertible"):
             call(0.0)
