@@ -90,6 +90,13 @@ def _number(block: dict, key: str, where: str, default=None):
     return val
 
 
+def _integer(block: dict, key: str, where: str, default: int, low: int) -> int:
+    val = block.get(key, default)
+    if not isinstance(val, int) or isinstance(val, bool) or val < low:
+        raise ConfigError(f"{where}.{key}: expected an integer >= {low}, got {val!r}")
+    return val
+
+
 @dataclass
 class ExperimentConfig:
     grid: Grid2D
@@ -388,7 +395,7 @@ def brute_force_q2(f2: np.ndarray, m: en.Material, levels: int = 3, npts: int = 
 
 
 def cmd_verify(cfg: ExperimentConfig) -> tuple[int, dict]:
-    seed = int(cfg.run.get("seed", 0))
+    seed = _integer(cfg.run, "seed", "run", 0, 0)
     checks = identity_suite(cfg, seed=seed)
     ok = all(c["passed"] for c in checks)
     report = {
@@ -479,7 +486,7 @@ def _run_minimize(cfg: ExperimentConfig, outdir: Path) -> dict:
     if functional not in en.VARIANTS:
         raise ConfigError(f"run.functional: unknown functional {functional!r}")
     variant = en.I4INF if functional == en.I4INF else en.I40
-    seed = int(cfg.run.get("seed", 0))
+    seed = _integer(cfg.run, "seed", "run", 0, 0)
     init_kind = cfg.run.get("init", "zero")
     if init_kind == "zero":
         init = en.PlateState.zeros(cfg.grid, variant)
@@ -489,10 +496,10 @@ def _run_minimize(cfg: ExperimentConfig, outdir: Path) -> dict:
         raise ConfigError(f"run.init: expected 'zero' or 'random', got {init_kind!r}")
     pen = cfg.run.get("penalty", {})
     opts = so.MinimizeOptions(
-        tol=float(cfg.run.get("tol", 1e-8)),
-        max_iter=int(cfg.run.get("max_iter", 1000)),
-        penalty_init=float(pen.get("initial", 1.0)),
-        penalty_doublings=int(pen.get("doublings", 3)),
+        tol=float(_number(cfg.run, "tol", "run", 1e-8)),
+        max_iter=_integer(cfg.run, "max_iter", "run", 1000, 0),
+        penalty_init=float(_number(pen, "initial", "run.penalty", 1.0)),
+        penalty_doublings=_integer(pen, "doublings", "run.penalty", 3, 0),
     )
     state, report = so.minimize(functional, init, cfg.growth, cfg.material, cfg.v0, opts)
     fields_dir = outdir / "fields"
@@ -512,9 +519,9 @@ def _run_solve_vk(cfg: ExperimentConfig, outdir: Path) -> dict:
     if model not in ("old", "new"):
         raise ConfigError(f"run.model: expected 'old' or 'new', got {model!r}")
     opts = so.VKOptions(
-        tol=float(cfg.run.get("tol", 1e-10)),
-        max_sweeps=int(cfg.run.get("max_sweeps", 400)),
-        relaxation=float(cfg.run.get("relaxation", 0.7)),
+        tol=float(_number(cfg.run, "tol", "run", 1e-10)),
+        max_sweeps=_integer(cfg.run, "max_sweeps", "run", 400, 0),
+        relaxation=float(_number(cfg.run, "relaxation", "run", 0.7)),
     )
     state, report = so.solve_vk(model, cfg.growth, cfg.material, cfg.v0, opts)
     fields_dir = outdir / "fields"
@@ -537,9 +544,18 @@ def _run_solve_vk(cfg: ExperimentConfig, outdir: Path) -> dict:
 def _run_scaling(cfg: ExperimentConfig, outdir: Path, threads: int) -> dict:
     run = cfg.run
     h_list = run.get("h_list", [1e-1, 6e-2, 3e-2, 2e-2, 1.5e-2, 1e-2])
-    n_t = int(run.get("n_t", 5))
-    cfg0 = sh.ShellConfig(cfg.v0, alpha=cfg.alpha, h=float(h_list[0]), n_t=n_t)
-    regime = sh.resolve_regime(cfg0)
+    if not isinstance(h_list, list) or not h_list:
+        raise ConfigError(f"run.h_list: expected a non-empty list of thicknesses, got {h_list!r}")
+    entries = dict(enumerate(h_list))
+    h_list = [float(_number(entries, i, "run.h_list")) for i in entries]
+    if any(b >= a for a, b in zip(h_list, h_list[1:])):
+        raise ConfigError(f"run.h_list: thicknesses must be strictly decreasing, got {h_list}")
+    n_t = _integer(run, "n_t", "run", 5, 3)
+    try:  # every thickness of the sweep passes the shell checks up front
+        shells = [sh.ShellConfig(cfg.v0, alpha=cfg.alpha, h=h, n_t=n_t) for h in h_list]
+        regime = sh.resolve_regime(shells[0])
+    except ValueError as exc:
+        raise ConfigError(f"run: {exc}") from exc
     state = _scaling_state(cfg, regime)
 
     study = sh.scaling_study(

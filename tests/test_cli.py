@@ -214,3 +214,28 @@ def test_constrained_auto_state_requires_paraboloid(tmp_path):
     doc["run"] = {"command": "scaling", "h_list": [0.1, 0.05]}
     path = write_config(tmp_path, doc)
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "y")]) == 2
+
+
+SCALING = {"command": "scaling", "h_list": [0.1, 0.05], "n_t": 3}
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        {"command": "solve-vk", "tol": "abc"},
+        {"command": "solve-vk", "max_sweeps": None},
+        {"command": "minimize", "max_iter": 2.9},
+        {"command": "minimize", "functional": "I4INF", "penalty": {"doublings": -3}},
+        {**SCALING, "n_t": 4},
+        {**SCALING, "h_list": []},
+        {**SCALING, "h_list": [0.01, 0.1]},
+    ],
+)
+def test_run_rejects_bad_run_values(tmp_path, capsys, run):
+    doc = base_config(run=run)
+    if run["command"] == "scaling":
+        doc["grid"] = {"nx": 32, "ny": 32, "domain": [0.0, 1.0, 0.0, 1.0], "bc": "dirichlet-ghost"}
+        doc["geometry"] = {"v0": "paraboloid", "alpha": 1.0}
+    path = write_config(tmp_path, doc)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error:" in capsys.readouterr().err
