@@ -31,6 +31,8 @@ DIRICHLET = "dirichlet-ghost"
 _BC_MODES = (PERIODIC, DIRICHLET)
 
 SYM_TOL = 1e-12
+# eigenvalues of D^T W D at most this fraction of the largest span its kernel
+_KERNEL_RTOL = 1e-10
 
 
 class SizingError(ValueError):
@@ -120,6 +122,7 @@ class Grid2D:
         self.X1.setflags(write=False)
         self.X2.setflags(write=False)
         self._mats: dict[tuple, sp.csr_matrix] = {}
+        self._eigs: dict[tuple, tuple] = {}
         self._quad: np.ndarray | None = None
 
     # -- identity ---------------------------------------------------------
@@ -194,6 +197,37 @@ class Grid2D:
 
     def dcross_t(self, a: np.ndarray) -> np.ndarray:
         return self.d1_t(self.d1_t(a, 0), 1)
+
+    def eigenbasis(self, axis: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs (lam, V) of D^T W1 D with respect to W1, so V^T W1 V = I.
+
+        D is the 1d stencil matrix of the axis and derivative order, W1 the
+        1d node weights whose outer product is quad_weights.  lam ascends.
+        Kernel eigenvalues are set to 0 and the kernel basis starts with the
+        normalized constant, so on ghost grids the second-order kernel is
+        spanned by 1 and the centered coordinate.  Cached per grid.
+        """
+        key = (axis, order)
+        pair = self._eigs.get(key)
+        if pair is None:
+            n = self.nx if axis == 0 else self.ny
+            h = self.dx if axis == 0 else self.dy
+            w1 = np.full(n, h)
+            if not self.periodic:
+                w1[0] = w1[-1] = 0.5 * h
+            d = self._mat(axis, order).toarray()
+            r = 1.0 / np.sqrt(w1)
+            lam, u = np.linalg.eigh(r[:, None] * (d.T @ (w1[:, None] * d)) * r[None, :])
+            v = r[:, None] * u
+            k = int(np.count_nonzero(lam <= _KERNEL_RTOL * lam[-1]))
+            # rotate the kernel basis: its first vector becomes the constant
+            q, _ = np.linalg.qr(v[:, :k].T @ w1[:, None], mode="complete")
+            v[:, :k] = v[:, :k] @ q
+            lam[:k] = 0.0
+            lam.setflags(write=False)
+            v.setflags(write=False)
+            pair = self._eigs[key] = (lam, v)
+        return pair
 
     # -- quadrature ---------------------------------------------------------
 

@@ -13,8 +13,10 @@ Contents:
                     plus line-integration reconstruction of the in-plane
                     displacement that realizes the remaining strain,
 * minimize       -- limited-memory BFGS with Armijo backtracking on the
-                    discrete plate energies, with a doubling penalty
-                    schedule for the constrained functional,
+                    discrete plate energies, started from the exact inverse
+                    of the flat plate's block-diagonal quadratic part, with
+                    a doubling penalty schedule for the constrained
+                    functional,
 * solve_vk       -- under-relaxed Picard iteration for the prestrained
                     von Karman systems (flat and blooming variants), which
                     stops once its residual sits on the roundoff floor.
@@ -324,10 +326,88 @@ class MinimizeOptions:
     penalty_doublings: int = 3
 
 
-def _lbfgs(fg, x0: np.ndarray, tol: float, max_iter: int):
-    """Two-loop L-BFGS with Armijo backtracking; energies never increase.
+def _tensor_solve(vx: np.ndarray, vy: np.ndarray, sym: np.ndarray, gf: np.ndarray) -> np.ndarray:
+    """V_x ((V_x^T G V_y) / S) V_y^T: the block with symbol S, inverted."""
+    return vx @ ((vx.T @ gf @ vy) / sym) @ vy.T
 
-    Stops once |grad| <= tol (1 + |f(x0)|).
+
+def _kernel_filled(sym: np.ndarray) -> np.ndarray:
+    """The block's true-kernel modes (symbol 0) get its smallest positive symbol."""
+    return np.where(sym > 0.0, sym, sym[sym > 0.0].min())
+
+
+def _flat_hessian_inverse(functional: str, grid: Grid2D, m: en.Material, v0, penalty: float):
+    """H0 = P^-1 for L-BFGS: P is the block-diagonal quadratic part of the
+    energy at the flat state, inverted exactly in the tensor-product
+    eigenbases of Grid2D.eigenbasis (fast diagonalization).
+
+    With a = 2 mu + lam_plane and c = 4 mu the block symbols are
+      w1: a lx1 + (c/4) ly1,   w2: (c/4) lx1 + a ly1,
+      v:  (a/12 + 2 penalty pbar) (sqrt lx2 + sqrt ly2)^2, pbar the mean of
+          |cof hess v0|^2 / 2 (I4INF only),
+      vtilde: a/2 mean|grad v0|^2 (lx1 + ly1), with 1 for the mean if v0 = 0.
+    The twist x1 x2 lies in both second-order kernels, so the kernel x kernel
+    modes of the v block without a constant factor get their exact Rayleigh
+    quotient.  The modes left at symbol 0 (constants, affine v) get the
+    block's smallest positive symbol: affine v is a kernel of P but, through
+    the von Karman gauge, not of the energy's Hessian away from the flat
+    state, and a tiny symbol there makes L-BFGS take far more iterations.
+    """
+    (lx1, vx1), (ly1, vy1) = grid.eigenbasis(0, 1), grid.eigenbasis(1, 1)
+    (lx2, vx2), (ly2, vy2) = grid.eigenbasis(0, 2), grid.eigenbasis(1, 2)
+    a = 2.0 * m.mu + m.lam_plane
+    c = 4.0 * m.mu
+    lx1, ly1 = lx1[:, None], ly1[None, :]
+    sym_w = (_kernel_filled(a * lx1 + 0.25 * c * ly1), _kernel_filled(0.25 * c * lx1 + a * ly1))
+
+    constrained = functional == en.I4INF
+    cof0 = None
+    pbar = 0.0
+    if constrained:
+        cof0 = cof2_values(hessian_values(grid, v0.data))
+        pbar = grid.integrate_values(0.5 * np.sum(cof0 * cof0, axis=(-2, -1))) / grid.area
+    sym_v = (a / 12.0 + 2.0 * penalty * pbar) * (np.sqrt(lx2)[:, None] + np.sqrt(ly2)[None, :]) ** 2
+    # kernel x kernel modes with a constant factor (mode 0) are affine: skip them
+    for i in range(1, np.count_nonzero(lx2 == 0.0)):
+        for j in range(1, np.count_nonzero(ly2 == 0.0)):
+            hphi = hessian_values(grid, np.outer(vx2[:, i], vy2[:, j]))
+            sym_v[i, j] = grid.integrate_values(en.q2(hphi, m)[0]) / 12.0
+            if constrained:
+                r = np.sum(cof0 * hphi, axis=(-2, -1))
+                sym_v[i, j] += 2.0 * penalty * grid.integrate_values(r * r)
+    sym_v = _kernel_filled(sym_v)
+
+    sym_vt = None
+    if constrained:
+        dv0 = grad_values(grid, v0.data)
+        gbar = grid.integrate_values(np.sum(dv0 * dv0, axis=-1)) / grid.area
+        sym_vt = _kernel_filled(0.5 * a * (gbar if gbar > 0.0 else 1.0) * (lx1 + ly1))
+
+    nx, ny = grid.nx, grid.ny
+    n = nx * ny
+
+    def apply(g: np.ndarray) -> np.ndarray:
+        out = np.empty_like(g)
+        gw = g[: 2 * n].reshape(nx, ny, 2)
+        ow = out[: 2 * n].reshape(nx, ny, 2)
+        for k in range(2):
+            ow[..., k] = _tensor_solve(vx1, vy1, sym_w[k], gw[..., k])
+        out[2 * n : 3 * n] = _tensor_solve(vx2, vy2, sym_v, g[2 * n : 3 * n].reshape(nx, ny)).ravel()
+        if constrained:
+            out[3 * n :] = _tensor_solve(vx1, vy1, sym_vt, g[3 * n :].reshape(nx, ny)).ravel()
+        return out
+
+    return apply
+
+
+def _lbfgs(fg, x0: np.ndarray, tol: float, max_iter: int, h0):
+    """Two-loop L-BFGS with initial inverse Hessian h0 and Armijo backtracking.
+
+    h0 is scaled by s^T y / y^T h0(y) of the newest pair (Nocedal & Wright,
+    Numerical Optimization, 7.2); the first step is the unit step along
+    -h0(g).  Energies never increase.  Stops once |grad| <= tol (1 + |f(x0)|).
+    Returns (x, status, stats); stats holds the iterations, fg evaluations,
+    rejected trial steps and the (f, |grad|) history, which ends at x.
     """
     x = x0.copy()
     f, g = fg(x)
@@ -335,21 +415,21 @@ def _lbfgs(fg, x0: np.ndarray, tol: float, max_iter: int):
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
     rho_hist: list[float] = []
-    it = 0
-    line_search_failed = False
-    while it < max_iter:
-        gnorm = float(np.linalg.norm(g))
+    gamma = 1.0
+    gnorm = float(np.linalg.norm(g))
+    stats = {"iterations": 0, "fg_evals": 1, "backtracks": 0, "history": [[f, gnorm]]}
+    status = BUDGET_EXHAUSTED
+    while stats["iterations"] < max_iter:
         if gnorm <= tol_abs:
-            return x, f, gnorm, it, True, line_search_failed
+            status = CONVERGED
+            break
         q = g.copy()
         alphas = []
         for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
             a = rho * float(np.dot(s, q))
             alphas.append(a)
             q -= a * y
-        if y_hist:
-            gamma = float(np.dot(s_hist[-1], y_hist[-1]) / np.dot(y_hist[-1], y_hist[-1]))
-            q *= gamma
+        q = gamma * h0(q)
         for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
             b = rho * float(np.dot(y, q))
             q += (a - b) * s
@@ -358,17 +438,16 @@ def _lbfgs(fg, x0: np.ndarray, tol: float, max_iter: int):
         if slope >= 0.0:  # numerical loss of curvature: fall back to steepest descent
             d = -g
             slope = -gnorm * gnorm
-        t = 1.0 if y_hist else min(1.0, 1.0 / max(gnorm, 1.0))
-        accepted = False
-        while t >= _MIN_STEP:
+        t = 1.0
+        while True:
             f_new, g_new = fg(x + t * d)
+            stats["fg_evals"] += 1
             if f_new <= f + _ARMIJO_C1 * t * slope:
-                accepted = True
                 break
+            stats["backtracks"] += 1
             t *= _BACKTRACK
-        if not accepted:
-            line_search_failed = True
-            return x, f, gnorm, it, False, line_search_failed
+            if t < _MIN_STEP:
+                return x, LINE_SEARCH_FAILED, stats
         x_new = x + t * d
         s_vec = x_new - x
         y_vec = g_new - g
@@ -377,6 +456,7 @@ def _lbfgs(fg, x0: np.ndarray, tol: float, max_iter: int):
             s_hist.append(s_vec)
             y_hist.append(y_vec)
             rho_hist.append(1.0 / sy)
+            gamma = sy / float(np.dot(y_vec, h0(y_vec)))
             if len(s_hist) > _LBFGS_MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
@@ -384,8 +464,10 @@ def _lbfgs(fg, x0: np.ndarray, tol: float, max_iter: int):
         if not (f_new <= f):
             raise AssertionError("accepted step increased the energy")
         x, f, g = x_new, f_new, g_new
-        it += 1
-    return x, f, float(np.linalg.norm(g)), it, False, line_search_failed
+        gnorm = float(np.linalg.norm(g))
+        stats["iterations"] += 1
+        stats["history"].append([f, gnorm])
+    return x, status, stats
 
 
 def minimize(
@@ -398,9 +480,13 @@ def minimize(
 ) -> tuple[en.PlateState, SolveReport]:
     """Minimize one of the plate functionals from the given state.
 
-    For the constrained functional the quadratic penalty weight follows a
-    doubling schedule; the constraint residual is recorded per stage and
-    must not increase along it.
+    L-BFGS starts each stage from the inverse of the flat-state quadratic
+    part (_flat_hessian_inverse).  For the constrained functional the
+    quadratic penalty weight follows a doubling schedule; the constraint
+    residual is recorded per stage and must not increase along it.
+    extras["penalty_stages"] has one row per stage (a single penalty-0 stage
+    for I40 and I41) with its iterations, fg evaluations, backtracks,
+    preconditioner build time `precond_s` and (f, |grad|) history.
     """
     opts = opts or MinimizeOptions()
     if functional in (en.I41, en.I4INF) and v0 is None:
@@ -428,14 +514,18 @@ def minimize(
     x = state.flatten()
     total_iters = 0
     stage_rows = []
-    converged = True
-    ls_failed = False
-    f = gnorm = 0.0
+    status = CONVERGED
+    gnorm = 0.0
     for wgt in weights:
-        x, f, gnorm, its, ok, lsf = _lbfgs(make_fg(wgt), x, opts.tol, opts.max_iter)
-        total_iters += its
-        converged = converged and ok
-        ls_failed = ls_failed or lsf
+        t_build = time.perf_counter()
+        h0 = _flat_hessian_inverse(functional, grid, m, v0, wgt)
+        precond_s = time.perf_counter() - t_build
+        x, stage_status, stats = _lbfgs(make_fg(wgt), x, opts.tol, opts.max_iter, h0)
+        gnorm = stats["history"][-1][1]
+        total_iters += stats["iterations"]
+        if status != LINE_SEARCH_FAILED and stage_status != CONVERGED:
+            status = stage_status
+        row = {"penalty": wgt, **stats, "precond_s": precond_s}
         if functional == en.I4INF:
             stage_state = en.PlateState.unflatten(x, grid, variant)
             _, resid = en.energy_i4inf(stage_state, g, m, v0, 0.0)
@@ -443,7 +533,8 @@ def minimize(
                 raise AssertionError(
                     "constraint residual increased along the penalty schedule"
                 )
-            stage_rows.append({"penalty": wgt, "constraint_residual": resid, "iterations": its})
+            row["constraint_residual"] = resid
+        stage_rows.append(row)
 
     final = gauge_fix(en.PlateState.unflatten(x, grid, variant))
     resid = 0.0
@@ -451,18 +542,13 @@ def minimize(
         final_energy, resid = en.energy_i4inf(final, g, m, v0, 0.0)
     else:
         final_energy = en.total_energy(functional, final, g, m, v0, 0.0)
-    if converged:
-        status = CONVERGED
-    elif ls_failed:
-        status = LINE_SEARCH_FAILED
-    else:
-        status = BUDGET_EXHAUSTED
+    ls_failed = status == LINE_SEARCH_FAILED
     report = SolveReport(
         iterations=total_iters,
         final_energy=final_energy,
         grad_norm=gnorm,
         constraint_residual=resid,
-        converged=converged,
+        converged=status == CONVERGED,
         wall_time_s=time.perf_counter() - t0,
         extras={"line_search_failed": ls_failed, "penalty_stages": stage_rows},
         status=status,
@@ -621,16 +707,15 @@ def solve_vk(
             break
         if sweeps >= opts.max_sweeps:
             break
-        info: dict = {}
         rhs1 = -y * (detv - det0 + lam)
-        phi_new = solve_biharmonic(ScalarField(grid, rhs1), info=info).data
-        max_proj = max(max_proj, info.get("mean_projected", 0.0))
+        phi_new = solve_biharmonic(ScalarField(grid, rhs1)).data
+        max_proj = max(max_proj, abs(float(rhs1.mean())))
         phi = (1.0 - omega_relax) * phi + omega_relax * phi_new
 
         bracket = airy_bracket(ScalarField(grid, v), ScalarField(grid, phi)).data
         rhs2 = bracket / z - om + bilap0
-        v_new = solve_biharmonic(ScalarField(grid, rhs2), info=info).data
-        max_proj = max(max_proj, info.get("mean_projected", 0.0))
+        v_new = solve_biharmonic(ScalarField(grid, rhs2)).data
+        max_proj = max(max_proj, abs(float(rhs2.mean())))
         v = (1.0 - omega_relax) * v + omega_relax * v_new
         v -= v.mean()
         sweeps += 1

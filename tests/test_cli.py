@@ -149,11 +149,24 @@ def test_report_carries_solver_extras(tmp_path):
     assert "extras" not in json.loads((out / "summary.json").read_text())["outputs"]["solve"]
 
     doc = base_config(growth={"preset": "zero"})
-    doc["run"] = {"command": "minimize", "functional": "I4INF", "penalty": {"doublings": 2}}
+    doc["run"] = {"command": "minimize", "functional": "I4INF", "penalty": {"doublings": 2},
+                  "init": "random", "seed": 3, "max_iter": 15}
     out = tmp_path / "min"
     assert cli.main(["run", "--config", str(write_config(tmp_path, doc, "min.json")), "--out", str(out)]) == 0
-    stages = json.loads((out / "report.json").read_text())["extras"]["penalty_stages"]
+    report = json.loads((out / "report.json").read_text())
+    stages = report["extras"]["penalty_stages"]
     assert [s["penalty"] for s in stages] == [1.0, 2.0, 4.0]
+    assert sum(s["iterations"] for s in stages) == report["iterations"]
+    for s in stages:
+        # one fg evaluation at the stage start, one per accepted or rejected trial step
+        assert s["fg_evals"] == 1 + s["iterations"] + s["backtracks"]
+        assert s["precond_s"] > 0.0
+        hist = s["history"]
+        assert len(hist) == s["iterations"] + 1
+        assert all(len(row) == 2 for row in hist)
+        assert all(b[0] <= a[0] for a, b in zip(hist, hist[1:]))
+    assert stages[-1]["history"][-1][1] == report["grad_norm"]
+    assert "extras" not in json.loads((out / "summary.json").read_text())["outputs"]["solve"]
 
 
 def test_run_scaling_ratio_improves(tmp_path):

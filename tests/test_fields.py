@@ -246,3 +246,39 @@ def test_save_csv_format_is_the_per_value_reference(tmp_path, rng):
     fld = VectorField3(grid, rng.standard_normal((grid.nx, grid.ny, 3)))
     save_csv(fld, tmp_path / "v3.csv")
     assert np.array_equal(load_csv(tmp_path / "v3.csv", grid).data, fld.data)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid2D(17, 33, (0.0, 1.0, 0.0, 2.0), bc=DIRICHLET),
+        Grid2D(16, 17, (0.0, TWO_PI, 0.0, TWO_PI), bc=PERIODIC),
+    ],
+    ids=["ghost", "periodic"],
+)
+def test_eigenbasis_diagonalizes_the_weighted_stencil_form(grid):
+    weights = []
+    for axis, (n, h) in enumerate(((grid.nx, grid.dx), (grid.ny, grid.dy))):
+        w1 = np.full(n, h)
+        if not grid.periodic:
+            w1[0] = w1[-1] = 0.5 * h
+        weights.append(w1)
+        for order in (1, 2):
+            lam, v = grid.eigenbasis(axis, order)
+            d = grid._mat(axis, order).toarray()
+            gram = v.T @ (w1[:, None] * v)
+            form = (d @ v).T @ (w1[:, None] * (d @ v))
+            assert np.max(np.abs(gram - np.eye(n))) < 1e-12
+            assert np.max(np.abs(form - np.diag(lam))) < 1e-12 * lam[-1]
+            assert np.all(np.diff(lam) >= 0.0) and lam[0] == 0.0
+            # the kernel basis starts with the constant
+            assert np.ptp(v[:, 0]) < 1e-10 * np.max(np.abs(v[:, 0]))
+            if order == 2 and not grid.periodic:
+                # then the centered coordinate, W1-orthogonal to the constant
+                x = grid.x1 if axis == 0 else grid.x2
+                xc = x - np.dot(w1, x) / w1.sum()
+                assert lam[1] == 0.0 and lam[2] > 0.0
+                assert abs(abs(np.dot(w1 * xc, v[:, 1])) / np.sqrt(np.dot(w1 * xc, xc)) - 1.0) < 1e-10
+            assert grid.eigenbasis(axis, order) is grid.eigenbasis(axis, order)
+    # the 1d weights are the ones behind quad_weights
+    assert np.allclose(np.outer(*weights), grid.quad_weights, rtol=1e-15, atol=0.0)

@@ -318,6 +318,59 @@ def test_minimize_evaluates_each_stage_start_once(square33, rng, monkeypatch, fu
     assert len(calls) == doublings + 1
 
 
+def test_flat_hessian_inverse_inverts_the_membrane_blocks(square33, rng):
+    # w1 alone feels a (D_x^T W D_x) + (c/4) (D_y^T W D_y) at zero growth, the
+    # w1 block of P, which the tensor-product symbols invert exactly
+    grid = square33
+    m = en.Material(1.0, 0.5)
+    h0 = so._flat_hessian_inverse(en.I40, grid, m, None, 0.0)
+    n = grid.nx * grid.ny
+    for k in range(2):
+        gk = rng.standard_normal((grid.nx, grid.ny))
+        gk -= gk.mean()  # the range of the block: orthogonal to the constants
+        g = np.zeros(3 * n)
+        g[: 2 * n].reshape(grid.nx, grid.ny, 2)[..., k] = gk
+        x = h0(g)
+        w = np.zeros((grid.nx, grid.ny, 2))
+        w[..., k] = x[: 2 * n].reshape(grid.nx, grid.ny, 2)[..., k]
+        s = en.PlateState(en.I40, VectorField2(grid, w), ScalarField.zeros(grid))
+        back = en.grad_energy(en.I40, s, GrowthFields.zeros(grid), m).w.data[..., k]
+        assert np.max(np.abs(back - gk)) < 1e-10 * np.max(np.abs(gk))
+
+
+@pytest.mark.parametrize("n", [17, 33])
+def test_minimize_zero_start_converges_in_few_iterations(n):
+    # plain L-BFGS took 3438 iterations at 17^2
+    grid = Grid2D(n, n, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
+    g = growth_preset("kappa_sine", grid, 1.0)
+    _, rep = so.minimize(en.I40, en.PlateState.zeros(grid, en.I40), g, en.Material(1.0, 1.0))
+    assert rep.status == so.CONVERGED
+    assert rep.iterations <= 40
+
+
+def test_minimize_random_start_converges_at_33():
+    # plain L-BFGS stopped at the default 1000-iteration cap here
+    grid = Grid2D(33, 33, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
+    g = growth_preset("kappa_sine", grid, 1.0)
+    init = en.PlateState.random(grid, en.I40, np.random.default_rng(1), 0.1)
+    _, rep = so.minimize(en.I40, init, g, en.Material(1.0, 1.0))
+    assert rep.status == so.CONVERGED
+    assert rep.iterations < so.MinimizeOptions().max_iter
+
+
+def test_minimize_i4inf_on_a_flat_v0_matches_i40():
+    # v0 = 0 decouples vtilde and zeroes the constraint; its block must stay invertible
+    grid = Grid2D(17, 17, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
+    m = en.Material(1.0, 1.0)
+    g = growth_preset("kappa_sine", grid, 1.0)
+    v0 = ScalarField.zeros(grid)
+    _, r40 = so.minimize(en.I40, en.PlateState.zeros(grid, en.I40), g, m)
+    opts = so.MinimizeOptions(penalty_doublings=0)
+    _, rinf = so.minimize(en.I4INF, en.PlateState.zeros(grid, en.I4INF), g, m, v0=v0, opts=opts)
+    assert rinf.status == so.CONVERGED
+    assert rinf.final_energy == pytest.approx(r40.final_energy, rel=1e-8)
+
+
 def test_minimize_nan_energy_fatal(square33):
     m = en.Material(1.0, 1.0)
     bad = en.PlateState(
