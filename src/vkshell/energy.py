@@ -217,37 +217,68 @@ def bending_values(s: PlateState, g: GrowthFields, v0: ScalarField | None = None
     return out
 
 
-def _quadratic_energy(grid: Grid2D, stretch: np.ndarray, bend: np.ndarray, m: Material) -> float:
-    qs, _ = q2(stretch, m)
-    qb, _ = q2(bend, m)
-    return grid.integrate_values(0.5 * qs + qb / 24.0)
-
-
-def energy_i40(s: PlateState, g: GrowthFields, m: Material) -> float:
-    """Prestrained flat-plate functional (the alpha > 1 limit)."""
-    if s.variant not in (I40, I41):
-        raise ValueError(f"energy_i40 expects an I40-compatible state, got {s.variant}")
-    s.grid.require_same(g.grid, "state and growth")
-    return _quadratic_energy(s.grid, stretching_values(s, g), bending_values(s, g), m)
-
-
-def energy_i41(s: PlateState, g: GrowthFields, m: Material, v0: ScalarField) -> float:
-    """Blooming functional (alpha = 1); reduces to energy_i40 when v0 = 0."""
-    if s.variant not in (I40, I41):
-        raise ValueError(f"energy_i41 expects an I40-compatible state, got {s.variant}")
-    s.grid.require_same(g.grid, "state and growth")
-    s.grid.require_same(v0.grid, "state and v0")
-    s41 = replace(s, variant=I41)
-    return _quadratic_energy(
-        s.grid, stretching_values(s41, g, v0), bending_values(s41, g, v0), m
-    )
+def _constraint(grid: Grid2D, v: ScalarField, v0: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """cof(hess v0) and the pointwise linearized isometry residual cof(hess v0) : hess v."""
+    a = cof2_values(hessian_values(grid, v0.data))
+    return a, np.sum(a * hessian_values(grid, v.data), axis=(-2, -1))
 
 
 def constraint_values(v: ScalarField, v0: ScalarField) -> np.ndarray:
     """Pointwise linearized isometry residual cof(hess v0) : hess v."""
-    grid = v.grid
-    a = cof2_values(hessian_values(grid, v0.data))
-    return np.sum(a * hessian_values(grid, v.data), axis=(-2, -1))
+    return _constraint(v.grid, v, v0)[1]
+
+
+def _integrands(functional: str, s: PlateState, g: GrowthFields, v0: ScalarField | None, penalty: float):
+    """The one argument check, then the functional's integrands at s.
+
+    Returns (stretch, bend, a, r): the stretching and bending arguments of
+    Q2, and for I4INF cof(hess v0) and the constraint residual (else None).
+    I40 and I41 take states of either of their two variants.
+    """
+    if functional not in VARIANTS:
+        raise ValueError(f"unknown functional {functional!r}")
+    if (s.variant == I4INF) != (functional == I4INF):
+        raise ValueError(f"state variant {s.variant} does not fit functional {functional}")
+    if penalty < 0.0:
+        raise ValueError("penalty weight must be nonnegative")
+    s.grid.require_same(g.grid, "state and growth")
+    if functional != I40:
+        if v0 is None:
+            raise ValueError(f"{functional} needs v0")
+        s.grid.require_same(v0.grid, "state and v0")
+    sv = s if s.variant == functional else replace(s, variant=functional)
+    a = r = None
+    if functional == I4INF:
+        a, r = _constraint(s.grid, s.v, v0)
+    return stretching_values(sv, g, v0), bending_values(sv, g, v0), a, r
+
+
+def _quadrature(grid: Grid2D, m: Material, stretch, bend, r, penalty: float) -> tuple[float, float]:
+    """(energy, constraint residual): the Q2 quadrature of the integrands plus
+    the penalty on r, and the L2 norm of r (0 without a constraint)."""
+    qs, _ = q2(stretch, m)
+    qb, _ = q2(bend, m)
+    e = grid.integrate_values(0.5 * qs + qb / 24.0)
+    if r is None:
+        return e, 0.0
+    res_sq = grid.integrate_values(r * r)
+    return e + penalty * res_sq, math.sqrt(max(res_sq, 0.0))
+
+
+def _energy(functional, s, g, m, v0, penalty) -> tuple[float, float]:
+    """(energy, constraint residual) of one functional at s."""
+    stretch, bend, _, r = _integrands(functional, s, g, v0, penalty)
+    return _quadrature(s.grid, m, stretch, bend, r, penalty)
+
+
+def energy_i40(s: PlateState, g: GrowthFields, m: Material) -> float:
+    """Prestrained flat-plate functional (the alpha > 1 limit)."""
+    return _energy(I40, s, g, m, None, 0.0)[0]
+
+
+def energy_i41(s: PlateState, g: GrowthFields, m: Material, v0: ScalarField) -> float:
+    """Blooming functional (alpha = 1); reduces to energy_i40 when v0 = 0."""
+    return _energy(I41, s, g, m, v0, 0.0)[0]
 
 
 def energy_i4inf(
@@ -262,19 +293,7 @@ def energy_i4inf(
     Returns (energy, constraint_residual): the functional plus a quadratic
     penalty on cof(hess v0) : hess v, and the L2 norm of that constraint.
     """
-    if s.variant != I4INF:
-        raise ValueError(f"energy_i4inf expects an I4INF state, got {s.variant}")
-    if constraint_penalty < 0.0:
-        raise ValueError("penalty weight must be nonnegative")
-    s.grid.require_same(g.grid, "state and growth")
-    s.grid.require_same(v0.grid, "state and v0")
-    base = _quadratic_energy(
-        s.grid, stretching_values(s, g, v0), bending_values(s, g, v0), m
-    )
-    r = constraint_values(s.v, v0)
-    res_sq = s.grid.integrate_values(r * r)
-    residual = math.sqrt(max(res_sq, 0.0))
-    return base + constraint_penalty * res_sq, residual
+    return _energy(I4INF, s, g, m, v0, constraint_penalty)
 
 
 def total_energy(
@@ -285,15 +304,7 @@ def total_energy(
     v0: ScalarField | None = None,
     penalty: float = 0.0,
 ) -> float:
-    if functional in (I41, I4INF) and v0 is None:
-        raise ValueError(f"{functional} needs v0")
-    if functional == I40:
-        return energy_i40(s, g, m)
-    if functional == I41:
-        return energy_i41(s, g, m, v0)
-    if functional == I4INF:
-        return energy_i4inf(s, g, m, v0, penalty)[0]
-    raise ValueError(f"unknown functional {functional!r}")
+    return _energy(functional, s, g, m, v0, penalty)[0]
 
 
 def _hess_adjoint(grid: Grid2D, n: np.ndarray) -> np.ndarray:
@@ -317,26 +328,18 @@ def grad_energy(
     m: Material,
     v0: ScalarField | None = None,
     penalty: float = 0.0,
-) -> PlateState:
-    """Exact gradient of the discrete energy, shaped like the state.
+) -> tuple[float, PlateState]:
+    """The discrete energy and its exact gradient, shaped like the state.
 
-    Differentiates the quadrature sum itself (stencil adjoints), so central
-    finite differences of the energy reproduce it to roundoff-limited
-    accuracy.
+    One pass over the integrands: the energy is total_energy's, from the same
+    quadrature of the same arrays, and the gradient differentiates that sum
+    itself (stencil adjoints), so central finite differences of the energy
+    reproduce it to roundoff-limited accuracy.
     """
-    if functional not in VARIANTS:
-        raise ValueError(f"unknown functional {functional!r}")
-    want_variant = I4INF if functional == I4INF else functional
-    if (s.variant == I4INF) != (functional == I4INF):
-        raise ValueError(f"state variant {s.variant} does not fit functional {functional}")
-    if functional in (I41, I4INF) and v0 is None:
-        raise ValueError(f"{functional} needs v0")
+    stretch, bend, a, r = _integrands(functional, s, g, v0, penalty)
     grid = s.grid
+    energy, _ = _quadrature(grid, m, stretch, bend, r, penalty)
     q = grid.quad_weights
-    sv = replace(s, variant=want_variant) if s.variant != want_variant else s
-
-    stretch = stretching_values(sv, g, v0)
-    bend = bending_values(sv, g, v0)
     ns = q2_stress(stretch, m)  # dE/dS = q * 2 N(S) * 1/2
     nb = q2_stress(bend, m) / 12.0
 
@@ -353,11 +356,9 @@ def grad_energy(
         nsdv0 = np.einsum("...ij,...j->...i", ns, dv0)
         grad_vt = _grad_adjoint(grid, q[..., None] * nsdv0)
         if penalty > 0.0:
-            a = cof2_values(hessian_values(grid, v0.data))
-            r = np.sum(a * hessian_values(grid, s.v.data), axis=(-2, -1))
             grad_v = grad_v + 2.0 * penalty * _hess_adjoint(grid, (q * r)[..., None, None] * a)
 
-    return PlateState(
+    return energy, PlateState(
         s.variant,
         VectorField2(grid, grad_w),
         ScalarField(grid, grad_v),

@@ -76,11 +76,14 @@ class SolveReport:
     final_energy: float | None = None
     grad_norm: float = 0.0
     constraint_residual: float = 0.0
-    converged: bool = False
     wall_time_s: float = 0.0
     extras: dict = field(default_factory=dict)
     # why the solve stopped: one of the four status constants above
     status: str = BUDGET_EXHAUSTED
+
+    @property
+    def converged(self) -> bool:
+        return self.status == CONVERGED
 
     def to_json_dict(self, include_wall_time: bool = True) -> dict:
         out = {
@@ -167,17 +170,13 @@ def _inv_bilap_symbol(grid: Grid2D) -> np.ndarray:
     return inv
 
 
-def solve_biharmonic(rhs: ScalarField, info: dict | None = None) -> ScalarField:
+def solve_biharmonic(rhs: ScalarField) -> ScalarField:
     """Solve bilap(u) = rhs on the periodic torus, zero-mean u.
 
     The right-hand side is projected onto zero mean first.  The real FFT
     diagonalizes the composed laplacian-of-laplacian stencil, so its inverse
     symbol solves the system directly; one correction with the stencil's own
     residual, u += M^-1 (b - bilap(u)), lowers the roundoff of that solve.
-
-    With `info` given it receives the projected mean (`mean_projected`) and
-    the true relative residual ||bilap(u) - b|| / ||b|| of the returned u
-    (`residual`, one extra bilaplacian).
     """
     grid = rhs.grid
     if not grid.periodic:
@@ -192,11 +191,6 @@ def solve_biharmonic(rhs: ScalarField, info: dict | None = None) -> ScalarField:
 
     u = apply_minv(b)
     u += apply_minv(b - grid.bilap(u))
-    if info is not None:
-        bnorm = float(np.linalg.norm(b))
-        rnorm = float(np.linalg.norm(grid.bilap(u) - b))
-        info["mean_projected"] = abs(float(rhs.data.mean()))
-        info["residual"] = rnorm / bnorm if bnorm > 0.0 else rnorm
     return ScalarField(grid, u)
 
 
@@ -489,8 +483,6 @@ def minimize(
     preconditioner build time `precond_s` and (f, |grad|) history.
     """
     opts = opts or MinimizeOptions()
-    if functional in (en.I41, en.I4INF) and v0 is None:
-        raise ValueError(f"{functional} needs v0")
     grid = init.grid
     t0 = time.perf_counter()
     if not math.isfinite(en.total_energy(functional, init, g, m, v0, 0.0)):
@@ -501,8 +493,7 @@ def minimize(
     def make_fg(penalty):
         def fg(x):
             s = en.PlateState.unflatten(x, grid, variant)
-            val = en.total_energy(functional, s, g, m, v0, penalty)
-            gr = en.grad_energy(functional, s, g, m, v0, penalty)
+            val, gr = en.grad_energy(functional, s, g, m, v0, penalty)
             return val, gr.flatten()
 
         return fg
@@ -542,15 +533,13 @@ def minimize(
         final_energy, resid = en.energy_i4inf(final, g, m, v0, 0.0)
     else:
         final_energy = en.total_energy(functional, final, g, m, v0, 0.0)
-    ls_failed = status == LINE_SEARCH_FAILED
     report = SolveReport(
         iterations=total_iters,
         final_energy=final_energy,
         grad_norm=gnorm,
         constraint_residual=resid,
-        converged=status == CONVERGED,
         wall_time_s=time.perf_counter() - t0,
-        extras={"line_search_failed": ls_failed, "penalty_stages": stage_rows},
+        extras={"penalty_stages": stage_rows},
         status=status,
     )
     return final, report
@@ -740,7 +729,6 @@ def solve_vk(
         final_energy=None,
         grad_norm=rho,
         constraint_residual=0.0,
-        converged=status == CONVERGED,
         wall_time_s=time.perf_counter() - t0,
         extras={
             "residual_history": history,

@@ -235,7 +235,10 @@ def test_gradient_matches_finite_differences(bc, functional, rng):
     s = en.PlateState.random(grid, variant, rng, 0.5)
     d = en.PlateState.random(grid, variant, rng, 1.0)
     x, dd = s.flatten(), d.flatten()
-    grad = en.grad_energy(functional, s, g, m, v0, penalty=1.5).flatten()
+    energy, grad = en.grad_energy(functional, s, g, m, v0, penalty=1.5)
+    # one pass, one quadrature: the energy is total_energy's to the last bit
+    assert energy == en.total_energy(functional, s, g, m, v0, 1.5)
+    grad = grad.flatten()
     t = 1e-5
 
     def e_at(xx):
@@ -253,7 +256,7 @@ def test_gradient_orthogonal_to_gauge_modes(unit_square, rng):
     m = en.Material(1.1, 0.9)
     g0 = GrowthFields.zeros(grid)
     s = gauge_fix(en.PlateState.random(grid, en.I40, rng, 0.5))
-    grad = en.grad_energy(en.I40, s, g0, m)
+    _, grad = en.grad_energy(en.I40, s, g0, m)
     scale = float(np.linalg.norm(grad.flatten())) + 1.0
     ones_v = en.PlateState(
         en.I40, VectorField2.zeros(grid), ScalarField.sample(grid, lambda x, y: 1.0 + 0 * x)
@@ -274,7 +277,7 @@ def test_gradient_orthogonal_to_gauge_modes(unit_square, rng):
 
 def test_zero_state_zero_growth_gradient(unit_square):
     s = en.PlateState.zeros(unit_square, en.I40)
-    g = en.grad_energy(en.I40, s, GrowthFields.zeros(unit_square), en.Material(1.0, 1.0))
+    _, g = en.grad_energy(en.I40, s, GrowthFields.zeros(unit_square), en.Material(1.0, 1.0))
     assert np.max(np.abs(g.flatten())) == 0.0
 
 

@@ -440,7 +440,7 @@ def test_energy_3d_matches_linalg_reference(square33, h):
     ref, min_det, max_dist = energy_3d_linalg(u, g, cfg, m)
     assert total == pytest.approx(ref, rel=1e-10, abs=0)
     assert diag["min_det_grad_u"] == pytest.approx(min_det, rel=1e-12)
-    assert diag["max_dist_so3"] == pytest.approx(max_dist, rel=1e-10)
+    assert diag["max_dist_so3"] == pytest.approx(max_dist, rel=1e-10, abs=0)
 
 
 def test_scaling_study_workers_match_serial(grid48):
