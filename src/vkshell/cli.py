@@ -606,6 +606,8 @@ def cmd_run(cfg: ExperimentConfig, outdir, threads: int = 1) -> tuple[int, dict]
     except (so.SolverError, AssertionError) as exc:
         summary["incomplete"] = True
         summary["error"] = str(exc)
+        if isinstance(exc, so.SolverError) and exc.report is not None:
+            _write_report(outdir, exc.report)
         _write_json(outdir / "summary.json", summary)
         return 1, summary
     _write_json(outdir / "summary.json", summary)

@@ -400,6 +400,15 @@ def det2(B: MatrixField2) -> ScalarField:
     return ScalarField(B.grid, det2_values(B.data))
 
 
+def bracket_values(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
+    """Pointwise cof(ha) : hb of two stacks of symmetric 2x2 hessians."""
+    return (
+        ha[..., 0, 0] * hb[..., 1, 1]
+        + ha[..., 1, 1] * hb[..., 0, 0]
+        - 2.0 * ha[..., 0, 1] * hb[..., 0, 1]
+    )
+
+
 def airy_bracket(v: ScalarField, phi: ScalarField) -> ScalarField:
     """Monge-Ampere bracket [v, phi] = cof(hess v) : hess phi.
 
@@ -407,13 +416,7 @@ def airy_bracket(v: ScalarField, phi: ScalarField) -> ScalarField:
     """
     v.grid.require_same(phi.grid, "bracket arguments")
     g = v.grid
-    a, b = v.data, phi.data
-    out = (
-        g.d2(a, 0) * g.d2(b, 1)
-        + g.d2(a, 1) * g.d2(b, 0)
-        - 2.0 * g.dcross(a) * g.dcross(b)
-    )
-    return ScalarField(g, out)
+    return ScalarField(g, bracket_values(hessian_values(g, v.data), hessian_values(g, phi.data)))
 
 
 def integrate(f: ScalarField) -> float:
@@ -470,16 +473,16 @@ def save_csv(fld, path) -> None:
     if k not in _RANK_LABELS:
         raise ValueError(f"unsupported component count {k}")
     header = ",".join(["x1", "x2"] + _RANK_LABELS[k])
-    # one %-format per grid row; '%.17g' % v == f'{v:.17g}' for every float
-    row_fmt = (",".join(["%.17g"] * (k + 2)) + "\n") * grid.ny
-    block = np.empty((grid.ny, k + 2))
-    block[:, 1] = grid.x2
+    # '%.17g' % v == f'{v:.17g}' for every float.  Each coordinate is
+    # formatted once: a grid row's %-template holds its x1 and x2 strings, so
+    # only the component values are formatted per node.
+    vals = ",".join(["%.17g"] * k) + "\n"
+    tails = ["," + ("%.17g" % x2) + "," + vals for x2 in grid.x2.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for i in range(grid.nx):
-            block[:, 0] = grid.x1[i]
-            block[:, 2:] = comps[i]
-            fh.write(row_fmt % tuple(block.ravel().tolist()))
+        for i, x1 in enumerate(grid.x1.tolist()):
+            head = "%.17g" % x1
+            fh.write((head + head.join(tails)) % tuple(comps[i].ravel().tolist()))
 
 
 def load_csv(path, grid: Grid2D):

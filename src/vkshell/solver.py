@@ -22,7 +22,8 @@ Contents:
                     stops once its residual sits on the roundoff floor.
 
 Every SolveReport carries a `status`: CONVERGED, ROUNDOFF_FLOOR (solve_vk),
-BUDGET_EXHAUSTED or LINE_SEARCH_FAILED (minimize).
+BUDGET_EXHAUSTED or LINE_SEARCH_FAILED (minimize).  A solve_vk that
+diverges raises SolverError carrying a report with status DIVERGING.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .fields import (
     MatrixField2,
     ScalarField,
     VectorField2,
-    airy_bracket,
+    bracket_values,
     cof2_values,
     curl_t_curl,
     det2_values,
@@ -53,11 +54,13 @@ from .growth import GrowthFields, lambda_g, omega_g
 
 
 class SolverError(RuntimeError):
-    """Linear or nonlinear solve failed; carries the last residual."""
+    """Linear or nonlinear solve failed; carries the last residual and, from
+    a diverging solve_vk, its SolveReport."""
 
-    def __init__(self, message: str, residual: float | None = None):
+    def __init__(self, message: str, residual: float | None = None, report: "SolveReport | None" = None):
         super().__init__(message)
         self.residual = residual
+        self.report = report
 
 
 class EllipticityError(ValueError):
@@ -68,6 +71,7 @@ CONVERGED = "converged"
 ROUNDOFF_FLOOR = "roundoff_floor"
 BUDGET_EXHAUSTED = "budget_exhausted"
 LINE_SEARCH_FAILED = "line_search_failed"
+DIVERGING = "diverging"
 
 
 @dataclass
@@ -78,7 +82,7 @@ class SolveReport:
     constraint_residual: float = 0.0
     wall_time_s: float = 0.0
     extras: dict = field(default_factory=dict)
-    # why the solve stopped: one of the four status constants above
+    # why the solve stopped: one of the five status constants above
     status: str = BUDGET_EXHAUSTED
 
     @property
@@ -563,9 +567,8 @@ def _vk_sources(model: str, g: GrowthFields, m: en.Material, v0: ScalarField):
     if model == "new":
         det0 = det2_values(hessian_values(grid, v0.data))
         bilap0 = grid.bilap(v0.data)
-    else:
-        det0 = np.zeros((grid.nx, grid.ny))
-        bilap0 = np.zeros((grid.nx, grid.ny))
+    else:  # no v0 terms: scalar zeros keep two arrays out of the Picard loop
+        det0 = bilap0 = 0.0
     return lam, om, det0, bilap0
 
 
@@ -586,29 +589,33 @@ def vk_residual(
     """
     if v0 is None:
         v0 = ScalarField.zeros(state.grid)
-    return _vk_residual(state, _vk_sources(model, g, m, v0), m, project_means)
+    grid = state.grid
+    hv = hessian_values(grid, state.v.data)
+    hphi = hessian_values(grid, state.phi.data)
+    return _vk_residual(grid, hv, hphi, _vk_sources(model, g, m, v0), m, project_means)
 
 
 def _vk_residual(
-    state: VKState,
+    grid: Grid2D,
+    hv: np.ndarray,
+    hphi: np.ndarray,
     sources: tuple,
     m: en.Material,
     project_means: bool = False,
-    detv: np.ndarray | None = None,
 ) -> tuple[float, float]:
-    """vk_residual against sources already built by _vk_sources.
+    """vk_residual from the hessians hv, hphi of the state and sources
+    already built by _vk_sources.
 
-    detv, when given, is det(hess v) of the state, already computed.
+    det(hess v) and the bracket are read from the hessians, and each
+    bilaplacian is the laplacian of the hessian's trace, which is bitwise
+    grid.bilap since lap = d2x + d2y.
     """
-    grid = state.grid
     lam, om, det0, bilap0 = sources
     y, z = m.young, m.bending
-    if detv is None:
-        detv = det2_values(hessian_values(grid, state.v.data))
-    r1 = grid.bilap(state.phi.data) + y * (detv - det0 + lam)
+    r1 = grid.lap(hphi[..., 0, 0] + hphi[..., 1, 1]) + y * (det2_values(hv) - det0 + lam)
     r2 = (
-        z * (grid.bilap(state.v.data) - bilap0)
-        - airy_bracket(state.v, state.phi).data
+        z * (grid.lap(hv[..., 0, 0] + hv[..., 1, 1]) - bilap0)
+        - bracket_values(hv, hphi)
         + z * om
     )
     if project_means:
@@ -651,10 +658,14 @@ def solve_vk(
 
     Alternates the two biharmonic solves with under-relaxation; source
     means are projected out (the periodic torus forces compatibility) and
-    the projection magnitudes are reported.  Residual growth over five
-    consecutive sweeps aborts with a hint to lower the relaxation or the
-    growth amplitude.  A residual that has stopped falling and wanders on
-    its roundoff floor above tol ends the solve with status ROUNDOFF_FLOOR
+    the projection magnitudes are reported.  Each sweep forms each hessian
+    once: hess phi right after phi is relaxed, hess v after v is; the phi
+    source, the sweep's bracket and the residual all read them, and hess v
+    carries over to the next sweep.  Residual growth over five consecutive
+    sweeps raises SolverError with a hint to lower the relaxation or the
+    growth amplitude; its `report` has status DIVERGING and the residual
+    history.  A residual that has stopped falling and wanders on its
+    roundoff floor above tol ends the solve with status ROUNDOFF_FLOOR
     (converged stays False; extras["roundoff_floor"] holds the estimate).
     """
     opts = opts or VKOptions()
@@ -680,10 +691,9 @@ def solve_vk(
     status = BUDGET_EXHAUSTED
     floor = None
     sweeps = 0
-    state = VKState(ScalarField(grid, v), ScalarField(grid, phi))
-    # det(hess v) of the current v: the residual and the next phi source share it
-    detv = det2_values(hessian_values(grid, v))
-    r1, r2 = _vk_residual(state, sources, m, project_means=True, detv=detv)
+    hv = hessian_values(grid, v)
+    hphi = hessian_values(grid, phi)
+    r1, r2 = _vk_residual(grid, hv, hphi, sources, m, project_means=True)
     rho = max(r1 / y, r2 / z) / scale
     history.append(rho)
     while True:
@@ -696,34 +706,35 @@ def solve_vk(
             break
         if sweeps >= opts.max_sweeps:
             break
-        rhs1 = -y * (detv - det0 + lam)
+        rhs1 = -y * (det2_values(hv) - det0 + lam)
+        # a hessian is four values per node: each one is dropped once it is
+        # used up, so no dead one is held through an FFT solve (peak memory)
+        del hphi
         phi_new = solve_biharmonic(ScalarField(grid, rhs1)).data
         max_proj = max(max_proj, abs(float(rhs1.mean())))
         phi = (1.0 - omega_relax) * phi + omega_relax * phi_new
+        hphi = hessian_values(grid, phi)
 
-        bracket = airy_bracket(ScalarField(grid, v), ScalarField(grid, phi)).data
-        rhs2 = bracket / z - om + bilap0
+        rhs2 = bracket_values(hv, hphi) / z - om + bilap0
+        del hv
         v_new = solve_biharmonic(ScalarField(grid, rhs2)).data
         max_proj = max(max_proj, abs(float(rhs2.mean())))
         v = (1.0 - omega_relax) * v + omega_relax * v_new
         v -= v.mean()
         sweeps += 1
 
-        state = VKState(ScalarField(grid, v), ScalarField(grid, phi))
-        detv = det2_values(hessian_values(grid, v))
-        r1, r2 = _vk_residual(state, sources, m, project_means=True, detv=detv)
+        hv = hessian_values(grid, v)
+        r1, r2 = _vk_residual(grid, hv, hphi, sources, m, project_means=True)
         rho_new = max(r1 / y, r2 / z) / scale
         grow_streak = grow_streak + 1 if rho_new > 1.01 * rho else 0
         history.append(rho_new)
         rho = rho_new
         if grow_streak >= 5:
-            raise SolverError(
-                "von Karman Picard iteration diverging; reduce the relaxation "
-                "factor or the growth amplitude",
-                residual=rho,
-            )
+            status = DIVERGING
+            break
 
-    r1_raw, r2_raw = _vk_residual(state, sources, m, detv=detv)
+    state = VKState(ScalarField(grid, v), ScalarField(grid, phi))
+    r1_raw, r2_raw = _vk_residual(grid, hv, hphi, sources, m)
     report = SolveReport(
         iterations=sweeps,
         final_energy=None,
@@ -738,6 +749,13 @@ def solve_vk(
         },
         status=status,
     )
+    if status == DIVERGING:
+        raise SolverError(
+            "von Karman Picard iteration diverging; reduce the relaxation "
+            "factor or the growth amplitude",
+            residual=rho,
+            report=report,
+        )
     if status == ROUNDOFF_FLOOR:
         report.extras["roundoff_floor"] = floor
     elif status == BUDGET_EXHAUSTED:

@@ -169,6 +169,20 @@ def test_report_carries_solver_extras(tmp_path):
     assert "extras" not in json.loads((out / "summary.json").read_text())["outputs"]["solve"]
 
 
+def test_run_solve_vk_divergence_writes_a_diverging_report(tmp_path):
+    doc = base_config()
+    doc["geometry"]["v0"] = "zero"
+    doc["run"] = {"command": "solve-vk", "model": "old", "relaxation": 1.9}
+    out = tmp_path / "vk"
+    assert cli.main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["incomplete"] and "diverging" in summary["error"]
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "diverging" and not report["converged"]
+    hist = report["extras"]["residual_history"]
+    assert len(hist) == report["iterations"] + 1 and hist[-1] == report["grad_norm"]
+
+
 def test_run_scaling_ratio_improves(tmp_path):
     doc = base_config()
     doc["grid"] = {"nx": 48, "ny": 48, "domain": [0.0, 1.0, 0.0, 1.0], "bc": "dirichlet-ghost"}

@@ -14,10 +14,12 @@ from vkshell.fields import (
     VectorField3,
     airy_bracket,
     apply_diff,
+    bracket_values,
     cof2,
     curl_t_curl,
     det2,
     div_t_div,
+    hessian_values,
     integrate,
     load_csv,
     save_csv,
@@ -169,6 +171,28 @@ def test_airy_bracket(square33, torus64):
     assert np.max(np.abs(airy_bracket(vt, vt).data - 2.0 * det2(hv).data)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid2D(17, 23, (-0.5, 1.0, 0.0, 2.0), bc=DIRICHLET),
+        Grid2D(24, 16, (0.0, TWO_PI, -1.0, 1.0), bc=PERIODIC),
+    ],
+    ids=["ghost", "periodic"],
+)
+def test_bracket_values_is_the_three_stencil_bracket(grid, rng):
+    a = rng.standard_normal((grid.nx, grid.ny))
+    b = rng.standard_normal((grid.nx, grid.ny))
+    # the bracket as d2 / dcross products, in this operand order
+    old = (
+        grid.d2(a, 0) * grid.d2(b, 1)
+        + grid.d2(a, 1) * grid.d2(b, 0)
+        - 2.0 * grid.dcross(a) * grid.dcross(b)
+    )
+    new = bracket_values(hessian_values(grid, a), hessian_values(grid, b))
+    assert np.array_equal(new, old)
+    assert np.array_equal(airy_bracket(ScalarField(grid, a), ScalarField(grid, b)).data, old)
+
+
 def test_integrate(square33, torus64):
     assert integrate(ScalarField.sample(square33, lambda x, y: 0 * x + 1.0)) == pytest.approx(1.0)
     assert integrate(ScalarField.zeros(square33)) == 0.0
@@ -222,26 +246,31 @@ def reference_csv(fld, labels):
 
 
 def test_save_csv_format_is_the_per_value_reference(tmp_path, rng):
-    grid = Grid2D(9, 11, (-0.3, 1.7, 0.0, 2.0), bc=DIRICHLET)
     cases = [
         (ScalarField, (), ["c11"]),
         (VectorField2, (2,), ["c11", "c12"]),
         (MatrixField2, (2, 2), ["c11", "c12", "c21", "c22"]),
         (MatrixField3, (3, 3), ["c11", "c12", "c13", "c21", "c22", "c23", "c31", "c32", "c33"]),
     ]
-    for cls, suffix, labels in cases:
-        shape = (grid.nx, grid.ny) + suffix
-        # mixed magnitudes and signs, exact integers, signed zeros, subnormals
-        data = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
-        flat = data.reshape(-1)
-        flat[:6] = [0.0, -0.0, 1.0, -3.0, 5e-324, 0.1]
-        fld = cls(grid, data)
-        path = tmp_path / f"{cls.__name__}.csv"
-        save_csv(fld, str(path))
-        assert path.read_bytes() == reference_csv(fld, labels).encode("utf-8"), cls.__name__
-        back = load_csv(path, grid)
-        assert type(back) is cls
-        assert np.array_equal(back.data, fld.data)
+    # a ghost grid, and a non-square torus whose x1 runs to 2 pi - dx
+    grids = [
+        Grid2D(9, 11, (-0.3, 1.7, 0.0, 2.0), bc=DIRICHLET),
+        Grid2D(8, 12, (0.0, TWO_PI, -1.0, 1.0), bc=PERIODIC),
+    ]
+    for grid in grids:
+        for cls, suffix, labels in cases:
+            shape = (grid.nx, grid.ny) + suffix
+            # mixed magnitudes and signs, exact integers, signed zeros, subnormals
+            data = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+            flat = data.reshape(-1)
+            flat[:6] = [0.0, -0.0, 1.0, -3.0, 5e-324, 0.1]
+            fld = cls(grid, data)
+            path = tmp_path / f"{cls.__name__}_{grid.bc}.csv"
+            save_csv(fld, str(path))
+            assert path.read_bytes() == reference_csv(fld, labels).encode("utf-8"), (cls.__name__, grid)
+            back = load_csv(path, grid)
+            assert type(back) is cls
+            assert np.array_equal(back.data, fld.data)
     # VectorField3 shares the writer; its three components round-trip too
     fld = VectorField3(grid, rng.standard_normal((grid.nx, grid.ny, 3)))
     save_csv(fld, tmp_path / "v3.csv")

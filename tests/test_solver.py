@@ -12,10 +12,13 @@ from vkshell.fields import (
     MatrixField2,
     ScalarField,
     VectorField2,
+    airy_bracket,
     curl_t_curl,
+    det2_values,
+    hessian_values,
     sym_grad_values,
 )
-from vkshell.growth import GrowthFields, growth_preset
+from vkshell.growth import GrowthFields, growth_preset, lambda_g, omega_g
 
 TWO_PI = 2.0 * np.pi
 
@@ -452,6 +455,58 @@ def test_vk_residual_perturbation_linearization(torus64):
     assert r1b == pytest.approx(pred1, rel=1e-2)
 
 
+@pytest.mark.parametrize("model", ["old", "new"])
+def test_vk_residual_matches_the_bilap_and_bracket_reference(torus64, rng, model):
+    g = growth_preset("kappa_sine", torus64, 0.5)
+    m = en.Material(1.0, 2.0)
+    v0 = ScalarField(torus64, 0.3 * np.sin(torus64.X1) * np.cos(torus64.X2))
+    st = so.VKState(
+        ScalarField(torus64, rng.standard_normal((64, 64))),
+        ScalarField(torus64, rng.standard_normal((64, 64))),
+    )
+    lam, om = lambda_g(g).data, omega_g(g, m.nu).data
+    det0, bilap0 = 0.0, 0.0
+    if model == "new":
+        det0 = det2_values(hessian_values(torus64, v0.data))
+        bilap0 = torus64.bilap(v0.data)
+    detv = det2_values(hessian_values(torus64, st.v.data))
+    r1 = torus64.bilap(st.phi.data) + m.young * (detv - det0 + lam)
+    r2 = (
+        m.bending * (torus64.bilap(st.v.data) - bilap0)
+        - airy_bracket(st.v, st.phi).data
+        + m.bending * om
+    )
+    assert so.vk_residual(st, model, g, m, v0) == (torus64.norm_l2(r1), torus64.norm_l2(r2))
+    r1p, r2p = r1 - r1.mean(), r2 - r2.mean()
+    assert so.vk_residual(st, model, g, m, v0, project_means=True) == (
+        torus64.norm_l2(r1p),
+        torus64.norm_l2(r2p),
+    )
+
+
+def test_vk_sweep_applies_at_most_20_stencils(monkeypatch):
+    # per sweep: two biharmonic residual corrections (8), hess phi and hess v
+    # (4 each) and the laplacians of their traces in the residual (4)
+    grid = Grid2D(32, 32, (0, TWO_PI, 0, TWO_PI), bc=PERIODIC)
+    g = growth_preset("kappa_sine", grid, 0.5)
+    calls = [0]
+    for name in ("d1", "d2"):
+        orig = getattr(Grid2D, name)
+
+        def counted(self, a, axis, _orig=orig):
+            calls[0] += 1
+            return _orig(self, a, axis)
+
+        monkeypatch.setattr(Grid2D, name, counted)
+    counts = []
+    for sweeps in (4, 8):
+        calls[0] = 0
+        _, rep = so.solve_vk("old", g, en.Material(1.0, 1.0), opts=so.VKOptions(max_sweeps=sweeps))
+        assert rep.iterations == sweeps and rep.status == so.BUDGET_EXHAUSTED
+        counts.append(calls[0])
+    assert counts[1] - counts[0] <= 20 * 4
+
+
 def test_vk_stops_at_roundoff_floor():
     # at 256^2 the projected residual flattens near 1.2e-9, above tol = 1e-10
     grid = Grid2D(256, 256, (0, TWO_PI, 0, TWO_PI), bc=PERIODIC)
@@ -486,8 +541,12 @@ def test_vk_converged_status(torus64):
 def test_vk_oscillating_divergence_is_not_a_floor(torus64):
     # over-relaxed sweeps make the residual swing up and down while it grows
     g = growth_preset("kappa_sine", torus64, 0.5)
-    with pytest.raises(so.SolverError):
+    with pytest.raises(so.SolverError) as info:
         so.solve_vk("old", g, en.Material(1.0, 1.0), opts=so.VKOptions(relaxation=1.9))
+    rep = info.value.report
+    assert rep.status == so.DIVERGING and not rep.converged
+    hist = rep.extras["residual_history"]
+    assert len(hist) == rep.iterations + 1 and hist[-1] == info.value.residual == rep.grad_norm
 
 
 def test_roundoff_floor_rule():
