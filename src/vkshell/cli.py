@@ -55,6 +55,7 @@ from .growth import (
     GROWTH_PRESETS,
     GrowthFields,
     GrowthSpec,
+    GrowthSpecError,
     eval_growth,
     eval_poly,
     growth_preset,
@@ -558,9 +559,12 @@ def _run_scaling(cfg: ExperimentConfig, outdir: Path, threads: int) -> dict:
         raise ConfigError(f"run: {exc}") from exc
     state = _scaling_state(cfg, regime)
 
-    study = sh.scaling_study(
-        cfg.alpha, h_list, cfg.growth, cfg.v0, state, cfg.material, n_t=n_t, workers=threads
-    )
+    try:
+        study = sh.scaling_study(
+            cfg.alpha, h_list, cfg.growth, cfg.v0, state, cfg.material, n_t=n_t, workers=threads
+        )
+    except GrowthSpecError as exc:  # the growth makes q^h singular at some thickness
+        raise ConfigError(f"run: {exc}") from exc
     (outdir / "scaling.csv").write_text("\n".join(study.csv_lines()) + "\n", encoding="utf-8")
     return {
         "scaling": study.metadata(),
@@ -616,6 +620,17 @@ def cmd_run(cfg: ExperimentConfig, outdir, threads: int = 1) -> tuple[int, dict]
 
 # -- entry point -------------------------------------------------------------------
 
+def _thread_count(text: str) -> int:
+    """The --threads value: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # reported below, with the text as given
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="vkshell", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -624,7 +639,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run the experiment described by a config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument("--threads", type=_thread_count, default=1)
     args = parser.parse_args(argv)
 
     try:

@@ -42,7 +42,8 @@ MAX_DEGREE = 6
 
 
 class GrowthSpecError(ValueError):
-    """Malformed polynomial growth specification."""
+    """Unusable growth: a malformed polynomial specification, or a growth
+    whose tensor q^h of the 3-D shell is not invertible at some node."""
 
 
 Term = tuple[float, int, int]  # coef * x1^p * x2^q

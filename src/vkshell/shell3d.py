@@ -20,9 +20,14 @@ flags any quadrature point beyond 0.3.  Each thickness node forms the
 strain e = F^T F - Id once; W and the distance to SO(3) both read it, the
 distance through the closed-form eigenvalues of e (singular values of F).
 Points with det F < 0, whose distance hinges on the smallest singular value
-alone, take it from an SVD of F instead.  The 3x3 determinants and inverses are
-closed-form elementwise kernels (cofactor expansion, adjugate) on whole
-(..., 3, 3) stacks, not batched LAPACK calls.
+alone, take it from an SVD of F instead.  The 3x3 determinants, inverses and
+products are closed-form elementwise kernels (cofactor expansion, adjugate,
+and _matmul3's nine sums of three products) on whole (..., 3, 3) stacks, not
+batched LAPACK calls or numpy's stacked matmul.  Every point stack the module
+forms (chart Jacobian, q^h and its inverse, grad y, F and e) is
+component-major: its shape is still (..., 3, 3), but each a[..., i, j] is one
+contiguous plane, so the kernels stream whole planes.  They accept any layout
+and give the same bits on each.
 
 Recovery.  One Kirchhoff-Love-plus-warping ansatz covers all regimes:
 deformed mid-surface Y(x) (per-regime displacement scaling), exact unit
@@ -61,7 +66,7 @@ from .fields import (
     hessian_values,
     sym_values,
 )
-from .growth import GrowthFields, effective_growth, incompatibility
+from .growth import GrowthFields, GrowthSpecError, effective_growth, incompatibility
 from .solver import reconstruct_displacement
 
 FLAT = "flat"  # alpha > 1, or v0 identically zero: limit I40
@@ -133,12 +138,13 @@ class Immersion:
         nvec[..., 1] = -g * dv[..., 1] / nfac
         nvec[..., 2] = 1.0 / nfac
         self._normal = nvec
-        self._tangents = np.zeros((grid.nx, grid.ny, 3, 2))
+        self._tangents = _component_major((grid.nx, grid.ny, 3, 2))
+        self._tangents[...] = 0.0
         self._tangents[..., 0, 0] = 1.0
         self._tangents[..., 1, 1] = 1.0
         self._tangents[..., 2, :] = g * dv
         # dn[..., :, j] = d_j n by the chain rule on n = (-g grad v0, 1)/N
-        dn = np.empty((grid.nx, grid.ny, 3, 2))
+        dn = _component_major((grid.nx, grid.ny, 3, 2))
         dnfac = g * g * (dv[..., 0:1] * hv[..., 0, :] + dv[..., 1:2] * hv[..., 1, :]) / nfac[..., None]
         for j in range(2):
             dn[..., 0, j] = (-g * hv[..., 0, j] - nvec[..., 0] * dnfac[..., j]) / nfac
@@ -163,8 +169,9 @@ class Immersion:
 
     def grad_phi_tilde(self, x3: float) -> np.ndarray:
         """Exact chart Jacobian (nx, ny, 3, 3): columns d1, d2, normal."""
-        out = np.empty(self._tangents.shape[:2] + (3, 3))
-        out[..., :2] = self._tangents + x3 * self._dn
+        out = _component_major(self._tangents.shape[:2] + (3, 3))
+        np.multiply(x3, self._dn, out=out[..., :2])
+        out[..., :2] += self._tangents
         out[..., 2] = self._normal
         return out
 
@@ -187,12 +194,18 @@ class GrowthEvaluator:
         if abs(x3) > 0.5 * self.cfg.h * (1.0 + 1e-12):
             raise ValueError(f"x3 = {x3} outside the shell of thickness {self.cfg.h}")
         h = self.cfg.h
-        return self._eye + h * h * self.g.eps_g.data + h * x3 * self.g.kappa_g.data
+        eps = self.g.eps_g.data
+        # (Id + h^2 eps_g) + h x3 kappa_g, read from the C-ordered growth arrays
+        q = _component_major(eps.shape)
+        np.multiply(h * h, eps, out=q)
+        q += self._eye
+        q += np.multiply(h * x3, self.g.kappa_g.data, out=_component_major(eps.shape))
+        return q
 
     @staticmethod
     def _require_invertible(dets: np.ndarray):
         if np.any(dets <= 0.0):
-            raise ValueError("growth tensor q^h is not invertible at some node")
+            raise GrowthSpecError("growth tensor q^h is not invertible at some node")
 
     def at(self, x3: float) -> np.ndarray:
         q = self._assemble(x3)
@@ -208,6 +221,17 @@ class GrowthEvaluator:
 
 # -- closed-form kernels on (..., 3, 3) stacks ---------------------------------------
 
+def _component_major(shape) -> np.ndarray:
+    """Uninitialised array of logical shape (..., m, n) stored as m x n planes.
+
+    Each a[..., i, j] is one contiguous plane, so the kernels below, which
+    read and write whole components, stream memory instead of gathering
+    every ninth value.
+    """
+    shape = tuple(shape)
+    return np.moveaxis(np.empty(shape[-2:] + shape[:-2]), (0, 1), (-2, -1))
+
+
 def _cofactor(a: np.ndarray, i: int, j: int) -> np.ndarray:
     """Signed cofactor (i, j); the cyclic index form carries the sign."""
     i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
@@ -221,7 +245,7 @@ def _det3(a: np.ndarray) -> np.ndarray:
 
 def _inv3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverse (adjugate over determinant) and the determinant itself."""
-    adj = np.empty_like(a)
+    adj = _component_major(a.shape)
     for i in range(3):
         for j in range(3):
             adj[..., j, i] = _cofactor(a, i, j)
@@ -230,9 +254,25 @@ def _inv3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return adj, det
 
 
+def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product a b of two stacks, each entry a sum of three plane products.
+
+    numpy's stacked matmul steps through one 3x3 at a time; this writes whole
+    planes.  Each product is rounded before the sums (no fused multiply-add).
+    """
+    out = _component_major(np.broadcast_shapes(a.shape, b.shape))
+    for i in range(3):
+        for j in range(3):
+            o = out[..., i, j]
+            np.multiply(a[..., i, 0], b[..., 0, j], out=o)
+            o += a[..., i, 1] * b[..., 1, j]
+            o += a[..., i, 2] * b[..., 2, j]
+    return out
+
+
 def _strain(F: np.ndarray) -> np.ndarray:
     """e = F^T F - Id, symmetric by construction."""
-    e = np.empty(F.shape)
+    e = _component_major(F.shape)
     for i in range(3):
         for j in range(i, 3):
             e[..., i, j] = e[..., j, i] = sum(F[..., k, i] * F[..., k, j] for k in range(3))
@@ -241,9 +281,15 @@ def _strain(F: np.ndarray) -> np.ndarray:
 
 
 def _density_from_strain(e: np.ndarray, m: en.Material) -> np.ndarray:
-    """St. Venant-Kirchhoff density mu/4 |e|^2 + lambda/8 (tr e)^2."""
+    """St. Venant-Kirchhoff density mu/4 |e|^2 + lambda/8 (tr e)^2.
+
+    |e|^2 is summed in the pairing np.sum takes over nine contiguous values,
+    written out so that every memory layout of e gives the same bits.
+    """
+    sq = [e[..., i, j] * e[..., i, j] for i in range(3) for j in range(3)]
+    frob = ((sq[0] + sq[1]) + (sq[2] + sq[3])) + ((sq[4] + sq[5]) + (sq[6] + sq[7])) + sq[8]
     tr = e[..., 0, 0] + e[..., 1, 1] + e[..., 2, 2]
-    return 0.25 * m.mu * np.sum(e * e, axis=(-2, -1)) + 0.125 * m.lam * tr * tr
+    return 0.25 * m.mu * frob + 0.125 * m.lam * tr * tr
 
 
 def _sym_eigvals3(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -329,7 +375,9 @@ def identity_deformation(cfg: ShellConfig) -> Deformation3D:
     """u = id on the shell: grad y coincides with the chart Jacobian."""
     imm = Immersion(cfg)
     x3, wts = cfg.gauss_rule()
-    grad = np.stack([imm.grad_phi_tilde(t) for t in x3])
+    grad = _component_major((cfg.n_t, cfg.grid.nx, cfg.grid.ny, 3, 3))
+    for k, t in enumerate(x3):
+        grad[k] = imm.grad_phi_tilde(t)
     return Deformation3D(cfg, x3, wts, grad)
 
 
@@ -358,10 +406,10 @@ def energy_3d(
     flagged = 0
     for k, (x3, gw) in enumerate(zip(u.x3, u.weights)):
         gp_inv, jac = _inv3(imm.grad_phi_tilde(x3))
-        a = u.grad_y[k] @ gp_inv
+        a = _matmul3(u.grad_y[k], gp_inv)
         det_u = _det3(a)
         min_det = min(min_det, float(det_u.min()))
-        f = a @ qh.inverse_at(x3)
+        f = _matmul3(a, qh.inverse_at(x3))
         e = _strain(f)
         # det q^h > 0 (checked by inverse_at), so det f has the sign of det_u
         d = _dist_from_strain(e, f, det_u)
@@ -369,6 +417,7 @@ def energy_3d(
         flagged += int(np.count_nonzero(d > DIST_SO3_GUARD))
         wvals = _density_from_strain(e, m)
         contributions.append((gw / cfg.h) * qw * wvals * jac)
+        del gp_inv, a, f, e  # this node's stacks go before the next node's are formed
     total = math.fsum(np.concatenate([c.ravel() for c in contributions]).tolist())
     diag = {"min_det_grad_u": min_det, "max_dist_so3": max_dist, "points_beyond_guard": flagged}
     if min_det <= 0.0:
@@ -406,7 +455,7 @@ def limit_functional_name(regime: str) -> str:
 
 def _grad3(grid: Grid2D, comps: np.ndarray) -> np.ndarray:
     """In-plane Jacobian (nx, ny, 3, 2) of a 3-component field (nx, ny, 3)."""
-    out = np.empty(comps.shape[:2] + (3, 2))
+    out = _component_major(comps.shape[:2] + (3, 2))
     for c in range(3):
         for j in range(2):
             out[..., c, j] = grid.d1(comps[..., c], j)
@@ -475,7 +524,8 @@ def build_recovery(
     ycomps[..., 2] = y3
 
     # Jacobian of Y: differentiate the displacement, not the raw coordinates
-    dy = np.zeros((grid.nx, grid.ny, 3, 2))
+    dy = _component_major((grid.nx, grid.ny, 3, 2))
+    dy[...] = 0.0
     dy[..., 0, 0] = 1.0
     dy[..., 1, 1] = 1.0
     for j in range(2):
@@ -496,7 +546,7 @@ def build_recovery(
     dd1 = _grad3(grid, d1)
 
     x3, wts = cfg.gauss_rule()
-    grad = np.empty((cfg.n_t, grid.nx, grid.ny, 3, 3))
+    grad = _component_major((cfg.n_t, grid.nx, grid.ny, 3, 3))
     for k, t in enumerate(x3):
         grad[k, ..., :2] = dy + t * dnu + t * h * h * dd0 + 0.5 * t * t * h * dd1
         grad[k, ..., 2] = nu + h * h * d0 + t * h * d1

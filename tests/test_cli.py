@@ -266,3 +266,29 @@ def test_run_rejects_bad_run_values(tmp_path, capsys, run):
     path = write_config(tmp_path, doc)
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_run_scaling_singular_growth_is_a_config_error(tmp_path, capsys):
+    # amplitude 2000 makes Id + h^2 eps_g + h x3 kappa_g singular inside the shell
+    doc = base_config(growth={"preset": "kappa_sine", "amplitude": 2000.0})
+    doc["grid"] = {"nx": 17, "ny": 17, "domain": [0.0, 1.0, 0.0, 1.0], "bc": "dirichlet-ghost"}
+    doc["geometry"] = {"v0": "paraboloid", "alpha": 1.0}
+    doc["run"] = {"command": "scaling", "h_list": [0.1, 0.01]}
+    path = write_config(tmp_path, doc)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "not invertible" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_run_rejects_bad_thread_counts(tmp_path, capsys, monkeypatch, threads):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("argparse must reject the thread count before the run starts")
+
+    monkeypatch.setattr(cli, "load_config", must_not_run)
+    monkeypatch.setattr(cli, "cmd_run", must_not_run)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", "cfg.json", "--out", str(tmp_path / "out"), "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

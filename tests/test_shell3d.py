@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -477,3 +478,84 @@ def test_energy_3d_reflected_deformation(square33):
     assert total == pytest.approx(ref, rel=1e-10)
     assert total == pytest.approx(sh.energy_3d(u, g, cfg, m), rel=1e-12)
     assert diag["max_dist_so3"] == pytest.approx(max_dist, rel=1e-12)
+
+
+# -- component-major point stacks ------------------------------------------------------
+
+def component_major_copy(a):
+    """The same stack with each a[..., i, j] stored as one contiguous plane."""
+    out = sh._component_major(a.shape)
+    out[...] = a
+    return out
+
+
+def test_kernels_are_bitwise_layout_independent(rng):
+    m = en.Material(1.2, 0.6)
+    near_id = np.eye(3) + 1e-3 * rng.standard_normal((17, 19, 3, 3))
+    o1 = well_conditioned_stack(rng, 17 * 19).reshape(17, 19, 3, 3)
+    o1[::3] *= -1.0  # det F < 0 rows take the SVD branch of dist_so3
+    for a in (near_id, o1):
+        b = component_major_copy(a)
+        assert b[..., 0, 0].flags.c_contiguous and not a[..., 0, 0].flags.c_contiguous
+        assert np.array_equal(sh._det3(a), sh._det3(b))
+        inv_a, det_a = sh._inv3(a)
+        inv_b, det_b = sh._inv3(b)
+        assert np.array_equal(inv_a, inv_b) and np.array_equal(det_a, det_b)
+        e_a, e_b = sh._strain(a), sh._strain(b)
+        assert np.array_equal(e_a, e_b)
+        e_c, e_cm = np.ascontiguousarray(e_a), component_major_copy(e_a)
+        assert np.array_equal(sh._density_from_strain(e_c, m), sh._density_from_strain(e_cm, m))
+        assert np.array_equal(sh.dist_so3(a), sh.dist_so3(b))
+
+
+def test_matmul3_is_within_the_dot_product_error_bound(rng):
+    # each entry of a product with three terms is within gamma_3 (|a| |b|) of the
+    # exact value; np.matmul's is too, so the two differ by at most 2 gamma_3 (|a| |b|)
+    u = 0.5 * np.finfo(float).eps
+    gamma3 = Fraction(3 * u) / (1 - Fraction(3 * u))
+    stacks = {
+        "near identity": lambda n: np.eye(3) + 1e-3 * rng.standard_normal((n, 3, 3)),
+        "O(1)": lambda n: well_conditioned_stack(rng, n),
+    }
+    for name, make in stacks.items():
+        a, b = make(400), make(400)
+        got = sh._matmul3(component_major_copy(a), component_major_copy(b))
+        assert np.array_equal(got, sh._matmul3(a, b)), name
+        bound = 2.0 * 3.0 * u / (1.0 - 3.0 * u) * (np.abs(a) @ np.abs(b))
+        assert np.all(np.abs(got - np.matmul(a, b)) <= bound), name
+        for n, i, j in np.ndindex(40, 3, 3):
+            terms = [Fraction(a[n, i, k]) * Fraction(b[n, k, j]) for k in range(3)]
+            err = abs(Fraction(got[n, i, j]) - sum(terms))
+            assert err <= gamma3 * sum(abs(t) for t in terms), (name, n, i, j)
+
+
+def test_energy_3d_is_bitwise_layout_independent(square33):
+    grid = square33
+    m = en.Material(1.2, 0.6)
+    g = sine_growth(grid)
+    v0 = ScalarField(grid, 0.25 * (grid.X1**2 + grid.X2**2))
+    v = ScalarField(grid, v0.data + 0.3 * np.sin(np.pi * grid.X1) * np.sin(np.pi * grid.X2))
+    w = VectorField2(grid, np.stack([0.1 * grid.X1**2 * grid.X2, -0.05 * grid.X2**2], axis=-1))
+    cfg = sh.ShellConfig(v0, alpha=1.0, h=1e-2, n_t=5)
+    u = sh.build_recovery(v, w, g, cfg, m)
+    c_ordered = sh.Deformation3D(cfg, u.x3, u.weights, np.ascontiguousarray(u.grad_y))
+    assert sh.energy_3d(u, g, cfg, m, return_diagnostics=True) == sh.energy_3d(
+        c_ordered, g, cfg, m, return_diagnostics=True
+    )
+
+
+def test_point_stacks_are_component_major(grid48):
+    m = en.Material(1.0, 1.0)
+    g = sine_growth(grid48)
+    v0 = ScalarField(grid48, 0.25 * (grid48.X1**2 + grid48.X2**2))
+    v = ScalarField(grid48, v0.data + 0.2 * np.sin(np.pi * grid48.X1) * np.sin(np.pi * grid48.X2))
+    cfg = sh.ShellConfig(v0, alpha=1.0, h=1e-2, n_t=3)
+    u = sh.build_recovery(v, VectorField2.zeros(grid48), g, cfg, m)
+    imm = sh.Immersion(cfg)
+    qh = sh.GrowthEvaluator(g, cfg)
+    x3 = u.x3[0]
+    stacks = {f"grad_y[{k}]": u.grad_y[k] for k in range(cfg.n_t)}
+    stacks.update(grad_phi_tilde=imm.grad_phi_tilde(x3), inverse_at=qh.inverse_at(x3))
+    for name, a in stacks.items():
+        assert a.shape == (grid48.nx, grid48.ny, 3, 3), name
+        assert all(a[..., i, j].flags.c_contiguous for i in range(3) for j in range(3)), name
