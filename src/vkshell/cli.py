@@ -63,6 +63,7 @@ from .growth import (
     lambda_g,
     omega_g,
     omega_sine_reference,
+    wavenumbers,
 )
 
 V0_PRESETS = ("zero", "saddle", "paraboloid", "sine")
@@ -157,6 +158,14 @@ def _parse_growth(block: dict, grid: Grid2D) -> tuple[GrowthFields, dict]:
     return eval_growth(spec, grid), {"spec_keys": sorted(block)}
 
 
+def _parse_poly_field(grid: Grid2D, terms, where: str) -> np.ndarray:
+    try:
+        checked = GrowthSpec(eps_entries={(1, 1): terms}).eps_entries[(1, 1)]
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return eval_poly(checked, grid.X1, grid.X2)
+
+
 def _sample_v0(grid: Grid2D, kind, scale: float) -> ScalarField:
     x, y = grid.X1, grid.X2
     if isinstance(kind, str):
@@ -167,18 +176,12 @@ def _sample_v0(grid: Grid2D, kind, scale: float) -> ScalarField:
         elif kind == "paraboloid":
             data = 0.5 * (x * x + y * y)
         elif kind == "sine":
-            a1, b1, a2, b2 = grid.domain
-            k1 = 2.0 * math.pi / (b1 - a1)
-            k2 = 2.0 * math.pi / (b2 - a2)
-            data = np.sin(k1 * (x - a1)) * np.sin(k2 * (y - a2))
+            k1, k2 = wavenumbers(grid)
+            data = np.sin(k1 * (x - grid.domain[0])) * np.sin(k2 * (y - grid.domain[2]))
         else:
             raise ConfigError(f"geometry.v0: unknown preset {kind!r}; choose from {V0_PRESETS}")
     elif isinstance(kind, list):
-        try:
-            terms = GrowthSpec(eps_entries={(1, 1): kind}).eps_entries[(1, 1)]
-        except ValueError as exc:
-            raise ConfigError(f"geometry.v0: {exc}") from exc
-        data = eval_poly(terms, x, y)
+        data = _parse_poly_field(grid, kind, "geometry.v0")
     else:
         raise ConfigError("geometry.v0 must be a preset name or a [[coef, p, q], ...] list")
     return ScalarField(grid, scale * data)
@@ -257,11 +260,9 @@ def load_config(path) -> ExperimentConfig:
 
 def _test_fields(grid: Grid2D):
     """Smooth periodic-compatible probe fields scaled to the domain."""
-    a1, b1, a2, b2 = grid.domain
-    k1 = 2.0 * math.pi / (b1 - a1)
-    k2 = 2.0 * math.pi / (b2 - a2)
-    x = k1 * (grid.X1 - a1)
-    y = k2 * (grid.X2 - a2)
+    k1, k2 = wavenumbers(grid)
+    x = k1 * (grid.X1 - grid.domain[0])
+    y = k2 * (grid.X2 - grid.domain[2])
     v3 = ScalarField(grid, np.sin(x) * np.sin(y) + 0.5 * np.cos(x))
     wvec = VectorField2(grid, np.stack([np.sin(x) * np.cos(y), np.cos(2 * x) * np.sin(y)], axis=-1))
     vtest = ScalarField(grid, np.sin(x) * np.sin(y))
@@ -324,7 +325,10 @@ def identity_suite(cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
 
     # metric pullback expansion: log-log slope over three decades of h
     hs = (1e-1, 1e-2, 1e-3)
-    res = [sh.metric_residual(cfg.growth, v0, h) for h in hs]
+    try:  # the shell at h = 0.1 must be shallow over v0 and have invertible growth
+        res = [sh.metric_residual(cfg.growth, v0, h) for h in hs]
+    except ValueError as exc:
+        raise ConfigError(f"verify: {exc}") from exc
     if min(res) <= 1e-14:  # flat v0 and zero growth: expansion is exact
         checks.append({"name": "metric_pullback_slope", "residual": 3.0, "threshold": 2.7,
                        "passed": True, "note": "expansion exact for this configuration"})
@@ -355,7 +359,12 @@ def identity_suite(cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
     return checks
 
 
-def brute_force_q2(f2: np.ndarray, m: en.Material, levels: int = 3, npts: int = 21) -> float:
+# brute_force_q2's search: refinement levels and nodes per axis of each level
+_BRUTE_LEVELS = 3
+_BRUTE_NPTS = 21
+
+
+def brute_force_q2(f2: np.ndarray, m: en.Material) -> float:
     """Independent oracle: nested grid search over the normal completion c,
     with one parabolic polish per axis at the end."""
     f3 = np.zeros((3, 3))
@@ -369,8 +378,8 @@ def brute_force_q2(f2: np.ndarray, m: en.Material, levels: int = 3, npts: int = 
     center = np.zeros(3)
     radius = 2.0 * (np.abs(f2).sum() + 1.0)
     best_c = center
-    for _ in range(levels):
-        axes = [np.linspace(center[i] - radius, center[i] + radius, npts) for i in range(3)]
+    for _ in range(_BRUTE_LEVELS):
+        axes = [np.linspace(center[i] - radius, center[i] + radius, _BRUTE_NPTS) for i in range(3)]
         cc = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
         mats = f3 + cc[:, :, None] * e3[None, None, :] + e3[None, :, None] * cc[:, None, :]
         vals = en.q3(mats, m)
@@ -431,14 +440,6 @@ def _write_report(outdir: Path, report: so.SolveReport) -> None:
     """report.json: the solve report with wall time and the solver's extras."""
     payload = {**report.to_json_dict(include_wall_time=True), "extras": report.extras}
     _write_json(outdir / "report.json", payload)
-
-
-def _parse_poly_field(grid: Grid2D, terms, where: str) -> np.ndarray:
-    try:
-        checked = GrowthSpec(eps_entries={(1, 1): terms}).eps_entries[(1, 1)]
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    return eval_poly(checked, grid.X1, grid.X2)
 
 
 def _scaling_state(cfg: ExperimentConfig, regime: str) -> en.PlateState:
@@ -566,20 +567,7 @@ def _run_scaling(cfg: ExperimentConfig, outdir: Path, threads: int) -> dict:
     except GrowthSpecError as exc:  # the growth makes q^h singular at some thickness
         raise ConfigError(f"run: {exc}") from exc
     (outdir / "scaling.csv").write_text("\n".join(study.csv_lines()) + "\n", encoding="utf-8")
-    return {
-        "scaling": study.metadata(),
-        "rows": [
-            {
-                "h": r.h,
-                "gamma": r.gamma,
-                "E3d": r.e3d,
-                "E3d_over_h4": r.e3d_over_h4,
-                "E2d_limit": r.e2d_limit,
-                "ratio": r.ratio,
-            }
-            for r in study.rows
-        ],
-    }
+    return {"scaling": study.metadata(), "rows": [r.columns() for r in study.rows]}
 
 
 def cmd_run(cfg: ExperimentConfig, outdir, threads: int = 1) -> tuple[int, dict]:

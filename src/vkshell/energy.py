@@ -25,6 +25,7 @@ from .fields import (
     Grid2D,
     ScalarField,
     VectorField2,
+    bracket_values,
     cof2_values,
     grad_values,
     hessian_values,
@@ -219,8 +220,8 @@ def bending_values(s: PlateState, g: GrowthFields, v0: ScalarField | None = None
 
 def _constraint(grid: Grid2D, v: ScalarField, v0: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     """cof(hess v0) and the pointwise linearized isometry residual cof(hess v0) : hess v."""
-    a = cof2_values(hessian_values(grid, v0.data))
-    return a, np.sum(a * hessian_values(grid, v.data), axis=(-2, -1))
+    hv0 = hessian_values(grid, v0.data)
+    return cof2_values(hv0), bracket_values(hv0, hessian_values(grid, v.data))
 
 
 def constraint_values(v: ScalarField, v0: ScalarField) -> np.ndarray:

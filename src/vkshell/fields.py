@@ -409,6 +409,21 @@ def bracket_values(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
     )
 
 
+def bracket_matrix(grid: Grid2D, ha: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix of v -> bracket_values(ha, hessian_values(grid, v)).
+
+    Acts on C-ordered node vectors v.ravel(), assembled from the grid's own
+    1d stencils: diag(ha_11) (D2x (x) I) + diag(ha_00) (I (x) D2y)
+    - diag(2 ha_01) (D1x (x) D1y), boundary rows included.
+    """
+    ix, iy = sp.identity(grid.nx, format="csr"), sp.identity(grid.ny, format="csr")
+    return (
+        sp.diags(ha[..., 1, 1].ravel()) @ sp.kron(grid._mat(0, 2), iy)
+        + sp.diags(ha[..., 0, 0].ravel()) @ sp.kron(ix, grid._mat(1, 2))
+        - sp.diags(2.0 * ha[..., 0, 1].ravel()) @ sp.kron(grid._mat(0, 1), grid._mat(1, 1))
+    ).tocsr()
+
+
 def airy_bracket(v: ScalarField, phi: ScalarField) -> ScalarField:
     """Monge-Ampere bracket [v, phi] = cof(hess v) : hess phi.
 

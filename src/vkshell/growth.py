@@ -216,7 +216,8 @@ def strain_pullback(sigma: MatrixField3, v0: ScalarField, gamma: float) -> Matri
 
 # -- trigonometric presets for the periodic test arena ------------------------
 
-def _wavenumbers(grid: Grid2D) -> tuple[float, float]:
+def wavenumbers(grid: Grid2D) -> tuple[float, float]:
+    """(k1, k2) = 2 pi / (b - a) per axis: one period across the domain."""
     a1, b1, a2, b2 = grid.domain
     return 2.0 * math.pi / (b1 - a1), 2.0 * math.pi / (b2 - a2)
 
@@ -231,7 +232,7 @@ def growth_preset(name: str, grid: Grid2D, amplitude: float = 1.0) -> GrowthFiel
     omega_sine       (kappa)_tan = -a diag(sin(k1 x1), 0), so that
                      omega_g = a k1^2 sin(k1 x1) independently of nu
     """
-    k1, k2 = _wavenumbers(grid)
+    k1, k2 = wavenumbers(grid)
     X1 = grid.X1 - grid.domain[0]
     X2 = grid.X2 - grid.domain[2]
     eps = np.zeros((grid.nx, grid.ny, 3, 3))
@@ -263,7 +264,7 @@ def omega_sine_reference(grid: Grid2D, amplitude: float = 1.0):
     With lambda_g = 0 the pair (v, Phi) = (-a sin(k1 x1)/k1^2, 0) solves the
     flat prestrained system for any bending stiffness.
     """
-    k1, _ = _wavenumbers(grid)
+    k1, _ = wavenumbers(grid)
     X1 = grid.X1 - grid.domain[0]
     return ScalarField(grid, -(amplitude / (k1 * k1)) * np.sin(k1 * X1))
 

@@ -555,7 +555,7 @@ def build_recovery(
 
 # -- metric pullback consistency ---------------------------------------------------
 
-def metric_residual(g: GrowthFields, v0: ScalarField, h: float, n_t: int = 3) -> float:
+def metric_residual(g: GrowthFields, v0: ScalarField, h: float) -> float:
     """Max-norm defect of the pulled-back metric expansion at gamma = h.
 
     Assembles g^h = (grad phi_tilde)^T (q^h)^T q^h (grad phi_tilde) exactly
@@ -563,9 +563,10 @@ def metric_residual(g: GrowthFields, v0: ScalarField, h: float, n_t: int = 3) ->
     + 2 h x3 (sym kappa_g - (hess v0)^*), i.e. Id + 2 h^2 eps_eff
     + 2 h x3 kappa_eff of growth.effective_growth; the defect is O(h^3) with a
     grid-independent constant because both sides share one set of discrete
-    derivatives.
+    derivatives.  The defect is sampled at x3 = -h/2, 0, h/2; the shell's
+    Gauss rule is not used.
     """
-    cfg = ShellConfig(v0, alpha=1.0, h=h, n_t=n_t)
+    cfg = ShellConfig(v0, alpha=1.0, h=h)
     imm = Immersion(cfg)
     qh = GrowthEvaluator(g, cfg)
     eff = effective_growth(g, v0)
@@ -582,6 +583,17 @@ def metric_residual(g: GrowthFields, v0: ScalarField, h: float, n_t: int = 3) ->
 
 # -- scaling study -----------------------------------------------------------------
 
+# the scaling table's columns, in order: (column name, ScalingRow field)
+SCALING_COLUMNS = (
+    ("h", "h"),
+    ("gamma", "gamma"),
+    ("E3d", "e3d"),
+    ("E3d_over_h4", "e3d_over_h4"),
+    ("E2d_limit", "e2d_limit"),
+    ("ratio", "ratio"),
+)
+
+
 @dataclass(frozen=True)
 class ScalingRow:
     h: float
@@ -590,6 +602,10 @@ class ScalingRow:
     e3d_over_h4: float
     e2d_limit: float
     ratio: float
+
+    def columns(self) -> dict:
+        """The row as {column name: value}, in SCALING_COLUMNS order."""
+        return {name: getattr(self, attr) for name, attr in SCALING_COLUMNS}
 
 
 @dataclass(frozen=True)
@@ -600,14 +616,9 @@ class ScalingStudy:
     incompatibility_norm: float
 
     def csv_lines(self) -> list[str]:
-        lines = ["h,gamma,E3d,E3d_over_h4,E2d_limit,ratio"]
+        lines = [",".join(name for name, _ in SCALING_COLUMNS)]
         for r in self.rows:
-            lines.append(
-                ",".join(
-                    f"{x:.17g}"
-                    for x in (r.h, r.gamma, r.e3d, r.e3d_over_h4, r.e2d_limit, r.ratio)
-                )
-            )
+            lines.append(",".join(f"{x:.17g}" for x in r.columns().values()))
         return lines
 
     def metadata(self) -> dict:

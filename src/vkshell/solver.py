@@ -9,9 +9,11 @@ Contents:
                     diagonalizes the stencil, so one symbol inversion and one
                     residual correction solve it directly,
 * solve_mystery  -- the mixed-type Dirichlet problem
-                    cof(hess v0) : hess v = -curl^T curl B
-                    plus line-integration reconstruction of the in-plane
-                    displacement that realizes the remaining strain,
+                    cof(hess v0) : hess v = -curl^T curl B, whose matrix is
+                    the interior block of fields.bracket_matrix (the
+                    energy's constraint operator), plus line-integration
+                    reconstruction of the in-plane displacement that
+                    realizes the remaining strain,
 * minimize       -- limited-memory BFGS with Armijo backtracking on the
                     discrete plate energies, started from the exact inverse
                     of the flat plate's block-diagonal quadratic part, with
@@ -30,10 +32,10 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import energy as en
@@ -42,8 +44,8 @@ from .fields import (
     MatrixField2,
     ScalarField,
     VectorField2,
+    bracket_matrix,
     bracket_values,
-    cof2_values,
     curl_t_curl,
     det2_values,
     hessian_values,
@@ -245,49 +247,16 @@ def solve_mystery(v0: ScalarField, B: MatrixField2) -> tuple[ScalarField, Vector
     if grid.periodic:
         raise ValueError("solve_mystery poses a Dirichlet problem; use a ghost-mode grid")
     hv0 = hessian_values(grid, v0.data)
-    a = cof2_values(hv0)
-    dets = det2_values(hv0)
-    dmin = float(dets.min())
+    dmin = float(det2_values(hv0).min())
     if dmin <= 1e-12:
         raise EllipticityError(f"det(hess v0) must be uniformly positive; min is {dmin:.3e}")
 
     f = -curl_t_curl(B).data
 
+    # v = 0 on the boundary: the system is the interior block of the operator
     nx, ny = grid.nx, grid.ny
-    mi, mj = nx - 2, ny - 2
-    idx = -np.ones((nx, ny), dtype=np.int64)
-    idx[1:-1, 1:-1] = np.arange(mi * mj).reshape(mi, mj)
-
-    ii, jj = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ny - 1), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    rows_c = idx[ii, jj]
-    a11 = a[ii, jj, 0, 0] / grid.dx**2
-    a22 = a[ii, jj, 1, 1] / grid.dy**2
-    a12 = 2.0 * a[ii, jj, 0, 1] / (4.0 * grid.dx * grid.dy)
-
-    rows, cols, vals = [], [], []
-
-    def add(di: int, dj: int, coeff: np.ndarray):
-        tgt = idx[ii + di, jj + dj]
-        keep = tgt >= 0  # boundary neighbors carry u = 0
-        rows.append(rows_c[keep])
-        cols.append(tgt[keep])
-        vals.append(coeff[keep] if isinstance(coeff, np.ndarray) else np.full(keep.sum(), coeff))
-
-    add(0, 0, -2.0 * (a11 + a22))
-    add(1, 0, a11)
-    add(-1, 0, a11)
-    add(0, 1, a22)
-    add(0, -1, a22)
-    add(1, 1, a12)
-    add(-1, -1, a12)
-    add(1, -1, -a12)
-    add(-1, 1, -a12)
-
-    mat = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mi * mj, mi * mj),
-    )
+    inner = np.arange(nx * ny).reshape(nx, ny)[1:-1, 1:-1].ravel()
+    mat = bracket_matrix(grid, hv0)[inner][:, inner]
     try:
         u = spla.spsolve(mat, f[1:-1, 1:-1].ravel())
     except Exception as exc:  # pragma: no cover - singular systems are input errors
@@ -296,7 +265,7 @@ def solve_mystery(v0: ScalarField, B: MatrixField2) -> tuple[ScalarField, Vector
         raise SolverError("mixed-type linear solve produced non-finite values")
 
     vdata = np.zeros((nx, ny))
-    vdata[1:-1, 1:-1] = u.reshape(mi, mj)
+    vdata[1:-1, 1:-1] = u.reshape(nx - 2, ny - 2)
     v = ScalarField(grid, vdata)
 
     dv = grad_values(grid, vdata)
@@ -359,11 +328,11 @@ def _flat_hessian_inverse(functional: str, grid: Grid2D, m: en.Material, v0, pen
     sym_w = (_kernel_filled(a * lx1 + 0.25 * c * ly1), _kernel_filled(0.25 * c * lx1 + a * ly1))
 
     constrained = functional == en.I4INF
-    cof0 = None
+    hv0 = None
     pbar = 0.0
     if constrained:
-        cof0 = cof2_values(hessian_values(grid, v0.data))
-        pbar = grid.integrate_values(0.5 * np.sum(cof0 * cof0, axis=(-2, -1))) / grid.area
+        hv0 = hessian_values(grid, v0.data)  # |cof hess v0| = |hess v0|
+        pbar = grid.integrate_values(0.5 * np.sum(hv0 * hv0, axis=(-2, -1))) / grid.area
     sym_v = (a / 12.0 + 2.0 * penalty * pbar) * (np.sqrt(lx2)[:, None] + np.sqrt(ly2)[None, :]) ** 2
     # kernel x kernel modes with a constant factor (mode 0) are affine: skip them
     for i in range(1, np.count_nonzero(lx2 == 0.0)):
@@ -371,7 +340,7 @@ def _flat_hessian_inverse(functional: str, grid: Grid2D, m: en.Material, v0, pen
             hphi = hessian_values(grid, np.outer(vx2[:, i], vy2[:, j]))
             sym_v[i, j] = grid.integrate_values(en.q2(hphi, m)[0]) / 12.0
             if constrained:
-                r = np.sum(cof0 * hphi, axis=(-2, -1))
+                r = bracket_values(hv0, hphi)
                 sym_v[i, j] += 2.0 * penalty * grid.integrate_values(r * r)
     sym_v = _kernel_filled(sym_v)
 
@@ -403,16 +372,16 @@ def _lbfgs(fg, x0: np.ndarray, tol: float, max_iter: int, h0):
 
     h0 is scaled by s^T y / y^T h0(y) of the newest pair (Nocedal & Wright,
     Numerical Optimization, 7.2); the first step is the unit step along
-    -h0(g).  Energies never increase.  Stops once |grad| <= tol (1 + |f(x0)|).
+    -h0(g).  Energies never increase.  Stops once |grad| <= tol (1 + |f(x0)|);
+    a search direction that is not a descent direction, or a step that
+    backtracks below _MIN_STEP, ends the run at x with LINE_SEARCH_FAILED.
     Returns (x, status, stats); stats holds the iterations, fg evaluations,
     rejected trial steps and the (f, |grad|) history, which ends at x.
     """
     x = x0.copy()
     f, g = fg(x)
     tol_abs = tol * (1.0 + abs(f))
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    hist: deque = deque(maxlen=_LBFGS_MEMORY)  # (s, y, 1 / s^T y), oldest first
     gamma = 1.0
     gnorm = float(np.linalg.norm(g))
     stats = {"iterations": 0, "fg_evals": 1, "backtracks": 0, "history": [[f, gnorm]]}
@@ -423,19 +392,18 @@ def _lbfgs(fg, x0: np.ndarray, tol: float, max_iter: int, h0):
             break
         q = g.copy()
         alphas = []
-        for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+        for s, y, rho in reversed(hist):
             a = rho * float(np.dot(s, q))
             alphas.append(a)
             q -= a * y
         q = gamma * h0(q)
-        for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+        for (s, y, rho), a in zip(hist, reversed(alphas)):
             b = rho * float(np.dot(y, q))
             q += (a - b) * s
         d = -q
         slope = float(np.dot(g, d))
-        if slope >= 0.0:  # numerical loss of curvature: fall back to steepest descent
-            d = -g
-            slope = -gnorm * gnorm
+        if slope >= 0.0:  # h0 or the history lost positive definiteness
+            return x, LINE_SEARCH_FAILED, stats
         t = 1.0
         while True:
             f_new, g_new = fg(x + t * d)
@@ -451,14 +419,8 @@ def _lbfgs(fg, x0: np.ndarray, tol: float, max_iter: int, h0):
         y_vec = g_new - g
         sy = float(np.dot(s_vec, y_vec))
         if sy > 1e-14 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-            rho_hist.append(1.0 / sy)
+            hist.append((s_vec, y_vec, 1.0 / sy))
             gamma = sy / float(np.dot(y_vec, h0(y_vec)))
-            if len(s_hist) > _LBFGS_MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
         if not (f_new <= f):
             raise AssertionError("accepted step increased the energy")
         x, f, g = x_new, f_new, g_new

@@ -104,6 +104,18 @@ def test_cli_verify_exit_codes(tmp_path):
     assert cli.main(["verify", "--config", str(path3)]) == 2
 
 
+@pytest.mark.parametrize("v0", ["saddle", "paraboloid"])
+def test_cli_verify_steep_v0_is_a_config_error(tmp_path, capsys, v0):
+    # on the 2 pi torus 0.5 x y is too steep for a shallow shell at h = 0.1
+    doc = base_config()
+    doc["grid"]["nx"] = doc["grid"]["ny"] = 16
+    doc["geometry"] = {"v0": v0, "v0_scale": 0.5}
+    path = write_config(tmp_path, doc)
+    assert cli.main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "shallowness violated" in err
+
+
 def test_run_minimize_zero_growth(tmp_path):
     doc = base_config(growth={"preset": "zero"})
     doc["run"] = {"command": "minimize", "functional": "I40"}

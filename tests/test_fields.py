@@ -14,6 +14,7 @@ from vkshell.fields import (
     VectorField3,
     airy_bracket,
     apply_diff,
+    bracket_matrix,
     bracket_values,
     cof2,
     curl_t_curl,
@@ -191,6 +192,25 @@ def test_bracket_values_is_the_three_stencil_bracket(grid, rng):
     new = bracket_values(hessian_values(grid, a), hessian_values(grid, b))
     assert np.array_equal(new, old)
     assert np.array_equal(airy_bracket(ScalarField(grid, a), ScalarField(grid, b)).data, old)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid2D(17, 23, (-0.5, 1.0, 0.0, 2.0), bc=DIRICHLET),
+        Grid2D(24, 16, (0.0, TWO_PI, -1.0, 1.0), bc=PERIODIC),
+    ],
+    ids=["ghost", "periodic"],
+)
+def test_bracket_matrix_is_the_pointwise_bracket(grid, rng):
+    # the Dirichlet solve's operator and the energy's constraint are one map,
+    # boundary rows included
+    ha = rng.standard_normal((grid.nx, grid.ny, 2, 2))
+    ha[..., 1, 0] = ha[..., 0, 1]
+    v = rng.standard_normal((grid.nx, grid.ny))
+    ref = bracket_values(ha, hessian_values(grid, v))
+    got = (bracket_matrix(grid, ha) @ v.ravel()).reshape(v.shape)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_integrate(square33, torus64):

@@ -292,6 +292,19 @@ def test_minimize_reports_status(square33):
     assert rep.to_json_dict(include_wall_time=False)["status"] == so.BUDGET_EXHAUSTED
 
 
+def test_lbfgs_ascent_direction_fails_the_line_search(rng):
+    # an h0 that is negative definite turns -h0(g) uphill: the run stops at
+    # x0 instead of substituting another direction
+    def fg(x):
+        return 0.5 * float(np.dot(x, x)), x.copy()
+
+    x0 = rng.standard_normal(12)
+    x, status, stats = so._lbfgs(fg, x0, 1e-8, 100, lambda q: -q)
+    assert status == so.LINE_SEARCH_FAILED
+    assert stats["iterations"] == 0 and stats["fg_evals"] == 1
+    assert np.array_equal(x, x0)
+
+
 @pytest.mark.parametrize("functional, doublings", [(en.I40, 0), (en.I4INF, 2)])
 def test_minimize_evaluates_each_stage_start_once(square33, rng, monkeypatch, functional, doublings):
     # with no iterations allowed, each penalty stage evaluates the gradient
