@@ -20,7 +20,12 @@ flags any quadrature point beyond 0.3.  Each thickness node forms the
 strain e = F^T F - Id once; W and the distance to SO(3) both read it, the
 distance through the closed-form eigenvalues of e (singular values of F).
 Points with det F < 0, whose distance hinges on the smallest singular value
-alone, take it from an SVD of F instead.  The 3x3 determinants, inverses and
+alone, take it from an SVD of F instead.  Only the guard count and the
+largest distance read the distance, so the exact kernel runs only where a
+bound cannot settle them: with eps = |e| and det F > 0,
+eps / (1 + sqrt(1 + eps)) <= dist <= 1 - sqrt(1 - eps) (for eps < 1), and a
+point whose upper bound stays below min(0.3, the largest distance known)
+can neither pass the guard nor set the maximum.  The 3x3 determinants, inverses and
 products are closed-form elementwise kernels (cofactor expansion, adjugate,
 and _matmul3's nine sums of three products) on whole (..., 3, 3) stacks, not
 batched LAPACK calls or numpy's stacked matmul.  Every point stack the module
@@ -45,6 +50,12 @@ pulled-back metric shows the order-h^2 strain is exactly
 [S - (x3/h) K]^* + sym((d0 + (x3/h) d1 - l(...)) x e3), which the above
 warping relaxes pointwise to Q2; the scaled energies then converge to the
 regime-matched two-dimensional functional.
+
+Sweep template.  d0, d1 and their in-plane gradients, grad v0 and hess v0
+of the chart, and the constrained regime's wtilde do not depend on h.  They
+form a RecoveryTemplate, which scaling_study builds once and hands to each
+row's build_recovery and energy_3d; called without one, build_recovery
+builds its own and energy_3d differentiates v0 itself.
 """
 
 from __future__ import annotations
@@ -121,16 +132,23 @@ class ShellConfig:
         return 0.5 * self.h * t, 0.5 * self.h * w
 
 
-class Immersion:
-    """Chart phi_tilde and its exact frame, built from stencil derivatives."""
+def _v0_derivatives(v0: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """grad v0 and hess v0: the chart's stencil derivatives, the same at every h."""
+    return grad_values(v0.grid, v0.data), hessian_values(v0.grid, v0.data)
 
-    def __init__(self, cfg: ShellConfig):
+
+class Immersion:
+    """Chart phi_tilde and its exact frame, built from stencil derivatives.
+
+    v0_derivatives is _v0_derivatives(cfg.v0), computed here when not given.
+    """
+
+    def __init__(self, cfg: ShellConfig, v0_derivatives: tuple[np.ndarray, np.ndarray] | None = None):
         grid = cfg.grid
         self.cfg = cfg
         self.grid = grid
         g = cfg.gamma
-        dv = grad_values(grid, cfg.v0.data)
-        hv = hessian_values(grid, cfg.v0.data)
+        dv, hv = _v0_derivatives(cfg.v0) if v0_derivatives is None else v0_derivatives
         n2 = 1.0 + g * g * (dv[..., 0] ** 2 + dv[..., 1] ** 2)
         nfac = np.sqrt(n2)
         nvec = np.empty((grid.nx, grid.ny, 3))
@@ -188,18 +206,18 @@ class GrowthEvaluator:
         cfg.grid.require_same(g.grid, "growth and shell")
         self.g = g
         self.cfg = cfg
-        self._eye = np.eye(3)
+        # Id + h^2 eps_g, the part of q^h shared by every thickness node
+        self._base = _component_major(g.eps_g.data.shape)
+        np.multiply(cfg.h * cfg.h, g.eps_g.data, out=self._base)
+        self._base += np.eye(3)
 
     def _assemble(self, x3: float) -> np.ndarray:
         if abs(x3) > 0.5 * self.cfg.h * (1.0 + 1e-12):
             raise ValueError(f"x3 = {x3} outside the shell of thickness {self.cfg.h}")
-        h = self.cfg.h
-        eps = self.g.eps_g.data
-        # (Id + h^2 eps_g) + h x3 kappa_g, read from the C-ordered growth arrays
-        q = _component_major(eps.shape)
-        np.multiply(h * h, eps, out=q)
-        q += self._eye
-        q += np.multiply(h * x3, self.g.kappa_g.data, out=_component_major(eps.shape))
+        # h x3 kappa_g + (Id + h^2 eps_g): exact addition commutes, so these are
+        # the bits of (Id + h^2 eps_g) + h x3 kappa_g
+        q = np.multiply(self.cfg.h * x3, self.g.kappa_g.data, out=_component_major(self._base.shape))
+        q += self._base
         return q
 
     @staticmethod
@@ -280,16 +298,24 @@ def _strain(F: np.ndarray) -> np.ndarray:
     return e
 
 
-def _density_from_strain(e: np.ndarray, m: en.Material) -> np.ndarray:
-    """St. Venant-Kirchhoff density mu/4 |e|^2 + lambda/8 (tr e)^2.
+def _strain_norm_sq(e: np.ndarray) -> np.ndarray:
+    """|e|^2, summed in the pairing np.sum takes over nine contiguous values.
 
-    |e|^2 is summed in the pairing np.sum takes over nine contiguous values,
-    written out so that every memory layout of e gives the same bits.
+    Written out so that every memory layout of e gives the same bits.
     """
     sq = [e[..., i, j] * e[..., i, j] for i in range(3) for j in range(3)]
-    frob = ((sq[0] + sq[1]) + (sq[2] + sq[3])) + ((sq[4] + sq[5]) + (sq[6] + sq[7])) + sq[8]
+    return ((sq[0] + sq[1]) + (sq[2] + sq[3])) + ((sq[4] + sq[5]) + (sq[6] + sq[7])) + sq[8]
+
+
+def _density_from_strain(e: np.ndarray, m: en.Material, norm_sq: np.ndarray | None = None) -> np.ndarray:
+    """St. Venant-Kirchhoff density mu/4 |e|^2 + lambda/8 (tr e)^2.
+
+    norm_sq is _strain_norm_sq(e), computed here when not given.
+    """
+    if norm_sq is None:
+        norm_sq = _strain_norm_sq(e)
     tr = e[..., 0, 0] + e[..., 1, 1] + e[..., 2, 2]
-    return 0.25 * m.mu * frob + 0.125 * m.lam * tr * tr
+    return 0.25 * m.mu * norm_sq + 0.125 * m.lam * tr * tr
 
 
 def _sym_eigvals3(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -339,6 +365,30 @@ def _dist_from_strain(e: np.ndarray, F: np.ndarray, det_f: np.ndarray) -> np.nda
     return d
 
 
+# relative margin of the distance screen: far above the rounding of the bounds
+# and of _dist_from_strain (a few ulps), far below anything that moves its cost
+_SCREEN_SLACK = 1e-9
+
+
+def _needs_exact_dist(norm_sq: np.ndarray, det_f: np.ndarray, known: float) -> np.ndarray:
+    """Mask of the points whose exact distance to SO(3) the diagnostics need.
+
+    known is a distance some point already reaches.  Where det F > 0, each
+    eigenvalue l of e has |l| <= eps = |e|, and sigma - 1 = l / (1 + sigma)
+    puts the distance between eps / (1 + sqrt(1 + eps)) and, for eps < 1,
+    eps / (1 + sqrt(1 - eps)) = 1 - sqrt(1 - eps).  The upper bound is below
+    t <= 1 exactly when eps < t (2 - t).  With t = min(guard, the largest
+    distance known or bounded from below), a point under it can neither pass
+    the guard nor set the maximum; every other point, and every point with
+    det F <= 0 or a NaN strain, needs the exact distance.
+    """
+    turned = det_f > 0.0
+    eps_max = math.sqrt(float(np.max(norm_sq, where=turned, initial=0.0)))
+    lower = eps_max / (1.0 + math.sqrt(1.0 + eps_max)) * (1.0 - _SCREEN_SLACK)
+    t = min(DIST_SO3_GUARD, max(known, lower))
+    return ~(turned & (norm_sq < (t * (2.0 - t)) ** 2 * (1.0 - _SCREEN_SLACK)))
+
+
 def density_W(F: np.ndarray, m: en.Material) -> np.ndarray | float:
     """St. Venant-Kirchhoff density; zero exactly on SO(3)."""
     out = _density_from_strain(_strain(np.asarray(F, dtype=float)), m)
@@ -381,23 +431,37 @@ def identity_deformation(cfg: ShellConfig) -> Deformation3D:
     return Deformation3D(cfg, x3, wts, grad)
 
 
+def _same_field(a: ScalarField, b: ScalarField) -> bool:
+    """The same field object, or equal grids and values."""
+    return a is b or (a.grid == b.grid and np.array_equal(a.data, b.data))
+
+
 def energy_3d(
     u: Deformation3D,
     g: GrowthFields,
     cfg: ShellConfig,
     m: en.Material,
     return_diagnostics: bool = False,
+    template: RecoveryTemplate | None = None,
 ):
     """Thickness-averaged prestrained energy (1/h) int W(grad u (q^h)^-1).
 
     Quadrature: node weights in plane, Gauss through the thickness, exact
     volume Jacobian det(grad phi_tilde).  Accumulation is compensated
     (math.fsum over all weighted point values), hence order independent.
+    The chart reads grad v0 and hess v0 from template (a RecoveryTemplate
+    built for cfg.v0) when one is given.  The distance diagnostics run the
+    exact kernel only where _needs_exact_dist cannot settle them.
     """
-    if u.cfg is not cfg and (u.cfg.h != cfg.h or u.cfg.alpha != cfg.alpha or u.cfg.grid != cfg.grid):
+    u_cfg = u.cfg
+    if u_cfg is not cfg and (
+        u_cfg.h != cfg.h or u_cfg.alpha != cfg.alpha or u_cfg.n_t != cfg.n_t or not _same_field(u_cfg.v0, cfg.v0)
+    ):
         raise ValueError("deformation was built for a different shell configuration")
     cfg.grid.require_same(g.grid, "growth and shell")
-    imm = Immersion(cfg)
+    if template is not None and not _same_field(template.v0, cfg.v0):
+        raise ValueError("template was built for a different v0")
+    imm = Immersion(cfg, None if template is None else template.v0_derivatives)
     qh = GrowthEvaluator(g, cfg)
     qw = cfg.grid.quad_weights
     contributions = []
@@ -407,17 +471,22 @@ def energy_3d(
     for k, (x3, gw) in enumerate(zip(u.x3, u.weights)):
         gp_inv, jac = _inv3(imm.grad_phi_tilde(x3))
         a = _matmul3(u.grad_y[k], gp_inv)
+        del gp_inv  # each stack goes once used, before the next one is formed
         det_u = _det3(a)
         min_det = min(min_det, float(det_u.min()))
         f = _matmul3(a, qh.inverse_at(x3))
+        del a
         e = _strain(f)
+        norm_sq = _strain_norm_sq(e)
         # det q^h > 0 (checked by inverse_at), so det f has the sign of det_u
-        d = _dist_from_strain(e, f, det_u)
-        max_dist = max(max_dist, float(d.max()))
+        exact = _needs_exact_dist(norm_sq, det_u, max_dist)
+        d = _dist_from_strain(e[exact], f[exact], det_u[exact])
+        if d.size:
+            max_dist = max(max_dist, float(d.max()))
         flagged += int(np.count_nonzero(d > DIST_SO3_GUARD))
-        wvals = _density_from_strain(e, m)
+        wvals = _density_from_strain(e, m, norm_sq)
         contributions.append((gw / cfg.h) * qw * wvals * jac)
-        del gp_inv, a, f, e  # this node's stacks go before the next node's are formed
+        del f, e
     total = math.fsum(np.concatenate([c.ravel() for c in contributions]).tolist())
     diag = {"min_det_grad_u": min_det, "max_dist_so3": max_dist, "points_beyond_guard": flagged}
     if min_det <= 0.0:
@@ -462,6 +531,65 @@ def _grad3(grid: Grid2D, comps: np.ndarray) -> np.ndarray:
     return out
 
 
+class RecoveryTemplate:
+    """The thickness-independent fields of a recovery, built once per sweep.
+
+    Holds the warping vectors d0 = l(eps_g) + 2 c_s and d1 = l(kappa_g) - 2 c_k
+    (c_s, c_k the Q2 completions of the regime's integrands S and K) with
+    their in-plane gradients, the chart's grad v0 and hess v0, and in the
+    constrained regime the compensator wtilde, reconstructed by line
+    integration when not supplied.  scaling_study builds one before its rows
+    and hands it to build_recovery and energy_3d as template=.
+    """
+
+    def __init__(
+        self,
+        v: ScalarField,
+        w: VectorField2,
+        g: GrowthFields,
+        v0: ScalarField,
+        regime: str,
+        m: en.Material,
+        vtilde: ScalarField | None = None,
+        wtilde: VectorField2 | None = None,
+    ):
+        grid = v0.grid
+        grid.require_same(v.grid, "state and shell")
+        grid.require_same(w.grid, "state and shell")
+        grid.require_same(g.grid, "growth and shell")
+        self._inputs = (v, w, g, v0, m, vtilde, wtilde)
+        self.v0 = v0
+        self.regime = regime
+        if regime == FLAT:
+            state = en.PlateState(en.I40, w, v)
+        elif regime == DMV:
+            state = en.PlateState(en.I41, w, v)
+        else:
+            if vtilde is None:
+                raise RegimeError("the constrained regime needs vtilde")
+            grid.require_same(vtilde.grid, "state and shell")
+            state = en.PlateState(en.I4INF, w, v, vtilde)
+            if wtilde is None:
+                dv = grad_values(grid, v.data)
+                dv0 = grad_values(grid, v0.data)
+                e = -sym_values(dv[..., :, None] * dv0[..., None, :])
+                wtilde = VectorField2(grid, reconstruct_displacement(e, grid))
+            grid.require_same(wtilde.grid, "state and shell")
+        self.wtilde = wtilde
+        _, c_s = en.q2(en.stretching_values(state, g, v0), m)
+        _, c_k = en.q2(en.bending_values(state, g, v0), m)
+        self.d0 = en.warping_l(g.eps_g.data) + 2.0 * c_s
+        self.d1 = en.warping_l(g.kappa_g.data) - 2.0 * c_k
+        self.dd0 = _grad3(grid, self.d0)
+        self.dd1 = _grad3(grid, self.d1)
+        self.v0_derivatives = _v0_derivatives(v0)
+
+    def require_inputs(self, v, w, g, v0, regime, m, vtilde, wtilde):
+        """Raise ValueError unless the template was built from these very objects."""
+        if regime != self.regime or any(a is not b for a, b in zip(self._inputs, (v, w, g, v0, m, vtilde, wtilde))):
+            raise ValueError("recovery template was built from other inputs")
+
+
 def build_recovery(
     v: ScalarField,
     w: VectorField2,
@@ -470,6 +598,7 @@ def build_recovery(
     m: en.Material,
     vtilde: ScalarField | None = None,
     wtilde: VectorField2 | None = None,
+    template: RecoveryTemplate | None = None,
 ) -> Deformation3D:
     """Recovery deformation for the regime selected by cfg.
 
@@ -485,43 +614,27 @@ def build_recovery(
     regime's stretching/bending integrands.  In the constrained regime the
     in-plane compensator wtilde (sym grad wtilde = -sym(grad v x grad v0),
     which exists when the linearized isometry constraint holds) is
-    reconstructed by line integration when not supplied.
+    reconstructed by line integration when not supplied.  The fields that do
+    not depend on h come from template, a RecoveryTemplate built from these
+    same arguments; without one they are built here.
     """
     grid = cfg.grid
-    grid.require_same(v.grid, "state and shell")
-    grid.require_same(w.grid, "state and shell")
-    grid.require_same(g.grid, "growth and shell")
     regime = resolve_regime(cfg)
+    if template is None:
+        template = RecoveryTemplate(v, w, g, cfg.v0, regime, m, vtilde, wtilde)
+    else:
+        template.require_inputs(v, w, g, cfg.v0, regime, m, vtilde, wtilde)
     h = cfg.h
     gamma = cfg.gamma
 
-    disp12 = h * h * w.data.copy()
+    disp12 = h * h * w.data
     if regime == FLAT:
-        state = en.PlateState(en.I40, w, v)
         y3 = gamma * cfg.v0.data + h * v.data
     elif regime == DMV:
-        state = en.PlateState(en.I41, w, v)
         y3 = h * v.data
     else:
-        if vtilde is None:
-            raise RegimeError("the constrained regime needs vtilde")
-        grid.require_same(vtilde.grid, "state and shell")
-        state = en.PlateState(en.I4INF, w, v, vtilde)
-        if wtilde is None:
-            dv = grad_values(grid, v.data)
-            dv0 = grad_values(grid, cfg.v0.data)
-            e = -sym_values(dv[..., :, None] * dv0[..., None, :])
-            wtilde = VectorField2(grid, reconstruct_displacement(e, grid))
-        grid.require_same(wtilde.grid, "state and shell")
         y3 = gamma * cfg.v0.data + h * v.data + h ** (2.0 - cfg.alpha) * vtilde.data
-        disp12 = disp12 + h ** (1.0 + cfg.alpha) * wtilde.data
-    stretch = en.stretching_values(state, g, cfg.v0)
-    bend = en.bending_values(state, g, cfg.v0)
-
-    ycomps = np.empty((grid.nx, grid.ny, 3))
-    ycomps[..., 0] = grid.X1 + disp12[..., 0]
-    ycomps[..., 1] = grid.X2 + disp12[..., 1]
-    ycomps[..., 2] = y3
+        disp12 = disp12 + h ** (1.0 + cfg.alpha) * template.wtilde.data
 
     # Jacobian of Y: differentiate the displacement, not the raw coordinates
     dy = _component_major((grid.nx, grid.ny, 3, 2))
@@ -535,21 +648,21 @@ def build_recovery(
 
     cross = np.cross(dy[..., 0], dy[..., 1])
     nu = cross / np.linalg.norm(cross, axis=-1, keepdims=True)
-
-    _, c_s = en.q2(stretch, m)
-    _, c_k = en.q2(bend, m)
-    d0 = en.warping_l(g.eps_g.data) + 2.0 * c_s
-    d1 = en.warping_l(g.kappa_g.data) - 2.0 * c_k
-
     dnu = _grad3(grid, nu)
-    dd0 = _grad3(grid, d0)
-    dd1 = _grad3(grid, d1)
+    normal_col = nu + h * h * template.d0
 
+    # the tangent columns are written in place: exact addition commutes, so
+    # t dnu + dy + ... has the bits of dy + t dnu + t h^2 dd0 + t^2 h / 2 dd1
     x3, wts = cfg.gauss_rule()
     grad = _component_major((cfg.n_t, grid.nx, grid.ny, 3, 3))
+    term = _component_major(dy.shape)
     for k, t in enumerate(x3):
-        grad[k, ..., :2] = dy + t * dnu + t * h * h * dd0 + 0.5 * t * t * h * dd1
-        grad[k, ..., 2] = nu + h * h * d0 + t * h * d1
+        tangent = grad[k, ..., :2]
+        np.multiply(t, dnu, out=tangent)
+        tangent += dy
+        tangent += np.multiply(t * h * h, template.dd0, out=term)
+        tangent += np.multiply(0.5 * t * t * h, template.dd1, out=term)
+        grad[k, ..., 2] = t * h * template.d1 + normal_col
     return Deformation3D(cfg, x3, wts, grad)
 
 
@@ -663,10 +776,12 @@ def scaling_study(
     else:
         e2d = en.energy_i4inf(state, g, m, v0, 0.0)[0]
 
+    template = RecoveryTemplate(state.v, state.w, g, v0, regime, m, state.vtilde, wtilde)
+
     def row(h: float) -> ScalingRow:
         cfg = ShellConfig(v0, alpha=alpha, h=h, n_t=n_t)
-        u = build_recovery(state.v, state.w, g, cfg, m, vtilde=state.vtilde, wtilde=wtilde)
-        e3 = energy_3d(u, g, cfg, m)
+        u = build_recovery(state.v, state.w, g, cfg, m, vtilde=state.vtilde, wtilde=wtilde, template=template)
+        e3 = energy_3d(u, g, cfg, m, template=template)
         scaled = e3 / h**4
         ratio = scaled / e2d if e2d != 0.0 else math.nan
         return ScalingRow(h, cfg.gamma, e3, scaled, e2d, ratio)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -559,3 +560,158 @@ def test_point_stacks_are_component_major(grid48):
     for name, a in stacks.items():
         assert a.shape == (grid48.nx, grid48.ny, 3, 3), name
         assert all(a[..., i, j].flags.c_contiguous for i in range(3) for j in range(3)), name
+
+
+# -- the sweep template and the screened distance diagnostics -------------------------
+
+def sweep_case(grid, regime):
+    """(alpha, v0, state) of a recovery sweep in the given regime."""
+    x, y = grid.X1, grid.X2
+    w = VectorField2(grid, np.stack([0.1 * x * x * y, -0.05 * y * y], axis=-1))
+    bump = 0.2 * np.sin(np.pi * x) * np.sin(np.pi * y)
+    if regime == sh.CONSTRAINED:
+        v0 = ScalarField(grid, 0.5 * (x * x + y * y))
+        st = en.PlateState(en.I4INF, w, ScalarField(grid, 0.3 * (x * x - y * y)), ScalarField(grid, 0.2 * x * y))
+        return 0.5, v0, st
+    v0 = ScalarField(grid, 0.25 * (x * x + y * y))
+    if regime == sh.DMV:
+        return 1.0, v0, en.PlateState(en.I41, w, ScalarField(grid, v0.data + bump))
+    return 2.0, v0, en.PlateState(en.I40, w, ScalarField(grid, bump))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("regime", sh.REGIMES)
+def test_scaling_study_template_matches_per_row_builds(square33, regime, workers):
+    # the constrained sweep reconstructs wtilde once, in the template; each
+    # reference row reconstructs its own
+    m = en.Material(1.0, 1.0)
+    g = sine_growth(square33)
+    alpha, v0, st = sweep_case(square33, regime)
+    h_list = [1e-1, 1e-2, 1e-4]
+    study = sh.scaling_study(alpha, h_list, g, v0, st, m, n_t=3, workers=workers)
+    assert study.regime == regime
+    for h, row in zip(h_list, study.rows):
+        cfg = sh.ShellConfig(v0, alpha=alpha, h=h, n_t=3)
+        u = sh.build_recovery(st.v, st.w, g, cfg, m, vtilde=st.vtilde)
+        e3 = sh.energy_3d(u, g, cfg, m)
+        assert row.e3d == e3 and row.e3d_over_h4 == e3 / h**4
+
+
+def full_kernel_diagnostics(u, g, cfg):
+    """max distance to SO(3) and the guard count with _dist_from_strain run on every point."""
+    imm = sh.Immersion(cfg)
+    qh = sh.GrowthEvaluator(g, cfg)
+    dists = []
+    for k, x3 in enumerate(u.x3):
+        gp_inv, _ = sh._inv3(imm.grad_phi_tilde(x3))
+        a = sh._matmul3(u.grad_y[k], gp_inv)
+        f = sh._matmul3(a, qh.inverse_at(x3))
+        dists.append(sh._dist_from_strain(sh._strain(f), f, sh._det3(a)).ravel())
+    d = np.concatenate(dists)
+    return float(d.max()), int(np.count_nonzero(d > sh.DIST_SO3_GUARD))
+
+
+def flat_deformation(grid, stacks):
+    """A deformation of the flat, unstrained shell whose gradient at each point is
+    the given matrix: there grad phi_tilde = q^h = Id, so F is exactly grad y."""
+    cfg = sh.ShellConfig(ScalarField.zeros(grid), alpha=2.0, h=0.05, n_t=3)
+    x3, wts = cfg.gauss_rule()
+    grad = np.broadcast_to(stacks.reshape(grid.nx, grid.ny, 3, 3), (3, grid.nx, grid.ny, 3, 3))
+    return cfg, sh.Deformation3D(cfg, x3, wts, np.ascontiguousarray(grad))
+
+
+def screen_cases(rng):
+    n = 16 * 16
+    near_id = np.eye(3) + 1e-2 * rng.standard_normal((n, 3, 3))
+    reflected = near_id.copy()
+    reflected[::5] = reflected[::5] @ np.diag([1.0, 1.0, -1.0])
+    large = near_id.copy()
+    large[::7] *= 1.8  # |e| about 3.9
+    large[3::7] = np.diag([np.sqrt(2.0), 1.0, 1.0]) @ random_rotation(rng)  # |e| = 1 up to rounding
+    guard = near_id.copy()
+    # sigma = 1.3 + s, then 1.32 and 0.4: the last, 0.6 from SO(3), sets a
+    # maximum above the 1.32 point's upper bound 0.49, which must still count
+    for i, s in enumerate((-1e-9, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 1e-9, 0.02, -0.9)):
+        guard[10 * i] = random_rotation(rng) @ np.diag([1.3 + s, 1.0, 1.0])
+    return {
+        "uniform strain": np.broadcast_to(np.diag([1.05, 1.0, 0.98]) @ random_rotation(rng), (n, 3, 3)).copy(),
+        "det F < 0": reflected,
+        "|e| >= 1": large,
+        "either side of the guard": guard,
+    }
+
+
+def test_screened_distance_diagnostics_match_the_full_kernel(square33, rng):
+    m = en.Material(1.2, 0.6)
+    g = sine_growth(square33)
+    alpha, v0, st = sweep_case(square33, sh.DMV)
+    cfg = sh.ShellConfig(v0, alpha=alpha, h=0.1, n_t=5)
+    cases = {"recovery": (cfg, sh.build_recovery(st.v, st.w, g, cfg, m), g)}
+    grid16 = Grid2D(16, 16, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
+    for name, stacks in screen_cases(rng).items():
+        cfg16, u = flat_deformation(grid16, stacks)
+        cases[name] = (cfg16, u, GrowthFields.zeros(grid16))
+    for name, (c, u, gg) in cases.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            _, diag = sh.energy_3d(u, gg, c, m, return_diagnostics=True)
+        ref_max, ref_flagged = full_kernel_diagnostics(u, gg, c)
+        assert diag["max_dist_so3"] == ref_max, name
+        assert diag["points_beyond_guard"] == ref_flagged, name
+        if name == "either side of the guard":  # some of its 9 points per node pass the guard, not all
+            assert 2 * c.n_t < ref_flagged < 9 * c.n_t
+
+
+def test_screen_sends_few_points_to_the_exact_distance(grid48, monkeypatch):
+    m = en.Material(1.0, 1.0)
+    g = sine_growth(grid48)
+    alpha, v0, st = sweep_case(grid48, sh.DMV)
+    cfg = sh.ShellConfig(v0, alpha=alpha, h=0.1, n_t=5)
+    u = sh.build_recovery(st.v, st.w, g, cfg, m)
+    exact = []
+    kernel = sh._dist_from_strain
+
+    def counted(e, f, det_f):
+        exact.append(det_f.size)
+        return kernel(e, f, det_f)
+
+    monkeypatch.setattr(sh, "_dist_from_strain", counted)
+    sh.energy_3d(u, g, cfg, m)
+    assert len(exact) == cfg.n_t
+    assert sum(exact) < 0.05 * u.grad_y.size // 9
+
+
+def test_energy_3d_rejects_a_deformation_of_another_shell():
+    grid = Grid2D(17, 17, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
+    x, y = grid.X1, grid.X2
+    m = en.Material(1.0, 1.0)
+    g = sine_growth(grid)
+    paraboloid = ScalarField(grid, 0.5 * (x * x + y * y))
+    cfg = sh.ShellConfig(paraboloid, alpha=1.0, h=0.01)
+    st = sweep_case(grid, sh.DMV)[2]
+    u = sh.build_recovery(st.v, st.w, g, cfg, m)
+    same_values = sh.ShellConfig(ScalarField(grid, 0.5 * (x * x + y * y)), alpha=1.0, h=0.01)
+    assert sh.energy_3d(u, g, same_values, m) == sh.energy_3d(u, g, cfg, m)
+    for other in (
+        sh.ShellConfig(ScalarField(grid, 0.5 * (x * x - y * y)), alpha=1.0, h=0.01),
+        sh.ShellConfig(paraboloid, alpha=1.0, h=0.01, n_t=7),
+    ):
+        with pytest.raises(ValueError, match="different shell configuration"):
+            sh.energy_3d(u, g, other, m)
+
+
+def test_recovery_template_must_fit_its_inputs():
+    grid = Grid2D(17, 17, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
+    m = en.Material(1.0, 1.0)
+    g = sine_growth(grid)
+    alpha, v0, st = sweep_case(grid, sh.DMV)
+    cfg = sh.ShellConfig(v0, alpha=alpha, h=0.01)
+    template = sh.RecoveryTemplate(st.v, st.w, g, v0, sh.DMV, m)
+    u = sh.build_recovery(st.v, st.w, g, cfg, m, template=template)
+    assert np.array_equal(u.grad_y, sh.build_recovery(st.v, st.w, g, cfg, m).grad_y)
+    assert sh.energy_3d(u, g, cfg, m, template=template) == sh.energy_3d(u, g, cfg, m)
+    with pytest.raises(ValueError, match="other inputs"):
+        sh.build_recovery(st.v, VectorField2.zeros(grid), g, cfg, m, template=template)
+    saddle = sh.ShellConfig(ScalarField(grid, 0.5 * (grid.X1**2 - grid.X2**2)), alpha=alpha, h=0.01)
+    with pytest.raises(ValueError, match="different v0"):
+        sh.energy_3d(sh.build_recovery(st.v, st.w, g, saddle, m), g, saddle, m, template=template)
