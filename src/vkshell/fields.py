@@ -414,23 +414,14 @@ def bracket_matrix(grid: Grid2D, ha: np.ndarray) -> sp.csr_matrix:
 
     Acts on C-ordered node vectors v.ravel(), assembled from the grid's own
     1d stencils: diag(ha_11) (D2x (x) I) + diag(ha_00) (I (x) D2y)
-    - diag(2 ha_01) (D1x (x) D1y), boundary rows included.  The three
-    Kronecker factors are row-scaled and summed as one COO matrix; entries
-    that sum to zero are dropped, as sparse addition drops them.
+    - diag(2 ha_01) (D1x (x) D1y), boundary rows included.
     """
-    n = grid.nx * grid.ny
     ix, iy = sp.identity(grid.nx, format="csr"), sp.identity(grid.ny, format="csr")
-    terms = (
-        (ha[..., 1, 1].ravel(), sp.kron(grid._mat(0, 2), iy, format="coo")),
-        (ha[..., 0, 0].ravel(), sp.kron(ix, grid._mat(1, 2), format="coo")),
-        (-(2.0 * ha[..., 0, 1].ravel()), sp.kron(grid._mat(0, 1), grid._mat(1, 1), format="coo")),
-    )
-    rows = np.concatenate([k.row for _, k in terms])
-    cols = np.concatenate([k.col for _, k in terms])
-    vals = np.concatenate([scale[k.row] * k.data for scale, k in terms])
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    mat.eliminate_zeros()
-    return mat
+    return (
+        sp.diags(ha[..., 1, 1].ravel()) @ sp.kron(grid._mat(0, 2), iy)
+        + sp.diags(ha[..., 0, 0].ravel()) @ sp.kron(ix, grid._mat(1, 2))
+        - sp.diags(2.0 * ha[..., 0, 1].ravel()) @ sp.kron(grid._mat(0, 1), grid._mat(1, 1))
+    ).tocsr()
 
 
 def airy_bracket(v: ScalarField, phi: ScalarField) -> ScalarField:

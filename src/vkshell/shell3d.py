@@ -51,11 +51,10 @@ pulled-back metric shows the order-h^2 strain is exactly
 warping relaxes pointwise to Q2; the scaled energies then converge to the
 regime-matched two-dimensional functional.
 
-Sweep template.  d0, d1 and their in-plane gradients, grad v0 and hess v0
-of the chart, and the constrained regime's wtilde do not depend on h.  They
-form a RecoveryTemplate, which scaling_study builds once and hands to each
-row's build_recovery and energy_3d; called without one, build_recovery
-builds its own and energy_3d differentiates v0 itself.
+Sweep template.  d0, d1 and their in-plane gradients and the constrained
+regime's wtilde do not depend on h.  They form a RecoveryTemplate, which
+scaling_study builds once and hands to each row's build_recovery; called
+without one, build_recovery builds its own.
 """
 
 from __future__ import annotations
@@ -132,23 +131,16 @@ class ShellConfig:
         return 0.5 * self.h * t, 0.5 * self.h * w
 
 
-def _v0_derivatives(v0: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """grad v0 and hess v0: the chart's stencil derivatives, the same at every h."""
-    return grad_values(v0.grid, v0.data), hessian_values(v0.grid, v0.data)
-
-
 class Immersion:
-    """Chart phi_tilde and its exact frame, built from stencil derivatives.
+    """Chart phi_tilde and its exact frame, built from stencil derivatives."""
 
-    v0_derivatives is _v0_derivatives(cfg.v0), computed here when not given.
-    """
-
-    def __init__(self, cfg: ShellConfig, v0_derivatives: tuple[np.ndarray, np.ndarray] | None = None):
+    def __init__(self, cfg: ShellConfig):
         grid = cfg.grid
         self.cfg = cfg
         self.grid = grid
         g = cfg.gamma
-        dv, hv = _v0_derivatives(cfg.v0) if v0_derivatives is None else v0_derivatives
+        dv = grad_values(grid, cfg.v0.data)
+        hv = hessian_values(grid, cfg.v0.data)
         n2 = 1.0 + g * g * (dv[..., 0] ** 2 + dv[..., 1] ** 2)
         nfac = np.sqrt(n2)
         nvec = np.empty((grid.nx, grid.ny, 3))
@@ -442,16 +434,14 @@ def energy_3d(
     cfg: ShellConfig,
     m: en.Material,
     return_diagnostics: bool = False,
-    template: RecoveryTemplate | None = None,
 ):
     """Thickness-averaged prestrained energy (1/h) int W(grad u (q^h)^-1).
 
     Quadrature: node weights in plane, Gauss through the thickness, exact
     volume Jacobian det(grad phi_tilde).  Accumulation is compensated
     (math.fsum over all weighted point values), hence order independent.
-    The chart reads grad v0 and hess v0 from template (a RecoveryTemplate
-    built for cfg.v0) when one is given.  The distance diagnostics run the
-    exact kernel only where _needs_exact_dist cannot settle them.
+    The distance diagnostics run the exact kernel only where
+    _needs_exact_dist cannot settle them.
     """
     u_cfg = u.cfg
     if u_cfg is not cfg and (
@@ -459,9 +449,7 @@ def energy_3d(
     ):
         raise ValueError("deformation was built for a different shell configuration")
     cfg.grid.require_same(g.grid, "growth and shell")
-    if template is not None and not _same_field(template.v0, cfg.v0):
-        raise ValueError("template was built for a different v0")
-    imm = Immersion(cfg, None if template is None else template.v0_derivatives)
+    imm = Immersion(cfg)
     qh = GrowthEvaluator(g, cfg)
     qw = cfg.grid.quad_weights
     contributions = []
@@ -532,14 +520,15 @@ def _grad3(grid: Grid2D, comps: np.ndarray) -> np.ndarray:
 
 
 class RecoveryTemplate:
-    """The thickness-independent fields of a recovery, built once per sweep.
+    """The thickness-independent part of a recovery, built once per sweep.
 
-    Holds the warping vectors d0 = l(eps_g) + 2 c_s and d1 = l(kappa_g) - 2 c_k
-    (c_s, c_k the Q2 completions of the regime's integrands S and K) with
-    their in-plane gradients, the chart's grad v0 and hess v0, and in the
-    constrained regime the compensator wtilde, reconstructed by line
-    integration when not supplied.  scaling_study builds one before its rows
-    and hands it to build_recovery and energy_3d as template=.
+    Holds the regime, the plate state v, w (and in the constrained regime
+    vtilde and the compensator wtilde, reconstructed by line integration when
+    not supplied), and the warping vectors d0 = l(eps_g) + 2 c_s and
+    d1 = l(kappa_g) - 2 c_k (c_s, c_k the Q2 completions of the regime's
+    integrands S and K) with their in-plane gradients.  scaling_study builds
+    one before its rows and hands it to each row's build_recovery as
+    template=.
     """
 
     def __init__(
@@ -557,9 +546,7 @@ class RecoveryTemplate:
         grid.require_same(v.grid, "state and shell")
         grid.require_same(w.grid, "state and shell")
         grid.require_same(g.grid, "growth and shell")
-        self._inputs = (v, w, g, v0, m, vtilde, wtilde)
-        self.v0 = v0
-        self.regime = regime
+        self.v0, self.regime, self.v, self.w = v0, regime, v, w
         if regime == FLAT:
             state = en.PlateState(en.I40, w, v)
         elif regime == DMV:
@@ -575,27 +562,21 @@ class RecoveryTemplate:
                 e = -sym_values(dv[..., :, None] * dv0[..., None, :])
                 wtilde = VectorField2(grid, reconstruct_displacement(e, grid))
             grid.require_same(wtilde.grid, "state and shell")
-        self.wtilde = wtilde
+        self.vtilde, self.wtilde = vtilde, wtilde
         _, c_s = en.q2(en.stretching_values(state, g, v0), m)
         _, c_k = en.q2(en.bending_values(state, g, v0), m)
         self.d0 = en.warping_l(g.eps_g.data) + 2.0 * c_s
         self.d1 = en.warping_l(g.kappa_g.data) - 2.0 * c_k
         self.dd0 = _grad3(grid, self.d0)
         self.dd1 = _grad3(grid, self.d1)
-        self.v0_derivatives = _v0_derivatives(v0)
-
-    def require_inputs(self, v, w, g, v0, regime, m, vtilde, wtilde):
-        """Raise ValueError unless the template was built from these very objects."""
-        if regime != self.regime or any(a is not b for a, b in zip(self._inputs, (v, w, g, v0, m, vtilde, wtilde))):
-            raise ValueError("recovery template was built from other inputs")
 
 
 def build_recovery(
-    v: ScalarField,
-    w: VectorField2,
-    g: GrowthFields,
+    v: ScalarField | None,
+    w: VectorField2 | None,
+    g: GrowthFields | None,
     cfg: ShellConfig,
-    m: en.Material,
+    m: en.Material | None,
     vtilde: ScalarField | None = None,
     wtilde: VectorField2 | None = None,
     template: RecoveryTemplate | None = None,
@@ -614,26 +595,29 @@ def build_recovery(
     regime's stretching/bending integrands.  In the constrained regime the
     in-plane compensator wtilde (sym grad wtilde = -sym(grad v x grad v0),
     which exists when the linearized isometry constraint holds) is
-    reconstructed by line integration when not supplied.  The fields that do
-    not depend on h come from template, a RecoveryTemplate built from these
-    same arguments; without one they are built here.
+    reconstructed by line integration when not supplied.  Everything that
+    does not depend on h forms a RecoveryTemplate, built here from the other
+    arguments; or pass one as template, built for cfg's v0 and regime, and
+    None for v, w, g, m, vtilde and wtilde, which it holds.
     """
     grid = cfg.grid
     regime = resolve_regime(cfg)
     if template is None:
         template = RecoveryTemplate(v, w, g, cfg.v0, regime, m, vtilde, wtilde)
-    else:
-        template.require_inputs(v, w, g, cfg.v0, regime, m, vtilde, wtilde)
+    elif any(a is not None for a in (v, w, g, m, vtilde, wtilde)):
+        raise TypeError("build_recovery reads v, w, g, m, vtilde and wtilde from its template; pass None")
+    elif template.regime != regime or not _same_field(template.v0, cfg.v0):
+        raise ValueError("recovery template was built for another v0 or regime")
     h = cfg.h
     gamma = cfg.gamma
 
-    disp12 = h * h * w.data
+    disp12 = h * h * template.w.data
     if regime == FLAT:
-        y3 = gamma * cfg.v0.data + h * v.data
+        y3 = gamma * cfg.v0.data + h * template.v.data
     elif regime == DMV:
-        y3 = h * v.data
+        y3 = h * template.v.data
     else:
-        y3 = gamma * cfg.v0.data + h * v.data + h ** (2.0 - cfg.alpha) * vtilde.data
+        y3 = gamma * cfg.v0.data + h * template.v.data + h ** (2.0 - cfg.alpha) * template.vtilde.data
         disp12 = disp12 + h ** (1.0 + cfg.alpha) * template.wtilde.data
 
     # Jacobian of Y: differentiate the displacement, not the raw coordinates
@@ -780,8 +764,8 @@ def scaling_study(
 
     def row(h: float) -> ScalingRow:
         cfg = ShellConfig(v0, alpha=alpha, h=h, n_t=n_t)
-        u = build_recovery(state.v, state.w, g, cfg, m, vtilde=state.vtilde, wtilde=wtilde, template=template)
-        e3 = energy_3d(u, g, cfg, m, template=template)
+        u = build_recovery(None, None, None, cfg, None, template=template)
+        e3 = energy_3d(u, g, cfg, m)
         scaled = e3 / h**4
         ratio = scaled / e2d if e2d != 0.0 else math.nan
         return ScalingRow(h, cfg.gamma, e3, scaled, e2d, ratio)

@@ -700,18 +700,19 @@ def test_energy_3d_rejects_a_deformation_of_another_shell():
             sh.energy_3d(u, g, other, m)
 
 
-def test_recovery_template_must_fit_its_inputs():
+def test_recovery_template_supplies_the_state():
     grid = Grid2D(17, 17, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
     m = en.Material(1.0, 1.0)
     g = sine_growth(grid)
     alpha, v0, st = sweep_case(grid, sh.DMV)
     cfg = sh.ShellConfig(v0, alpha=alpha, h=0.01)
     template = sh.RecoveryTemplate(st.v, st.w, g, v0, sh.DMV, m)
-    u = sh.build_recovery(st.v, st.w, g, cfg, m, template=template)
+    u = sh.build_recovery(None, None, None, cfg, None, template=template)
     assert np.array_equal(u.grad_y, sh.build_recovery(st.v, st.w, g, cfg, m).grad_y)
-    assert sh.energy_3d(u, g, cfg, m, template=template) == sh.energy_3d(u, g, cfg, m)
-    with pytest.raises(ValueError, match="other inputs"):
-        sh.build_recovery(st.v, VectorField2.zeros(grid), g, cfg, m, template=template)
+    with pytest.raises(TypeError, match="from its template"):
+        sh.build_recovery(st.v, st.w, g, cfg, m, template=template)
     saddle = sh.ShellConfig(ScalarField(grid, 0.5 * (grid.X1**2 - grid.X2**2)), alpha=alpha, h=0.01)
-    with pytest.raises(ValueError, match="different v0"):
-        sh.energy_3d(sh.build_recovery(st.v, st.w, g, saddle, m), g, saddle, m, template=template)
+    flat = sh.ShellConfig(v0, alpha=2.0, h=0.01)
+    for other in (saddle, flat):
+        with pytest.raises(ValueError, match="another v0 or regime"):
+            sh.build_recovery(None, None, None, other, None, template=template)
