@@ -55,7 +55,6 @@ from .growth import (
     GROWTH_PRESETS,
     GrowthFields,
     GrowthSpec,
-    GrowthSpecError,
     eval_growth,
     eval_poly,
     growth_preset,
@@ -279,6 +278,10 @@ def _check(name, residual, threshold, **details):
 def identity_suite(cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
     grid = cfg.grid
     m = cfg.material
+    # a stencil residual of total derivative order p on the probe fields of
+    # wavenumber k is O(k^p (k dx)^2), so its threshold carries dx^2 k^(p + 2);
+    # on the [0, 2 pi]^2 torus k = 1
+    k = max(wavenumbers(grid))
     dx2 = max(grid.dx, grid.dy) ** 2
     v3, wvec, vtest, phitest = _test_fields(grid)
     v0 = cfg.v0
@@ -291,17 +294,17 @@ def identity_suite(cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
     r46 = curl_t_curl(
         MatrixField2(grid, sym_values(dv3[..., :, None] * dv0[..., None, :]), symmetric=True)
     ).data + en.constraint_values(v3, v0)
-    checks.append(_check("rank_one_curl_identity", float(np.max(np.abs(r46))), 40.0 * dx2 * scale0))
+    checks.append(_check("rank_one_curl_identity", float(np.max(np.abs(r46))), 40.0 * dx2 * k**6 * scale0))
 
     # curl^T curl annihilates symmetrized gradients
     kern = curl_t_curl(MatrixField2(grid, sym_grad_values(grid, wvec.data), symmetric=True)).data
-    checks.append(_check("sym_grad_kernel", float(np.max(np.abs(kern))), 40.0 * dx2))
+    checks.append(_check("sym_grad_kernel", float(np.max(np.abs(kern))), 40.0 * dx2 * k**5))
 
     # div^T div annihilates cofactors of hessians
     dd = div_t_div(
         MatrixField2(grid, cof2_values(hessian_values(grid, vtest.data)), symmetric=True)
     ).data
-    checks.append(_check("cof_hessian_kernel", float(np.max(np.abs(dd))), 40.0 * dx2))
+    checks.append(_check("cof_hessian_kernel", float(np.max(np.abs(dd))), 40.0 * dx2 * k**6))
 
     # bracket symmetry is exact
     bsym = float(np.max(np.abs(airy_bracket(vtest, phitest).data - airy_bracket(phitest, vtest).data)))
@@ -320,8 +323,8 @@ def identity_suite(cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
         )
     )
     gscale = 1.0 + float(np.max(np.abs(cfg.growth.eps_g.data))) + float(np.max(np.abs(cfg.growth.kappa_g.data)))
-    checks.append(_check("effective_lambda_pair", lam_err, 60.0 * dx2 * scale0**2 * gscale))
-    checks.append(_check("effective_omega_pair", om_err, 60.0 * dx2 * scale0**2 * gscale))
+    checks.append(_check("effective_lambda_pair", lam_err, 60.0 * dx2 * k**6 * scale0**2 * gscale))
+    checks.append(_check("effective_omega_pair", om_err, 60.0 * dx2 * k**6 * scale0**2 * gscale))
 
     # metric pullback expansion: log-log slope over three decades of h
     hs = (1e-1, 1e-2, 1e-3)
@@ -550,21 +553,17 @@ def _run_scaling(cfg: ExperimentConfig, outdir: Path, threads: int) -> dict:
         raise ConfigError(f"run.h_list: expected a non-empty list of thicknesses, got {h_list!r}")
     entries = dict(enumerate(h_list))
     h_list = [float(_number(entries, i, "run.h_list")) for i in entries]
-    if any(b >= a for a, b in zip(h_list, h_list[1:])):
-        raise ConfigError(f"run.h_list: thicknesses must be strictly decreasing, got {h_list}")
     n_t = _integer(run, "n_t", "run", 5, 3)
-    try:  # every thickness of the sweep passes the shell checks up front
-        shells = [sh.ShellConfig(cfg.v0, alpha=cfg.alpha, h=h, n_t=n_t) for h in h_list]
-        regime = sh.resolve_regime(shells[0])
-    except ValueError as exc:
+    try:
+        regime = sh.resolve_regime(cfg.v0, cfg.alpha)
+    except sh.RegimeError as exc:
         raise ConfigError(f"run: {exc}") from exc
     state = _scaling_state(cfg, regime)
-
     try:
         study = sh.scaling_study(
             cfg.alpha, h_list, cfg.growth, cfg.v0, state, cfg.material, n_t=n_t, workers=threads
         )
-    except GrowthSpecError as exc:  # the growth makes q^h singular at some thickness
+    except ValueError as exc:  # a shell of the sweep, or q^h singular at some thickness
         raise ConfigError(f"run: {exc}") from exc
     (outdir / "scaling.csv").write_text("\n".join(study.csv_lines()) + "\n", encoding="utf-8")
     return {"scaling": study.metadata(), "rows": [r.columns() for r in study.rows]}

@@ -53,8 +53,9 @@ regime-matched two-dimensional functional.
 
 Sweep template.  d0, d1 and their in-plane gradients and the constrained
 regime's wtilde do not depend on h.  They form a RecoveryTemplate, which
-scaling_study builds once and hands to each row's build_recovery; called
-without one, build_recovery builds its own.
+scaling_study builds once and hands to each row's build_recovery, so a row is
+energy_3d(build_recovery(template, cfg), g, m): the deformation carries its
+shell, and the shell its Gauss rule.
 """
 
 from __future__ import annotations
@@ -397,14 +398,12 @@ def dist_so3(F: np.ndarray) -> np.ndarray:
 class Deformation3D:
     """Analytic deformation gradient samples grad y at (node, Gauss) pairs.
 
-    grad_y[k] is the Jacobian of y(x, x3) at thickness node x3[k]; built in
-    closed form (stencils in-plane, exact in x3), never by differencing
-    across the thin direction.
+    grad_y[k] is the Jacobian of y(x, x3) at the k-th node of cfg.gauss_rule();
+    built in closed form (stencils in-plane, exact in x3), never by
+    differencing across the thin direction.
     """
 
     cfg: ShellConfig
-    x3: np.ndarray
-    weights: np.ndarray
     grad_y: np.ndarray  # (n_t, nx, ny, 3, 3)
 
     def __post_init__(self):
@@ -416,11 +415,10 @@ class Deformation3D:
 def identity_deformation(cfg: ShellConfig) -> Deformation3D:
     """u = id on the shell: grad y coincides with the chart Jacobian."""
     imm = Immersion(cfg)
-    x3, wts = cfg.gauss_rule()
     grad = _component_major((cfg.n_t, cfg.grid.nx, cfg.grid.ny, 3, 3))
-    for k, t in enumerate(x3):
+    for k, t in enumerate(cfg.gauss_rule()[0]):
         grad[k] = imm.grad_phi_tilde(t)
-    return Deformation3D(cfg, x3, wts, grad)
+    return Deformation3D(cfg, grad)
 
 
 def _same_field(a: ScalarField, b: ScalarField) -> bool:
@@ -428,14 +426,9 @@ def _same_field(a: ScalarField, b: ScalarField) -> bool:
     return a is b or (a.grid == b.grid and np.array_equal(a.data, b.data))
 
 
-def energy_3d(
-    u: Deformation3D,
-    g: GrowthFields,
-    cfg: ShellConfig,
-    m: en.Material,
-    return_diagnostics: bool = False,
-):
-    """Thickness-averaged prestrained energy (1/h) int W(grad u (q^h)^-1).
+def energy_3d(u: Deformation3D, g: GrowthFields, m: en.Material) -> tuple[float, dict]:
+    """Thickness-averaged prestrained energy (1/h) int W(grad u (q^h)^-1) over
+    the shell u.cfg, and its diagnostics.
 
     Quadrature: node weights in plane, Gauss through the thickness, exact
     volume Jacobian det(grad phi_tilde).  Accumulation is compensated
@@ -443,12 +436,7 @@ def energy_3d(
     The distance diagnostics run the exact kernel only where
     _needs_exact_dist cannot settle them.
     """
-    u_cfg = u.cfg
-    if u_cfg is not cfg and (
-        u_cfg.h != cfg.h or u_cfg.alpha != cfg.alpha or u_cfg.n_t != cfg.n_t or not _same_field(u_cfg.v0, cfg.v0)
-    ):
-        raise ValueError("deformation was built for a different shell configuration")
-    cfg.grid.require_same(g.grid, "growth and shell")
+    cfg = u.cfg
     imm = Immersion(cfg)
     qh = GrowthEvaluator(g, cfg)
     qw = cfg.grid.quad_weights
@@ -456,7 +444,7 @@ def energy_3d(
     min_det = math.inf
     max_dist = 0.0
     flagged = 0
-    for k, (x3, gw) in enumerate(zip(u.x3, u.weights)):
+    for k, (x3, gw) in enumerate(zip(*cfg.gauss_rule())):
         gp_inv, jac = _inv3(imm.grad_phi_tilde(x3))
         a = _matmul3(u.grad_y[k], gp_inv)
         del gp_inv  # each stack goes once used, before the next one is formed
@@ -485,25 +473,21 @@ def energy_3d(
             f"{flagged} quadrature points farther than {DIST_SO3_GUARD} from SO(3); "
             "the quadratic lower bound of the density is only local"
         )
-    if return_diagnostics:
-        return total, diag
-    return total
+    return total, diag
 
 
 # -- recovery deformations -------------------------------------------------------
 
-def resolve_regime(cfg: ShellConfig) -> str:
+def resolve_regime(v0: ScalarField, alpha: float) -> str:
     """Regime selection: flat for alpha > 1 or v0 = 0, blooming at alpha = 1,
-    constrained for 0 < alpha < 1."""
-    if float(np.max(np.abs(cfg.v0.data))) == 0.0:
+    constrained for 0 < alpha < 1.  It does not depend on h."""
+    if float(np.max(np.abs(v0.data))) == 0.0 or alpha > 1.0:
         return FLAT
-    if cfg.alpha > 1.0:
-        return FLAT
-    if cfg.alpha == 1.0:
+    if alpha == 1.0:
         return DMV
-    if cfg.alpha > 0.0:
+    if alpha > 0.0:
         return CONSTRAINED
-    raise RegimeError("alpha = 0 with curved v0 is the general-shell theory, out of scope")
+    raise RegimeError(f"alpha = {alpha} with curved v0 is out of scope (alpha = 0 is the general-shell theory)")
 
 
 def limit_functional_name(regime: str) -> str:
@@ -527,8 +511,7 @@ class RecoveryTemplate:
     not supplied), and the warping vectors d0 = l(eps_g) + 2 c_s and
     d1 = l(kappa_g) - 2 c_k (c_s, c_k the Q2 completions of the regime's
     integrands S and K) with their in-plane gradients.  scaling_study builds
-    one before its rows and hands it to each row's build_recovery as
-    template=.
+    one before its rows and hands it to each row's build_recovery.
     """
 
     def __init__(
@@ -547,15 +530,9 @@ class RecoveryTemplate:
         grid.require_same(w.grid, "state and shell")
         grid.require_same(g.grid, "growth and shell")
         self.v0, self.regime, self.v, self.w = v0, regime, v, w
-        if regime == FLAT:
-            state = en.PlateState(en.I40, w, v)
-        elif regime == DMV:
-            state = en.PlateState(en.I41, w, v)
-        else:
-            if vtilde is None:
-                raise RegimeError("the constrained regime needs vtilde")
-            grid.require_same(vtilde.grid, "state and shell")
-            state = en.PlateState(en.I4INF, w, v, vtilde)
+        # the state checks that vtilde comes exactly with the constrained regime
+        state = en.PlateState(limit_functional_name(regime), w, v, vtilde)
+        if regime == CONSTRAINED:
             if wtilde is None:
                 dv = grad_values(grid, v.data)
                 dv0 = grad_values(grid, v0.data)
@@ -571,17 +548,9 @@ class RecoveryTemplate:
         self.dd1 = _grad3(grid, self.d1)
 
 
-def build_recovery(
-    v: ScalarField | None,
-    w: VectorField2 | None,
-    g: GrowthFields | None,
-    cfg: ShellConfig,
-    m: en.Material | None,
-    vtilde: ScalarField | None = None,
-    wtilde: VectorField2 | None = None,
-    template: RecoveryTemplate | None = None,
-) -> Deformation3D:
-    """Recovery deformation for the regime selected by cfg.
+def build_recovery(template: RecoveryTemplate, cfg: ShellConfig) -> Deformation3D:
+    """Recovery deformation of the shell cfg from a template built for its v0
+    and regime.
 
     Displacement ladder on the deformed mid-surface Y (gamma = h^alpha):
 
@@ -594,19 +563,12 @@ def build_recovery(
     warping d0 = l(eps_g) + 2 c(S), d1 = l(kappa_g) - 2 c(K) built from the
     regime's stretching/bending integrands.  In the constrained regime the
     in-plane compensator wtilde (sym grad wtilde = -sym(grad v x grad v0),
-    which exists when the linearized isometry constraint holds) is
-    reconstructed by line integration when not supplied.  Everything that
-    does not depend on h forms a RecoveryTemplate, built here from the other
-    arguments; or pass one as template, built for cfg's v0 and regime, and
-    None for v, w, g, m, vtilde and wtilde, which it holds.
+    which exists when the linearized isometry constraint holds) is the
+    template's.  The template holds everything that does not depend on h.
     """
     grid = cfg.grid
-    regime = resolve_regime(cfg)
-    if template is None:
-        template = RecoveryTemplate(v, w, g, cfg.v0, regime, m, vtilde, wtilde)
-    elif any(a is not None for a in (v, w, g, m, vtilde, wtilde)):
-        raise TypeError("build_recovery reads v, w, g, m, vtilde and wtilde from its template; pass None")
-    elif template.regime != regime or not _same_field(template.v0, cfg.v0):
+    regime = resolve_regime(cfg.v0, cfg.alpha)
+    if template.regime != regime or not _same_field(template.v0, cfg.v0):
         raise ValueError("recovery template was built for another v0 or regime")
     h = cfg.h
     gamma = cfg.gamma
@@ -637,17 +599,16 @@ def build_recovery(
 
     # the tangent columns are written in place: exact addition commutes, so
     # t dnu + dy + ... has the bits of dy + t dnu + t h^2 dd0 + t^2 h / 2 dd1
-    x3, wts = cfg.gauss_rule()
     grad = _component_major((cfg.n_t, grid.nx, grid.ny, 3, 3))
     term = _component_major(dy.shape)
-    for k, t in enumerate(x3):
+    for k, t in enumerate(cfg.gauss_rule()[0]):
         tangent = grad[k, ..., :2]
         np.multiply(t, dnu, out=tangent)
         tangent += dy
         tangent += np.multiply(t * h * h, template.dd0, out=term)
         tangent += np.multiply(0.5 * t * t * h, template.dd1, out=term)
         grad[k, ..., 2] = t * h * template.d1 + normal_col
-    return Deformation3D(cfg, x3, wts, grad)
+    return Deformation3D(cfg, grad)
 
 
 # -- metric pullback consistency ---------------------------------------------------
@@ -655,25 +616,22 @@ def build_recovery(
 def metric_residual(g: GrowthFields, v0: ScalarField, h: float) -> float:
     """Max-norm defect of the pulled-back metric expansion at gamma = h.
 
-    Assembles g^h = (grad phi_tilde)^T (q^h)^T q^h (grad phi_tilde) exactly
-    and subtracts Id + h^2 (2 sym eps_g + (grad v0 x grad v0)^*)
-    + 2 h x3 (sym kappa_g - (hess v0)^*), i.e. Id + 2 h^2 eps_eff
-    + 2 h x3 kappa_eff of growth.effective_growth; the defect is O(h^3) with a
-    grid-independent constant because both sides share one set of discrete
-    derivatives.  The defect is sampled at x3 = -h/2, 0, h/2; the shell's
-    Gauss rule is not used.
+    The metric g^h = (q^h grad phi_tilde)^T (q^h grad phi_tilde) is formed
+    minus Id, as the strain of q^h grad phi_tilde, and compared with
+    h^2 (2 sym eps_g + (grad v0 x grad v0)^*) + 2 h x3 (sym kappa_g - (hess v0)^*),
+    i.e. 2 h^2 eps_eff + 2 h x3 kappa_eff of growth.effective_growth; the
+    defect is O(h^3) with a grid-independent constant because both sides share
+    one set of discrete derivatives.  The defect is sampled at
+    x3 = -h/2, 0, h/2; the shell's Gauss rule is not used.
     """
     cfg = ShellConfig(v0, alpha=1.0, h=h)
     imm = Immersion(cfg)
     qh = GrowthEvaluator(g, cfg)
     eff = effective_growth(g, v0)
-    eye = np.eye(3)
     worst = 0.0
     for x3 in (-0.5 * h, 0.0, 0.5 * h):
-        gp = imm.grad_phi_tilde(x3)
-        q = qh.at(x3)
-        assembled = np.einsum("...ki,...kl,...lj->...ij", gp, np.einsum("...ki,...kj->...ij", q, q), gp)
-        predicted = eye + h * h * (2.0 * eff.eps_g.data) + 2.0 * h * x3 * eff.kappa_g.data
+        assembled = _strain(_matmul3(qh.at(x3), imm.grad_phi_tilde(x3)))
+        predicted = h * h * (2.0 * eff.eps_g.data) + 2.0 * h * x3 * eff.kappa_g.data
         worst = max(worst, float(np.max(np.abs(assembled - predicted))))
     return worst
 
@@ -739,7 +697,8 @@ def scaling_study(
 ) -> ScalingStudy:
     """Recovery-sequence energy sweep h -> h^-4 I^3d against the 2d limit.
 
-    Rows are ordered by the given (decreasing) h list; the regime-matched
+    Rows are ordered by the given (decreasing) h list; every row's shell is
+    built, and so checked, before the first row runs.  The regime-matched
     limit functional supplies E2d; the incompatibility norm of the growth
     rides along as metadata; all three are computed once per sweep.  With
     workers > 1 the rows are computed on that many threads, each row whole
@@ -747,11 +706,10 @@ def scaling_study(
     """
     h_list = [float(h) for h in h_list]
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
-        raise ValueError("h_list must be strictly decreasing")
+        raise ValueError(f"h_list must be strictly decreasing, got {h_list}")
+    shells = [ShellConfig(v0, alpha=alpha, h=h, n_t=n_t) for h in h_list]
     _, inorm = incompatibility(g)
-
-    cfg0 = ShellConfig(v0, alpha=alpha, h=h_list[0], n_t=n_t)
-    regime = resolve_regime(cfg0)
+    regime = resolve_regime(v0, alpha)
     limit_name = limit_functional_name(regime)
     if regime == FLAT:
         e2d = en.energy_i40(state, g, m)
@@ -762,17 +720,15 @@ def scaling_study(
 
     template = RecoveryTemplate(state.v, state.w, g, v0, regime, m, state.vtilde, wtilde)
 
-    def row(h: float) -> ScalingRow:
-        cfg = ShellConfig(v0, alpha=alpha, h=h, n_t=n_t)
-        u = build_recovery(None, None, None, cfg, None, template=template)
-        e3 = energy_3d(u, g, cfg, m)
-        scaled = e3 / h**4
+    def row(cfg: ShellConfig) -> ScalingRow:
+        e3, _ = energy_3d(build_recovery(template, cfg), g, m)
+        scaled = e3 / cfg.h**4
         ratio = scaled / e2d if e2d != 0.0 else math.nan
-        return ScalingRow(h, cfg.gamma, e3, scaled, e2d, ratio)
+        return ScalingRow(cfg.h, cfg.gamma, e3, scaled, e2d, ratio)
 
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(row, h_list))
+            rows = tuple(pool.map(row, shells))
     else:
-        rows = tuple(map(row, h_list))
+        rows = tuple(map(row, shells))
     return ScalingStudy(rows, regime, limit_name, inorm)

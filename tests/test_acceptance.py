@@ -257,20 +257,20 @@ def _gamma_limit_case(grid, m, g, alpha):
         wt = VectorField2(grid, np.stack([-2 * a * x**3 / 3, 2 * a * y**3 / 3], axis=-1))
         st = en.PlateState(en.I4INF, w, v, vt)
         e2d = en.energy_i4inf(st, g, m, v0, 0.0)[0]
-        build = lambda cfg: sh.build_recovery(v, w, g, cfg, m, vtilde=vt, wtilde=wt)
+        template = sh.RecoveryTemplate(v, w, g, v0, sh.CONSTRAINED, m, vt, wt)
     elif alpha == 1.0:
         v0 = ScalarField(grid, 0.25 * (x * x + y * y))
         v = ScalarField(grid, v0.data + 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y))
         st = en.PlateState(en.I41, w, v)
         e2d = en.energy_i41(st, g, m, v0)
-        build = lambda cfg: sh.build_recovery(v, w, g, cfg, m)
+        template = sh.RecoveryTemplate(v, w, g, v0, sh.DMV, m)
     else:
         v0 = ScalarField(grid, 0.25 * (x * x + y * y))
         v = ScalarField(grid, 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y))
         st = en.PlateState(en.I40, w, v)
         e2d = en.energy_i40(st, g, m)
-        build = lambda cfg: sh.build_recovery(v, w, g, cfg, m)
-    return v0, build, e2d
+        template = sh.RecoveryTemplate(v, w, g, v0, sh.FLAT, m)
+    return v0, template, e2d
 
 
 def test_criterion_09_gamma_limit_consistency():
@@ -289,11 +289,11 @@ def test_criterion_09_gamma_limit_consistency():
     ok = True
     details = []
     for alpha in (0.5, 1.0, 2.0):
-        v0, build, e2d = _gamma_limit_case(grid, m, g, alpha)
+        v0, template, e2d = _gamma_limit_case(grid, m, g, alpha)
         devs = []
         for h in (1e-1, 3e-2, 1e-2):
             cfg = sh.ShellConfig(v0, alpha=alpha, h=h, n_t=5)
-            e3 = sh.energy_3d(build(cfg), g, cfg, m)
+            e3, _ = sh.energy_3d(sh.build_recovery(template, cfg), g, m)
             devs.append(abs(e3 / h**4 - e2d) / e2d)
         ok &= devs[-1] <= 0.05 and devs[0] >= devs[1] >= devs[2]
         details.append(f"a={alpha}: dev@1e-2={devs[-1]:.4f}")

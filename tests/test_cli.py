@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vkshell import cli
-from vkshell.fields import load_csv, Grid2D, PERIODIC
+from vkshell.fields import load_csv, Grid2D, PERIODIC, ScalarField
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,6 +114,50 @@ def test_cli_verify_steep_v0_is_a_config_error(tmp_path, capsys, v0):
     assert cli.main(["verify", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "shallowness violated" in err
+
+
+# verify off the 2 pi torus: its probe fields there have wavenumber 2 pi
+UNIT_DOMAIN_VERIFY = {
+    "unit torus, sine v0": (
+        {"nx": 32, "ny": 32, "domain": [0.0, 1.0, 0.0, 1.0], "bc": "periodic"},
+        {"v0": "sine", "v0_scale": 0.5},
+    ),
+    "ghost grid, paraboloid v0": (
+        {"nx": 33, "ny": 33, "domain": [0.0, 1.0, 0.0, 1.0], "bc": "dirichlet-ghost"},
+        {"v0": "paraboloid"},
+    ),
+}
+
+
+def unit_domain_config(case):
+    grid, geometry = UNIT_DOMAIN_VERIFY[case]
+    return base_config(grid=grid, geometry=geometry)
+
+
+@pytest.mark.parametrize("case", sorted(UNIT_DOMAIN_VERIFY))
+def test_verify_passes_on_the_unit_domain(tmp_path, case):
+    path = write_config(tmp_path, unit_domain_config(case))
+    assert cli.main(["verify", "--config", str(path)]) == 0
+
+
+def _curl_t_curl_with_a_sign_error(B):
+    g, b = B.grid, B.data
+    return ScalarField(g, g.d2(b[..., 0, 0], 1) + g.d2(b[..., 1, 1], 0) + g.dcross(b[..., 0, 1] + b[..., 1, 0]))
+
+
+@pytest.mark.parametrize(
+    "attr,wrong,check",
+    [
+        ("curl_t_curl", _curl_t_curl_with_a_sign_error, "sym_grad_kernel"),
+        ("cof2_values", lambda b: b, "cof_hessian_kernel"),  # div^T div hess v = bilap v
+    ],
+)
+@pytest.mark.parametrize("case", sorted(UNIT_DOMAIN_VERIFY))
+def test_verify_catches_a_wrong_operator_on_the_unit_domain(monkeypatch, case, attr, wrong, check):
+    monkeypatch.setattr(cli, attr, wrong)
+    code, report = cli.cmd_verify(cli.parse_config(unit_domain_config(case)))
+    assert code == 1
+    assert check in [c["name"] for c in report["checks"] if not c["passed"]]
 
 
 def test_run_minimize_zero_growth(tmp_path):
@@ -268,6 +312,7 @@ SCALING = {"command": "scaling", "h_list": [0.1, 0.05], "n_t": 3}
         {**SCALING, "n_t": 4},
         {**SCALING, "h_list": []},
         {**SCALING, "h_list": [0.01, 0.1]},
+        {**SCALING, "h_list": [0.1, 0.05, -0.01]},
     ],
 )
 def test_run_rejects_bad_run_values(tmp_path, capsys, run):

@@ -32,6 +32,12 @@ def grid48():
     return Grid2D(48, 48, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
 
 
+def recovery(v, w, g, cfg, m, vtilde=None, wtilde=None):
+    """The recovery of one shell, from a template built for it alone."""
+    regime = sh.resolve_regime(cfg.v0, cfg.alpha)
+    return sh.build_recovery(sh.RecoveryTemplate(v, w, g, cfg.v0, regime, m, vtilde, wtilde), cfg)
+
+
 def sine_growth(grid, a_eps=0.2, a_kap=0.3):
     x, y = grid.X1, grid.X2
     eps = np.zeros((grid.nx, grid.ny, 3, 3))
@@ -142,12 +148,12 @@ def test_energy_3d_identity_and_rigid(grid48, rng):
     cfg = sh.ShellConfig(v0, alpha=1.0, h=0.05)
     g0 = GrowthFields.zeros(grid48)
     u_id = sh.identity_deformation(cfg)
-    assert sh.energy_3d(u_id, g0, cfg, m) < 1e-26
+    assert sh.energy_3d(u_id, g0, m)[0] < 1e-26
     # rigid post-motion: u = R phi_tilde + c
     r = random_rotation(rng)
     grad = np.einsum("ab,k...bc->k...ac", r, u_id.grad_y)
-    u_rot = sh.Deformation3D(cfg, u_id.x3, u_id.weights, grad)
-    assert sh.energy_3d(u_rot, g0, cfg, m) < 1e-25
+    u_rot = sh.Deformation3D(cfg, grad)
+    assert sh.energy_3d(u_rot, g0, m)[0] < 1e-25
 
 
 def test_energy_3d_frame_indifference(grid48, rng):
@@ -157,11 +163,11 @@ def test_energy_3d_frame_indifference(grid48, rng):
     cfg = sh.ShellConfig(v0, alpha=1.0, h=0.05)
     v = ScalarField(grid48, 0.2 * np.sin(np.pi * grid48.X1) * np.sin(np.pi * grid48.X2))
     w = VectorField2(grid48, np.stack([0.05 * grid48.X1**2, -0.04 * grid48.X2], axis=-1))
-    u = sh.build_recovery(v, w, g, cfg, m)
-    e0 = sh.energy_3d(u, g, cfg, m)
+    u = recovery(v, w, g, cfg, m)
+    e0, _ = sh.energy_3d(u, g, m)
     r = random_rotation(rng)
-    u_rot = sh.Deformation3D(cfg, u.x3, u.weights, np.einsum("ab,k...bc->k...ac", r, u.grad_y))
-    e1 = sh.energy_3d(u_rot, g, cfg, m)
+    u_rot = sh.Deformation3D(cfg, np.einsum("ab,k...bc->k...ac", r, u.grad_y))
+    e1, _ = sh.energy_3d(u_rot, g, m)
     assert abs(e1 - e0) <= 1e-12 * (1.0 + abs(e0))
 
 
@@ -177,12 +183,12 @@ def test_metric_pullback_slope(grid48):
 def test_regime_resolution(grid48):
     v0 = ScalarField.sample(grid48, lambda x, y: x * y)
     z = ScalarField.zeros(grid48)
-    assert sh.resolve_regime(sh.ShellConfig(z, alpha=0.5, h=0.05)) == sh.FLAT
-    assert sh.resolve_regime(sh.ShellConfig(v0, alpha=2.0, h=0.05)) == sh.FLAT
-    assert sh.resolve_regime(sh.ShellConfig(v0, alpha=1.0, h=0.05)) == sh.DMV
-    assert sh.resolve_regime(sh.ShellConfig(v0, alpha=0.5, h=0.05)) == sh.CONSTRAINED
+    assert sh.resolve_regime(z, 0.5) == sh.FLAT
+    assert sh.resolve_regime(v0, 2.0) == sh.FLAT
+    assert sh.resolve_regime(v0, 1.0) == sh.DMV
+    assert sh.resolve_regime(v0, 0.5) == sh.CONSTRAINED
     with pytest.raises(sh.RegimeError):
-        sh.resolve_regime(sh.ShellConfig(v0, alpha=0.0, h=0.05))
+        sh.resolve_regime(v0, 0.0)
 
 
 def test_recovery_trivial_flat(grid48):
@@ -190,8 +196,8 @@ def test_recovery_trivial_flat(grid48):
     z = ScalarField.zeros(grid48)
     cfg = sh.ShellConfig(z, alpha=2.0, h=0.05)
     g0 = GrowthFields.zeros(grid48)
-    u = sh.build_recovery(z, VectorField2.zeros(grid48), g0, cfg, m)
-    assert sh.energy_3d(u, g0, cfg, m) < 1e-28
+    u = recovery(z, VectorField2.zeros(grid48), g0, cfg, m)
+    assert sh.energy_3d(u, g0, m)[0] < 1e-28
     # gradient is exactly the identity
     assert np.max(np.abs(u.grad_y - np.eye(3))) < 1e-14
 
@@ -215,8 +221,8 @@ def test_recovery_exact_compatibility_drives_energy_down(grid48):
     vals = []
     for h in (1e-1, 3e-2, 1e-2):
         cfg = sh.ShellConfig(z, alpha=2.0, h=h)
-        u = sh.build_recovery(st.v, st.w, g, cfg, m)
-        vals.append(sh.energy_3d(u, g, cfg, m) / h**4)
+        u = recovery(st.v, st.w, g, cfg, m)
+        vals.append(sh.energy_3d(u, g, m)[0] / h**4)
     assert vals[0] > vals[1] > vals[2]
     # decade sweep drops by an order of magnitude before the dx^2 floor bites
     assert vals[0] / vals[2] > 10.0
@@ -237,24 +243,24 @@ def test_recovery_gamma_limit(grid48, alpha, regime):
         wt = VectorField2(grid, np.stack([-2 * a * x**3 / 3, 2 * a * y**3 / 3], axis=-1))
         st = en.PlateState(en.I4INF, w, v, vt)
         e2d = en.energy_i4inf(st, g, m, v0, 0.0)[0]
-        make = lambda cfg: sh.build_recovery(v, w, g, cfg, m, vtilde=vt, wtilde=wt)
+        template = sh.RecoveryTemplate(v, w, g, v0, regime, m, vt, wt)
     elif regime == sh.DMV:
         v0 = ScalarField(grid, 0.25 * (x * x + y * y))
         v = ScalarField(grid, v0.data + 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y))
         st = en.PlateState(en.I41, w, v)
         e2d = en.energy_i41(st, g, m, v0)
-        make = lambda cfg: sh.build_recovery(v, w, g, cfg, m)
+        template = sh.RecoveryTemplate(v, w, g, v0, regime, m)
     else:
         v0 = ScalarField(grid, 0.25 * (x * x + y * y))
         v = ScalarField(grid, 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y))
         st = en.PlateState(en.I40, w, v)
         e2d = en.energy_i40(st, g, m)
-        make = lambda cfg: sh.build_recovery(v, w, g, cfg, m)
+        template = sh.RecoveryTemplate(v, w, g, v0, regime, m)
+    assert sh.resolve_regime(v0, alpha) == regime
     devs = []
     for h in (1e-1, 3e-2, 1e-2):
         cfg = sh.ShellConfig(v0, alpha=alpha, h=h, n_t=5)
-        assert sh.resolve_regime(cfg) == regime
-        e3 = sh.energy_3d(make(cfg), g, cfg, m)
+        e3, _ = sh.energy_3d(sh.build_recovery(template, cfg), g, m)
         devs.append(abs(e3 / h**4 - e2d) / e2d)
     assert devs[-1] <= 0.05
     assert devs[0] > devs[-1]
@@ -273,8 +279,8 @@ def test_recovery_reconstructed_compensator_matches_analytic(grid48):
     wt = VectorField2(grid, np.stack([-2 * a * x**3 / 3, 2 * a * y**3 / 3], axis=-1))
     h = 1e-2
     cfg = sh.ShellConfig(v0, alpha=0.5, h=h, n_t=5)
-    e_analytic = sh.energy_3d(sh.build_recovery(v, w, g, cfg, m, vtilde=vt, wtilde=wt), g, cfg, m)
-    e_reconstr = sh.energy_3d(sh.build_recovery(v, w, g, cfg, m, vtilde=vt), g, cfg, m)
+    e_analytic, _ = sh.energy_3d(recovery(v, w, g, cfg, m, vtilde=vt, wtilde=wt), g, m)
+    e_reconstr, _ = sh.energy_3d(recovery(v, w, g, cfg, m, vtilde=vt), g, m)
     assert e_reconstr == pytest.approx(e_analytic, rel=2e-2)
 
 
@@ -409,12 +415,13 @@ def test_dist_so3_exact_for_reflections_with_a_near_double_singular_value(rng):
     assert isinstance(sh.dist_so3(np.diag([1.3, 0.7, -0.7])), float)
 
 
-def energy_3d_linalg(u, g, cfg, m):
+def energy_3d_linalg(u, g, m):
     """energy_3d written with np.linalg: the reference for the closed-form kernels."""
+    cfg = u.cfg
     imm = sh.Immersion(cfg)
     h = cfg.h
     terms, dets, dists = [], [], []
-    for k, (x3, gw) in enumerate(zip(u.x3, u.weights)):
+    for k, (x3, gw) in enumerate(zip(*cfg.gauss_rule())):
         gp = imm.grad_phi_tilde(x3)
         q = np.eye(3) + h * h * g.eps_g.data + h * x3 * g.kappa_g.data
         a = u.grad_y[k] @ np.linalg.inv(gp)
@@ -437,9 +444,9 @@ def test_energy_3d_matches_linalg_reference(square33, h):
     v = ScalarField(grid, v0.data + 0.3 * np.sin(np.pi * grid.X1) * np.sin(np.pi * grid.X2))
     w = VectorField2(grid, np.stack([0.1 * grid.X1**2 * grid.X2, -0.05 * grid.X2**2], axis=-1))
     cfg = sh.ShellConfig(v0, alpha=1.0, h=h, n_t=5)
-    u = sh.build_recovery(v, w, g, cfg, m)
-    total, diag = sh.energy_3d(u, g, cfg, m, return_diagnostics=True)
-    ref, min_det, max_dist = energy_3d_linalg(u, g, cfg, m)
+    u = recovery(v, w, g, cfg, m)
+    total, diag = sh.energy_3d(u, g, m)
+    ref, min_det, max_dist = energy_3d_linalg(u, g, m)
     assert total == pytest.approx(ref, rel=1e-10, abs=0)
     assert diag["min_det_grad_u"] == pytest.approx(min_det, rel=1e-12)
     assert diag["max_dist_so3"] == pytest.approx(max_dist, rel=1e-10, abs=0)
@@ -470,14 +477,14 @@ def test_energy_3d_reflected_deformation(square33):
     v0 = ScalarField(grid, 0.25 * (grid.X1**2 + grid.X2**2))
     v = ScalarField(grid, v0.data + 0.3 * np.sin(np.pi * grid.X1) * np.sin(np.pi * grid.X2))
     cfg = sh.ShellConfig(v0, alpha=1.0, h=1e-2, n_t=3)
-    u = sh.build_recovery(v, VectorField2.zeros(grid), g, cfg, m)
-    refl = sh.Deformation3D(cfg, u.x3, u.weights, np.diag([1.0, 1.0, -1.0]) @ u.grad_y)
+    u = recovery(v, VectorField2.zeros(grid), g, cfg, m)
+    refl = sh.Deformation3D(cfg, np.diag([1.0, 1.0, -1.0]) @ u.grad_y)
     with pytest.warns(UserWarning):
-        total, diag = sh.energy_3d(refl, g, cfg, m, return_diagnostics=True)
-    ref, min_det, max_dist = energy_3d_linalg(refl, g, cfg, m)
+        total, diag = sh.energy_3d(refl, g, m)
+    ref, min_det, max_dist = energy_3d_linalg(refl, g, m)
     assert diag["orientation_lost"] and min_det < 0.0
     assert total == pytest.approx(ref, rel=1e-10)
-    assert total == pytest.approx(sh.energy_3d(u, g, cfg, m), rel=1e-12)
+    assert total == pytest.approx(sh.energy_3d(u, g, m)[0], rel=1e-12)
     assert diag["max_dist_so3"] == pytest.approx(max_dist, rel=1e-12)
 
 
@@ -538,11 +545,9 @@ def test_energy_3d_is_bitwise_layout_independent(square33):
     v = ScalarField(grid, v0.data + 0.3 * np.sin(np.pi * grid.X1) * np.sin(np.pi * grid.X2))
     w = VectorField2(grid, np.stack([0.1 * grid.X1**2 * grid.X2, -0.05 * grid.X2**2], axis=-1))
     cfg = sh.ShellConfig(v0, alpha=1.0, h=1e-2, n_t=5)
-    u = sh.build_recovery(v, w, g, cfg, m)
-    c_ordered = sh.Deformation3D(cfg, u.x3, u.weights, np.ascontiguousarray(u.grad_y))
-    assert sh.energy_3d(u, g, cfg, m, return_diagnostics=True) == sh.energy_3d(
-        c_ordered, g, cfg, m, return_diagnostics=True
-    )
+    u = recovery(v, w, g, cfg, m)
+    c_ordered = sh.Deformation3D(cfg, np.ascontiguousarray(u.grad_y))
+    assert sh.energy_3d(u, g, m) == sh.energy_3d(c_ordered, g, m)
 
 
 def test_point_stacks_are_component_major(grid48):
@@ -551,10 +556,10 @@ def test_point_stacks_are_component_major(grid48):
     v0 = ScalarField(grid48, 0.25 * (grid48.X1**2 + grid48.X2**2))
     v = ScalarField(grid48, v0.data + 0.2 * np.sin(np.pi * grid48.X1) * np.sin(np.pi * grid48.X2))
     cfg = sh.ShellConfig(v0, alpha=1.0, h=1e-2, n_t=3)
-    u = sh.build_recovery(v, VectorField2.zeros(grid48), g, cfg, m)
+    u = recovery(v, VectorField2.zeros(grid48), g, cfg, m)
     imm = sh.Immersion(cfg)
     qh = sh.GrowthEvaluator(g, cfg)
-    x3 = u.x3[0]
+    x3 = cfg.gauss_rule()[0][0]
     stacks = {f"grad_y[{k}]": u.grad_y[k] for k in range(cfg.n_t)}
     stacks.update(grad_phi_tilde=imm.grad_phi_tilde(x3), inverse_at=qh.inverse_at(x3))
     for name, a in stacks.items():
@@ -592,17 +597,33 @@ def test_scaling_study_template_matches_per_row_builds(square33, regime, workers
     assert study.regime == regime
     for h, row in zip(h_list, study.rows):
         cfg = sh.ShellConfig(v0, alpha=alpha, h=h, n_t=3)
-        u = sh.build_recovery(st.v, st.w, g, cfg, m, vtilde=st.vtilde)
-        e3 = sh.energy_3d(u, g, cfg, m)
+        e3, _ = sh.energy_3d(recovery(st.v, st.w, g, cfg, m, vtilde=st.vtilde), g, m)
         assert row.e3d == e3 and row.e3d_over_h4 == e3 / h**4
 
 
-def full_kernel_diagnostics(u, g, cfg):
+def test_scaling_study_checks_every_shell_before_the_first_row(square33, monkeypatch):
+    m = en.Material(1.0, 1.0)
+    g = sine_growth(square33)
+    alpha, v0, st = sweep_case(square33, sh.DMV)
+    builds = []
+    build = sh.build_recovery
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(sh, "build_recovery", counted)
+    with pytest.raises(ValueError, match="thickness must be positive"):
+        sh.scaling_study(alpha, [0.1, 0.05, -0.01], g, v0, st, m, n_t=3)
+    assert len(builds) == 0
+
+
+def full_kernel_diagnostics(u, g):
     """max distance to SO(3) and the guard count with _dist_from_strain run on every point."""
-    imm = sh.Immersion(cfg)
-    qh = sh.GrowthEvaluator(g, cfg)
+    imm = sh.Immersion(u.cfg)
+    qh = sh.GrowthEvaluator(g, u.cfg)
     dists = []
-    for k, x3 in enumerate(u.x3):
+    for k, x3 in enumerate(u.cfg.gauss_rule()[0]):
         gp_inv, _ = sh._inv3(imm.grad_phi_tilde(x3))
         a = sh._matmul3(u.grad_y[k], gp_inv)
         f = sh._matmul3(a, qh.inverse_at(x3))
@@ -615,9 +636,8 @@ def flat_deformation(grid, stacks):
     """A deformation of the flat, unstrained shell whose gradient at each point is
     the given matrix: there grad phi_tilde = q^h = Id, so F is exactly grad y."""
     cfg = sh.ShellConfig(ScalarField.zeros(grid), alpha=2.0, h=0.05, n_t=3)
-    x3, wts = cfg.gauss_rule()
     grad = np.broadcast_to(stacks.reshape(grid.nx, grid.ny, 3, 3), (3, grid.nx, grid.ny, 3, 3))
-    return cfg, sh.Deformation3D(cfg, x3, wts, np.ascontiguousarray(grad))
+    return sh.Deformation3D(cfg, np.ascontiguousarray(grad))
 
 
 def screen_cases(rng):
@@ -646,20 +666,19 @@ def test_screened_distance_diagnostics_match_the_full_kernel(square33, rng):
     g = sine_growth(square33)
     alpha, v0, st = sweep_case(square33, sh.DMV)
     cfg = sh.ShellConfig(v0, alpha=alpha, h=0.1, n_t=5)
-    cases = {"recovery": (cfg, sh.build_recovery(st.v, st.w, g, cfg, m), g)}
+    cases = {"recovery": (recovery(st.v, st.w, g, cfg, m), g)}
     grid16 = Grid2D(16, 16, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
     for name, stacks in screen_cases(rng).items():
-        cfg16, u = flat_deformation(grid16, stacks)
-        cases[name] = (cfg16, u, GrowthFields.zeros(grid16))
-    for name, (c, u, gg) in cases.items():
+        cases[name] = (flat_deformation(grid16, stacks), GrowthFields.zeros(grid16))
+    for name, (u, gg) in cases.items():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            _, diag = sh.energy_3d(u, gg, c, m, return_diagnostics=True)
-        ref_max, ref_flagged = full_kernel_diagnostics(u, gg, c)
+            _, diag = sh.energy_3d(u, gg, m)
+        ref_max, ref_flagged = full_kernel_diagnostics(u, gg)
         assert diag["max_dist_so3"] == ref_max, name
         assert diag["points_beyond_guard"] == ref_flagged, name
         if name == "either side of the guard":  # some of its 9 points per node pass the guard, not all
-            assert 2 * c.n_t < ref_flagged < 9 * c.n_t
+            assert 2 * u.cfg.n_t < ref_flagged < 9 * u.cfg.n_t
 
 
 def test_screen_sends_few_points_to_the_exact_distance(grid48, monkeypatch):
@@ -667,7 +686,7 @@ def test_screen_sends_few_points_to_the_exact_distance(grid48, monkeypatch):
     g = sine_growth(grid48)
     alpha, v0, st = sweep_case(grid48, sh.DMV)
     cfg = sh.ShellConfig(v0, alpha=alpha, h=0.1, n_t=5)
-    u = sh.build_recovery(st.v, st.w, g, cfg, m)
+    u = recovery(st.v, st.w, g, cfg, m)
     exact = []
     kernel = sh._dist_from_strain
 
@@ -676,28 +695,9 @@ def test_screen_sends_few_points_to_the_exact_distance(grid48, monkeypatch):
         return kernel(e, f, det_f)
 
     monkeypatch.setattr(sh, "_dist_from_strain", counted)
-    sh.energy_3d(u, g, cfg, m)
+    sh.energy_3d(u, g, m)
     assert len(exact) == cfg.n_t
     assert sum(exact) < 0.05 * u.grad_y.size // 9
-
-
-def test_energy_3d_rejects_a_deformation_of_another_shell():
-    grid = Grid2D(17, 17, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
-    x, y = grid.X1, grid.X2
-    m = en.Material(1.0, 1.0)
-    g = sine_growth(grid)
-    paraboloid = ScalarField(grid, 0.5 * (x * x + y * y))
-    cfg = sh.ShellConfig(paraboloid, alpha=1.0, h=0.01)
-    st = sweep_case(grid, sh.DMV)[2]
-    u = sh.build_recovery(st.v, st.w, g, cfg, m)
-    same_values = sh.ShellConfig(ScalarField(grid, 0.5 * (x * x + y * y)), alpha=1.0, h=0.01)
-    assert sh.energy_3d(u, g, same_values, m) == sh.energy_3d(u, g, cfg, m)
-    for other in (
-        sh.ShellConfig(ScalarField(grid, 0.5 * (x * x - y * y)), alpha=1.0, h=0.01),
-        sh.ShellConfig(paraboloid, alpha=1.0, h=0.01, n_t=7),
-    ):
-        with pytest.raises(ValueError, match="different shell configuration"):
-            sh.energy_3d(u, g, other, m)
 
 
 def test_recovery_template_supplies_the_state():
@@ -707,12 +707,9 @@ def test_recovery_template_supplies_the_state():
     alpha, v0, st = sweep_case(grid, sh.DMV)
     cfg = sh.ShellConfig(v0, alpha=alpha, h=0.01)
     template = sh.RecoveryTemplate(st.v, st.w, g, v0, sh.DMV, m)
-    u = sh.build_recovery(None, None, None, cfg, None, template=template)
-    assert np.array_equal(u.grad_y, sh.build_recovery(st.v, st.w, g, cfg, m).grad_y)
-    with pytest.raises(TypeError, match="from its template"):
-        sh.build_recovery(st.v, st.w, g, cfg, m, template=template)
+    assert sh.build_recovery(template, cfg).cfg is cfg
     saddle = sh.ShellConfig(ScalarField(grid, 0.5 * (grid.X1**2 - grid.X2**2)), alpha=alpha, h=0.01)
     flat = sh.ShellConfig(v0, alpha=2.0, h=0.01)
     for other in (saddle, flat):
         with pytest.raises(ValueError, match="another v0 or regime"):
-            sh.build_recovery(None, None, None, other, None, template=template)
+            sh.build_recovery(template, other)
