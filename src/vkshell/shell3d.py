@@ -61,6 +61,7 @@ shell, and the shell its Gauss rule.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -128,8 +129,19 @@ class ShellConfig:
 
     def gauss_rule(self) -> tuple[np.ndarray, np.ndarray]:
         """Thickness nodes/weights on (-h/2, h/2)."""
-        t, w = np.polynomial.legendre.leggauss(self.n_t)
+        t, w = _legendre_rule(self.n_t)
         return 0.5 * self.h * t, 0.5 * self.h * w
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on (-1, 1), computed once per n and
+    shared read-only: a scaling sweep reads its rule in every row's
+    build_recovery and energy_3d."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 class Immersion:

@@ -20,8 +20,13 @@ Contents:
                     a doubling penalty schedule for the constrained
                     functional,
 * solve_vk       -- under-relaxed Picard iteration for the prestrained
-                    von Karman systems (flat and blooming variants), which
-                    stops once its residual sits on the roundoff floor.
+                    von Karman systems (flat and blooming variants).  It
+                    relaxes the right-hand sides of the two biharmonic
+                    solves and reads each hessian from them through the
+                    stencils' Fourier symbols, so a sweep applies no stencil
+                    and no solve correction; the two corrected solves run
+                    once, on the final right-hand sides.  It stops once its
+                    residual sits on the roundoff floor.
 
 Every SolveReport carries a `status`: CONVERGED, ROUNDOFF_FLOOR (solve_vk),
 BUDGET_EXHAUSTED or LINE_SEARCH_FAILED (minimize).  A solve_vk that
@@ -157,23 +162,44 @@ def gauge_fix(s: en.PlateState) -> en.PlateState:
 
 # -- periodic biharmonic solve -------------------------------------------------
 
-def _inv_bilap_symbol(grid: Grid2D) -> np.ndarray:
+def _inv_bilap_symbol(grid: Grid2D, hessian: bool = False):
     """Inverse of the periodic bilaplacian symbol on the rfft2 half spectrum.
 
     The zero mode maps to zero, so applying it projects onto zero mean.
-    Building it costs about 4 % of one application at 256^2; a cache kept
-    per grid would hold the array, and with it heap pages, for the life of
+    With hessian, returns instead the symbols of d2x, d2y and the cross
+    d1x d1y, each times that inverse: applied to the transform of b they
+    give the stencil hessian of the solution of bilap(u) = b.  Every stencil
+    is a Fourier multiplier on the torus: d2 has the real symbol
+    (2 cos t - 2)/h^2 and d1 the imaginary i sin(t)/h, so the cross is real.
+    At 256^2 the inverse costs about 6 % of one application and the
+    hessian symbols, built once per solve_vk, about 40 %; a cache kept per
+    grid would hold the arrays, and with them heap pages, for the life of
     the process.
     """
-    kx = np.arange(grid.nx)
-    ky = np.arange(grid.ny // 2 + 1)
-    lx = (2.0 * np.cos(2.0 * np.pi * kx / grid.nx) - 2.0) / grid.dx**2
-    ly = (2.0 * np.cos(2.0 * np.pi * ky / grid.ny) - 2.0) / grid.dy**2
+    tx = 2.0 * np.pi * np.arange(grid.nx) / grid.nx
+    ty = 2.0 * np.pi * np.arange(grid.ny // 2 + 1) / grid.ny
+    lx = (2.0 * np.cos(tx) - 2.0) / grid.dx**2
+    ly = (2.0 * np.cos(ty) - 2.0) / grid.dy**2
     sym2 = (lx[:, None] + ly[None, :]) ** 2
     sym2[0, 0] = 1.0
     inv = 1.0 / sym2
     inv[0, 0] = 0.0
-    return inv
+    if not hessian:
+        return inv
+    cross = -np.outer(np.sin(tx) / grid.dx, np.sin(ty) / grid.dy)
+    return lx[:, None] * inv, ly[None, :] * inv, cross * inv
+
+
+def _inverse_hessian(b: np.ndarray, symbols: tuple) -> np.ndarray:
+    """Stencil hessian of the zero-mean solution of bilap(u) = b, from the
+    symbols of _inv_bilap_symbol(grid, hessian=True): one rfft2 and three
+    irfft2, and no roundoff amplified by a stencil applied to u."""
+    b_hat = np.fft.rfft2(b)
+    h = np.empty(b.shape + (2, 2))
+    for (i, k), sym in zip(((0, 0), (1, 1), (0, 1)), symbols):
+        h[..., i, k] = np.fft.irfft2(b_hat * sym, s=b.shape)
+    h[..., 1, 0] = h[..., 0, 1]
+    return h
 
 
 def solve_biharmonic(rhs: ScalarField) -> ScalarField:
@@ -551,35 +577,38 @@ def vk_residual(
     """
     if v0 is None:
         v0 = ScalarField.zeros(state.grid)
+    return _stencil_residual(state, _vk_sources(model, g, m, v0), m, project_means)
+
+
+def _stencil_residual(state: VKState, sources: tuple, m: en.Material, project_means: bool = False):
+    """vk_residual with the sources already built by _vk_sources."""
     grid = state.grid
     hv = hessian_values(grid, state.v.data)
     hphi = hessian_values(grid, state.phi.data)
-    return _vk_residual(grid, hv, hphi, _vk_sources(model, g, m, v0), m, project_means)
+    # the laplacian of the hessian's trace is bitwise grid.bilap, since
+    # lap = d2x + d2y
+    bilap_v = grid.lap(hv[..., 0, 0] + hv[..., 1, 1])
+    bilap_phi = grid.lap(hphi[..., 0, 0] + hphi[..., 1, 1])
+    return _vk_residual(grid, hv, hphi, bilap_v, bilap_phi, sources, m, project_means)
 
 
 def _vk_residual(
     grid: Grid2D,
     hv: np.ndarray,
     hphi: np.ndarray,
+    bilap_v: np.ndarray,
+    bilap_phi: np.ndarray,
     sources: tuple,
     m: en.Material,
     project_means: bool = False,
 ) -> tuple[float, float]:
-    """vk_residual from the hessians hv, hphi of the state and sources
-    already built by _vk_sources.
-
-    det(hess v) and the bracket are read from the hessians, and each
-    bilaplacian is the laplacian of the hessian's trace, which is bitwise
-    grid.bilap since lap = d2x + d2y.
-    """
+    """vk_residual from the hessians hv, hphi and the bilaplacians of the
+    state and sources already built by _vk_sources; det(hess v) and the
+    bracket are read from the hessians."""
     lam, om, det0, bilap0 = sources
     y, z = m.young, m.bending
-    r1 = grid.lap(hphi[..., 0, 0] + hphi[..., 1, 1]) + y * (det2_values(hv) - det0 + lam)
-    r2 = (
-        z * (grid.lap(hv[..., 0, 0] + hv[..., 1, 1]) - bilap0)
-        - bracket_values(hv, hphi)
-        + z * om
-    )
+    r1 = bilap_phi + y * (det2_values(hv) - det0 + lam)
+    r2 = z * (bilap_v - bilap0) - bracket_values(hv, hphi) + z * om
     if project_means:
         r1 = r1 - r1.mean()
         r2 = r2 - r2.mean()
@@ -587,9 +616,10 @@ def _vk_residual(
 
 
 # Roundoff-floor detection over the Picard residual history: a floor is
-# flat and non-monotone.  The last _FLOOR_WINDOW residuals stay within a
-# factor _FLOOR_GAIN of the one before them, either way, and they go both up
-# and down.  Slow linear contraction falls every sweep and an oscillating
+# flat and not monotone.  The last _FLOOR_WINDOW residuals stay within a
+# factor _FLOOR_GAIN of the one before them, either way, and they neither
+# fall at every sweep nor rise at every sweep; a window of equal residuals
+# is a floor.  Slow linear contraction falls every sweep and an oscillating
 # divergence leaves the band, so neither qualifies.
 _FLOOR_WINDOW = 5
 _FLOOR_GAIN = 0.9
@@ -604,7 +634,7 @@ def _roundoff_floor(history: list[float]) -> float | None:
     if not _FLOOR_GAIN * before < min(window) <= max(window) < before / _FLOOR_GAIN:
         return None
     steps = list(zip(window, window[1:]))
-    if not (any(b > a for a, b in steps) and any(b < a for a, b in steps)):
+    if all(b < a for a, b in steps) or all(b > a for a, b in steps):
         return None
     return float(np.median(window))
 
@@ -620,15 +650,25 @@ def solve_vk(
 
     Alternates the two biharmonic solves with under-relaxation; source
     means are projected out (the periodic torus forces compatibility) and
-    the projection magnitudes are reported.  Each sweep forms each hessian
-    once: hess phi right after phi is relaxed, hess v after v is; the phi
-    source, the sweep's bracket and the residual all read them, and hess v
-    carries over to the next sweep.  Residual growth over five consecutive
-    sweeps raises SolverError with a hint to lower the relaxation or the
-    growth amplitude; its `report` has status DIVERGING and the residual
-    history.  A residual that has stopped falling and wanders on its
-    roundoff floor above tol ends the solve with status ROUNDOFF_FLOOR
-    (converged stays False; extras["roundoff_floor"] holds the estimate).
+    the projection magnitudes are reported.  The solves are linear, so the
+    sweep relaxes their right-hand sides instead, B <- (1 - w) B + w rhs,
+    with phi = solve(B_phi) and v = solve(B_v) the iterates of relaxing the
+    solutions.  The sweep never forms phi or v: their bilaplacians are
+    B_phi and B_v, and their hessians come from the transforms of B through
+    the stencil symbols (_inverse_hessian), so no stencil runs in the loop
+    and no stencil amplifies the roundoff of a solution.  Each hessian is
+    formed once per sweep: the phi source, the sweep's bracket and the
+    residual read them, and hess v carries over to the next sweep.  The
+    returned phi and v are solve_biharmonic of the final B (a solve that
+    runs no sweep returns its start state), and
+    extras["equation_residuals"] is vk_residual of them.
+
+    Residual growth over five consecutive sweeps raises SolverError with a
+    hint to lower the relaxation or the growth amplitude; its `report` has
+    status DIVERGING and the residual history.  A residual that has stopped
+    falling and sits on its roundoff floor above tol ends the solve with
+    status ROUNDOFF_FLOOR (converged stays False; extras["roundoff_floor"]
+    holds the estimate).
     """
     opts = opts or VKOptions()
     grid = g.grid
@@ -643,8 +683,14 @@ def solve_vk(
     y, z = m.young, m.bending
 
     scale = 1.0 + grid.norm_l2(lam) + grid.norm_l2(om)
-    v = v0.data - v0.data.mean() if model == "new" else np.zeros((grid.nx, grid.ny))
-    phi = np.zeros((grid.nx, grid.ny))
+    shape = (grid.nx, grid.ny)
+    symbols = _inv_bilap_symbol(grid, hessian=True)
+    b_phi = np.zeros(shape)
+    if model == "new":
+        v_start = v0.data - v0.data.mean()
+        b_v = bilap0 - bilap0.mean()
+    else:
+        v_start = b_v = np.zeros(shape)
     omega_relax = opts.relaxation
 
     history = []
@@ -653,9 +699,9 @@ def solve_vk(
     status = BUDGET_EXHAUSTED
     floor = None
     sweeps = 0
-    hv = hessian_values(grid, v)
-    hphi = hessian_values(grid, phi)
-    r1, r2 = _vk_residual(grid, hv, hphi, sources, m, project_means=True)
+    hv = _inverse_hessian(b_v, symbols)
+    hphi = np.zeros(shape + (2, 2))
+    r1, r2 = _vk_residual(grid, hv, hphi, b_v, b_phi, sources, m, project_means=True)
     rho = max(r1 / y, r2 / z) / scale
     history.append(rho)
     while True:
@@ -670,23 +716,21 @@ def solve_vk(
             break
         rhs1 = -y * (det2_values(hv) - det0 + lam)
         # a hessian is four values per node: each one is dropped once it is
-        # used up, so no dead one is held through an FFT solve (peak memory)
+        # used up, so no dead one is held through a transform (peak memory)
         del hphi
-        phi_new = solve_biharmonic(ScalarField(grid, rhs1)).data
-        max_proj = max(max_proj, abs(float(rhs1.mean())))
-        phi = (1.0 - omega_relax) * phi + omega_relax * phi_new
-        hphi = hessian_values(grid, phi)
+        mean1 = float(rhs1.mean())
+        b_phi = (1.0 - omega_relax) * b_phi + omega_relax * (rhs1 - mean1)
+        hphi = _inverse_hessian(b_phi, symbols)
 
         rhs2 = bracket_values(hv, hphi) / z - om + bilap0
         del hv
-        v_new = solve_biharmonic(ScalarField(grid, rhs2)).data
-        max_proj = max(max_proj, abs(float(rhs2.mean())))
-        v = (1.0 - omega_relax) * v + omega_relax * v_new
-        v -= v.mean()
+        mean2 = float(rhs2.mean())
+        b_v = (1.0 - omega_relax) * b_v + omega_relax * (rhs2 - mean2)
+        hv = _inverse_hessian(b_v, symbols)
+        max_proj = max(max_proj, abs(mean1), abs(mean2))
         sweeps += 1
 
-        hv = hessian_values(grid, v)
-        r1, r2 = _vk_residual(grid, hv, hphi, sources, m, project_means=True)
+        r1, r2 = _vk_residual(grid, hv, hphi, b_v, b_phi, sources, m, project_means=True)
         rho_new = max(r1 / y, r2 / z) / scale
         grow_streak = grow_streak + 1 if rho_new > 1.01 * rho else 0
         history.append(rho_new)
@@ -695,8 +739,11 @@ def solve_vk(
             status = DIVERGING
             break
 
-    state = VKState(ScalarField(grid, v), ScalarField(grid, phi))
-    r1_raw, r2_raw = _vk_residual(grid, hv, hphi, sources, m)
+    del hv, hphi
+    v = solve_biharmonic(ScalarField(grid, b_v)) if sweeps else ScalarField(grid, v_start)
+    state = VKState(v, solve_biharmonic(ScalarField(grid, b_phi)))
+    del b_v, b_phi
+    r1_raw, r2_raw = _stencil_residual(state, sources, m)
     report = SolveReport(
         iterations=sweeps,
         final_energy=None,

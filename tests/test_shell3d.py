@@ -142,6 +142,23 @@ def test_gauss_rule_exactness():
         assert quad == pytest.approx(exact, abs=1e-18, rel=1e-13)
 
 
+def test_gauss_rule_computes_the_legendre_rule_once_per_n_t(monkeypatch):
+    grid = Grid2D(16, 16, (0, 1, 0, 1), bc=DIRICHLET)
+    v0 = ScalarField.zeros(grid)
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or leggauss(n))
+    sh._legendre_rule.cache_clear()
+    try:
+        rules = [sh.ShellConfig(v0, alpha=1.0, h=h, n_t=7).gauss_rule() for h in (0.1, 0.05, 0.1)]
+    finally:
+        sh._legendre_rule.cache_clear()
+    assert calls == [7]
+    t, w = leggauss(7)
+    for (x3, gw), h in zip(rules, (0.1, 0.05, 0.1)):
+        assert np.array_equal(x3, 0.5 * h * t) and np.array_equal(gw, 0.5 * h * w)
+
+
 def test_energy_3d_identity_and_rigid(grid48, rng):
     m = en.Material(1.0, 1.0)
     v0 = ScalarField.sample(grid48, lambda x, y: 0.3 * x * y)
