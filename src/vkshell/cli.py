@@ -157,32 +157,45 @@ def _parse_growth(block: dict, grid: Grid2D) -> tuple[GrowthFields, dict]:
     return eval_growth(spec, grid), {"spec_keys": sorted(block)}
 
 
-def _parse_poly_field(grid: Grid2D, terms, where: str) -> np.ndarray:
+def _poly_terms(terms, where: str) -> list:
+    """The checked (coef, p, q) triples of a polynomial term list."""
     try:
-        checked = GrowthSpec(eps_entries={(1, 1): terms}).eps_entries[(1, 1)]
+        return GrowthSpec(eps_entries={(1, 1): terms}).eps_entries[(1, 1)]
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    return eval_poly(checked, grid.X1, grid.X2)
+
+
+def _parse_poly_field(grid: Grid2D, terms, where: str) -> np.ndarray:
+    return eval_poly(_poly_terms(terms, where), grid.X1, grid.X2)
 
 
 def _sample_v0(grid: Grid2D, kind, scale: float) -> ScalarField:
-    x, y = grid.X1, grid.X2
-    if isinstance(kind, str):
-        if kind == "zero":
-            data = np.zeros_like(x)
-        elif kind == "saddle":
-            data = x * y
-        elif kind == "paraboloid":
-            data = 0.5 * (x * x + y * y)
-        elif kind == "sine":
-            k1, k2 = wavenumbers(grid)
-            data = np.sin(k1 * (x - grid.domain[0])) * np.sin(k2 * (y - grid.domain[2]))
-        else:
-            raise ConfigError(f"geometry.v0: unknown preset {kind!r}; choose from {V0_PRESETS}")
-    elif isinstance(kind, list):
-        data = _parse_poly_field(grid, kind, "geometry.v0")
+    if isinstance(kind, list):
+        terms = _poly_terms(kind, "geometry.v0")
+        periodic = all(p + q == 0 for _, p, q in terms)
+    elif kind in V0_PRESETS:
+        periodic = kind in ("zero", "sine")
+    elif isinstance(kind, str):
+        raise ConfigError(f"geometry.v0: unknown preset {kind!r}; choose from {V0_PRESETS}")
     else:
         raise ConfigError("geometry.v0 must be a preset name or a [[coef, p, q], ...] list")
+    if grid.periodic and not periodic:
+        raise ConfigError(
+            f"geometry.v0: {kind!r} is a non-constant polynomial, which jumps at the "
+            "seam of a periodic grid; use 'zero' or 'sine' there"
+        )
+    x, y = grid.X1, grid.X2
+    if isinstance(kind, list):
+        data = eval_poly(terms, x, y)
+    elif kind == "zero":
+        data = np.zeros_like(x)
+    elif kind == "saddle":
+        data = x * y
+    elif kind == "paraboloid":
+        data = 0.5 * (x * x + y * y)
+    else:
+        k1, k2 = wavenumbers(grid)
+        data = np.sin(k1 * (x - grid.domain[0])) * np.sin(k2 * (y - grid.domain[2]))
     return ScalarField(grid, scale * data)
 
 
@@ -523,11 +536,13 @@ def _run_solve_vk(cfg: ExperimentConfig, outdir: Path) -> dict:
     model = cfg.run.get("model", "old")
     if model not in ("old", "new"):
         raise ConfigError(f"run.model: expected 'old' or 'new', got {model!r}")
-    opts = so.VKOptions(
-        tol=float(_number(cfg.run, "tol", "run", 1e-10)),
-        max_sweeps=_integer(cfg.run, "max_sweeps", "run", 400, 0),
-        relaxation=float(_number(cfg.run, "relaxation", "run", 0.7)),
-    )
+    tol = float(_number(cfg.run, "tol", "run", 1e-10))
+    max_sweeps = _integer(cfg.run, "max_sweeps", "run", 400, 0)
+    relaxation = float(_number(cfg.run, "relaxation", "run", 0.7))
+    try:
+        opts = so.VKOptions(tol=tol, max_sweeps=max_sweeps, relaxation=relaxation)
+    except ValueError as exc:  # a relaxation <= 0
+        raise ConfigError(f"run.relaxation: {exc}") from exc
     state, report = so.solve_vk(model, cfg.growth, cfg.material, cfg.v0, opts)
     fields_dir = outdir / "fields"
     fields_dir.mkdir(exist_ok=True)

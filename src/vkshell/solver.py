@@ -19,10 +19,14 @@ Contents:
                     of the flat plate's block-diagonal quadratic part, with
                     a doubling penalty schedule for the constrained
                     functional,
-* solve_vk       -- under-relaxed Picard iteration for the prestrained
-                    von Karman systems (flat and blooming variants).  It
-                    relaxes the right-hand sides of the two biharmonic
-                    solves and reads each hessian from them through the
+* solve_vk       -- Anderson-accelerated Picard iteration for the
+                    prestrained von Karman systems (flat and blooming
+                    variants).  It iterates on the right-hand side B_v of
+                    the v solve alone, with the phi half-step exact, so the
+                    sweep is a fixed-point map of B_v whose defect is the
+                    residual; `relaxation` damps the mixed step, and a
+                    growing residual restarts the mixing history.  Each
+                    hessian is read from its right-hand side through the
                     stencils' Fourier symbols, so a sweep applies no stencil
                     and no solve correction; the two corrected solves run
                     once, on the final right-hand sides.  It stops once its
@@ -539,25 +543,29 @@ def minimize(
 
 # -- the prestrained von Karman systems -----------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class VKOptions:
     tol: float = 1e-10
     max_sweeps: int = 400
+    # the damping beta of solve_vk's mixed step
     relaxation: float = 0.7
+
+    def __post_init__(self):
+        if not (math.isfinite(self.relaxation) and self.relaxation > 0.0):
+            raise ValueError(f"relaxation must be a finite number > 0, got {self.relaxation!r}")
 
 
 def _vk_sources(model: str, g: GrowthFields, m: en.Material, v0: ScalarField):
+    """(lambda_g, omega_g, hess v0, bilap v0); the v0 terms are None and 0.0
+    for the 'old' model, which has none."""
     if model not in ("old", "new"):
         raise ValueError(f"unknown model {model!r}; expected 'old' or 'new'")
     grid = g.grid
     lam = lambda_g(g).data
     om = omega_g(g, m.nu).data
     if model == "new":
-        det0 = det2_values(hessian_values(grid, v0.data))
-        bilap0 = grid.bilap(v0.data)
-    else:  # no v0 terms: scalar zeros keep two arrays out of the Picard loop
-        det0 = bilap0 = 0.0
-    return lam, om, det0, bilap0
+        return lam, om, hessian_values(grid, v0.data), grid.bilap(v0.data)
+    return lam, om, None, 0.0
 
 
 def vk_residual(
@@ -581,34 +589,18 @@ def vk_residual(
 
 
 def _stencil_residual(state: VKState, sources: tuple, m: en.Material, project_means: bool = False):
-    """vk_residual with the sources already built by _vk_sources."""
+    """vk_residual with the sources already built by _vk_sources; det(hess v)
+    and the bracket are read from the hessians."""
+    lam, om, h0, bilap0 = sources
     grid = state.grid
+    y, z = m.young, m.bending
     hv = hessian_values(grid, state.v.data)
     hphi = hessian_values(grid, state.phi.data)
+    det0 = 0.0 if h0 is None else det2_values(h0)
     # the laplacian of the hessian's trace is bitwise grid.bilap, since
     # lap = d2x + d2y
-    bilap_v = grid.lap(hv[..., 0, 0] + hv[..., 1, 1])
-    bilap_phi = grid.lap(hphi[..., 0, 0] + hphi[..., 1, 1])
-    return _vk_residual(grid, hv, hphi, bilap_v, bilap_phi, sources, m, project_means)
-
-
-def _vk_residual(
-    grid: Grid2D,
-    hv: np.ndarray,
-    hphi: np.ndarray,
-    bilap_v: np.ndarray,
-    bilap_phi: np.ndarray,
-    sources: tuple,
-    m: en.Material,
-    project_means: bool = False,
-) -> tuple[float, float]:
-    """vk_residual from the hessians hv, hphi and the bilaplacians of the
-    state and sources already built by _vk_sources; det(hess v) and the
-    bracket are read from the hessians."""
-    lam, om, det0, bilap0 = sources
-    y, z = m.young, m.bending
-    r1 = bilap_phi + y * (det2_values(hv) - det0 + lam)
-    r2 = z * (bilap_v - bilap0) - bracket_values(hv, hphi) + z * om
+    r1 = grid.lap(hphi[..., 0, 0] + hphi[..., 1, 1]) + y * (det2_values(hv) - det0 + lam)
+    r2 = z * (grid.lap(hv[..., 0, 0] + hv[..., 1, 1]) - bilap0) - bracket_values(hv, hphi) + z * om
     if project_means:
         r1 = r1 - r1.mean()
         r2 = r2 - r2.mean()
@@ -616,27 +608,40 @@ def _vk_residual(
 
 
 # Roundoff-floor detection over the Picard residual history: a floor is
-# flat and not monotone.  The last _FLOOR_WINDOW residuals stay within a
-# factor _FLOOR_GAIN of the one before them, either way, and they neither
-# fall at every sweep nor rise at every sweep; a window of equal residuals
-# is a floor.  Slow linear contraction falls every sweep and an oscillating
-# divergence leaves the band, so neither qualifies.
-_FLOOR_WINDOW = 5
+# flat and not monotone.  For some (window, band, ceiling) rule below, the
+# best residual before the last `window` ones lies below `ceiling`, and the
+# window stays above _FLOOR_GAIN times that best and below `band` times it;
+# nor does it fall at every sweep or rise at every sweep.  A window of equal
+# residuals is a floor.  The tight rule catches plain relaxation's plateaus.
+# Anderson steps built on rounding noise scatter the residual, which the
+# longer, wider rule catches; its ceiling keeps a stall far above rounding
+# level from passing for a floor.  Slow linear contraction falls every sweep
+# and a divergence leaves the band, so neither qualifies.
 _FLOOR_GAIN = 0.9
+_FLOOR_RULES = ((5, 1.0 / _FLOOR_GAIN, math.inf), (10, 10.0, 1e-12))
+
+# Anderson acceleration of the Picard map (Walker & Ni, SIAM J. Numer. Anal.
+# 49 (2011) 1715): the number of past steps mixed into each one.  A solve
+# diverges once its residual exceeds both its start and _DIVERGE_GAIN times
+# the best residual seen.
+_ANDERSON_DEPTH = 3
+_DIVERGE_GAIN = 1e3
 
 
 def _roundoff_floor(history: list[float]) -> float | None:
     """The floor estimate (median of the window) if the history sits on one."""
-    if len(history) <= _FLOOR_WINDOW:
-        return None
-    window = history[-_FLOOR_WINDOW:]
-    before = history[-_FLOOR_WINDOW - 1]
-    if not _FLOOR_GAIN * before < min(window) <= max(window) < before / _FLOOR_GAIN:
-        return None
-    steps = list(zip(window, window[1:]))
-    if all(b < a for a, b in steps) or all(b > a for a, b in steps):
-        return None
-    return float(np.median(window))
+    for window_len, band, ceiling in _FLOOR_RULES:
+        if len(history) <= window_len:
+            continue
+        window = history[-window_len:]
+        best = min(history[:-window_len])
+        if not (best < ceiling and _FLOOR_GAIN * best < min(window) <= max(window) < band * best):
+            continue
+        steps = list(zip(window, window[1:]))
+        if all(b < a for a, b in steps) or all(b > a for a, b in steps):
+            continue
+        return float(np.median(window))
+    return None
 
 
 def solve_vk(
@@ -646,29 +651,41 @@ def solve_vk(
     v0: ScalarField | None = None,
     opts: VKOptions | None = None,
 ) -> tuple[VKState, SolveReport]:
-    """Picard iteration for the flat ('old') or blooming ('new') system.
+    """Anderson-accelerated Picard iteration for the flat ('old') or
+    blooming ('new') system.
 
-    Alternates the two biharmonic solves with under-relaxation; source
-    means are projected out (the periodic torus forces compatibility) and
-    the projection magnitudes are reported.  The solves are linear, so the
-    sweep relaxes their right-hand sides instead, B <- (1 - w) B + w rhs,
-    with phi = solve(B_phi) and v = solve(B_v) the iterates of relaxing the
-    solutions.  The sweep never forms phi or v: their bilaplacians are
-    B_phi and B_v, and their hessians come from the transforms of B through
-    the stencil symbols (_inverse_hessian), so no stencil runs in the loop
-    and no stencil amplifies the roundoff of a solution.  Each hessian is
-    formed once per sweep: the phi source, the sweep's bracket and the
-    residual read them, and hess v carries over to the next sweep.  The
-    returned phi and v are solve_biharmonic of the final B (a solve that
-    runs no sweep returns its start state), and
-    extras["equation_residuals"] is vk_residual of them.
+    The iteration runs on B_v = bilap(v) alone.  Source means are projected
+    out (the periodic torus forces compatibility) and the projection
+    magnitudes are reported.  One sweep is the map
+      B_phi = P(B_v) = -Y (det hess v - det0 + lambda_g) - mean,
+      G(B_v) = [cof(hess v) : hess phi] / Z - omega_g + bilap v0 - mean,
+    with hess v and hess phi read from the transforms of B_v and B_phi
+    through the stencil symbols (_inverse_hessian): 8 FFTs and no stencil.
+    The phi half-step is exact, so the projected r1 is 0 and the projected
+    r2 is Z f, with f = G(B_v) - B_v the defect; the residual rho is
+    |f| / scale, read off f with no separate residual pass.
 
-    Residual growth over five consecutive sweeps raises SolverError with a
-    hint to lower the relaxation or the growth amplitude; its `report` has
-    status DIVERGING and the residual history.  A residual that has stopped
-    falling and sits on its roundoff floor above tol ends the solve with
-    status ROUNDOFF_FLOOR (converged stays False; extras["roundoff_floor"]
-    holds the estimate).
+    The step is type-II Anderson mixing (Walker & Ni, 2011) of depth
+    _ANDERSON_DEPTH with damping beta = opts.relaxation:
+      B_v <- B_v + beta f - (dX + beta dF) gamma,
+    where dX and dF hold the last changes of B_v and f and gamma solves the
+    normal equations of min |f - dF gamma|.  With no history the step is
+    plain relaxation, B_v + beta f.  A residual that grows restarts the
+    history from the newest pair alone; extras["anderson"] counts the
+    restarts.  The loop carries B_u = B_v - bilap v0 (v = v0 + u, zero for
+    'old'), which shifts the iterates by a constant and leaves the mixing
+    unchanged; det hess v - det0 is then cof(hess v0) : hess u + det hess u,
+    with no cancellation.  The returned phi is solve_biharmonic of the
+    final B_phi and v that of B_u plus v0 - mean (a solve that runs no
+    sweep returns its start state), and extras["equation_residuals"] is
+    vk_residual of them.
+
+    A residual above both its start and _DIVERGE_GAIN times the best one
+    seen raises SolverError with a hint to lower the relaxation or the
+    growth amplitude; its `report` has status DIVERGING and the residual
+    history.  A residual that has stopped falling and sits on its roundoff
+    floor above tol ends the solve with status ROUNDOFF_FLOOR (converged
+    stays False; extras["roundoff_floor"] holds the estimate).
     """
     opts = opts or VKOptions()
     grid = g.grid
@@ -679,31 +696,52 @@ def solve_vk(
     grid.require_same(v0.grid, "growth and v0")
     t0 = time.perf_counter()
     sources = _vk_sources(model, g, m, v0)
-    lam, om, det0, bilap0 = sources
+    lam, om, h0, _ = sources
     y, z = m.young, m.bending
 
     scale = 1.0 + grid.norm_l2(lam) + grid.norm_l2(om)
     shape = (grid.nx, grid.ny)
     symbols = _inv_bilap_symbol(grid, hessian=True)
-    b_phi = np.zeros(shape)
-    if model == "new":
-        v_start = v0.data - v0.data.mean()
-        b_v = bilap0 - bilap0.mean()
-    else:
-        v_start = b_v = np.zeros(shape)
-    omega_relax = opts.relaxation
 
-    history = []
-    max_proj = 0.0
-    grow_streak = 0
+    def defect(b_u):
+        """f = G(b_u) - b_u, the phi source P(b_u) and the larger projected mean."""
+        hv = _inverse_hessian(b_u, symbols)
+        b_phi = det2_values(hv) + lam
+        if h0 is not None:
+            # det(h0 + hu) - det(h0) = cof(h0) : hu + det(hu), no cancellation
+            b_phi += bracket_values(h0, hv)
+            hv += h0
+        b_phi *= -y
+        mean1 = float(b_phi.mean())
+        b_phi -= mean1
+        hphi = _inverse_hessian(b_phi, symbols)
+        f = bracket_values(hv, hphi) / z - om
+        # a hessian is four values per node: both are dropped before the
+        # caller's next allocation (peak memory)
+        del hv, hphi
+        mean2 = float(f.mean())
+        f -= mean2
+        f -= b_u
+        return f, b_phi, max(abs(mean1), abs(mean2))
+
+    beta = opts.relaxation
+    depth = _ANDERSON_DEPTH
+    # ring buffers of the last changes of b_u and of f, one pair per slot;
+    # `pairs` counts the pairs since the last restart
+    d_x = np.empty((depth,) + shape)
+    d_f = np.empty((depth,) + shape)
+    pairs = 0
+    restarts = 0
+
     status = BUDGET_EXHAUSTED
     floor = None
     sweeps = 0
-    hv = _inverse_hessian(b_v, symbols)
-    hphi = np.zeros(shape + (2, 2))
-    r1, r2 = _vk_residual(grid, hv, hphi, b_v, b_phi, sources, m, project_means=True)
-    rho = max(r1 / y, r2 / z) / scale
-    history.append(rho)
+    b_u = np.zeros(shape)
+    f, b_phi, max_proj = defect(b_u)
+    f_norm = grid.norm_l2(f)
+    rho = f_norm / scale
+    history = [rho]
+    best = rho
     while True:
         if rho <= opts.tol:
             status = CONVERGED
@@ -714,35 +752,50 @@ def solve_vk(
             break
         if sweeps >= opts.max_sweeps:
             break
-        rhs1 = -y * (det2_values(hv) - det0 + lam)
-        # a hessian is four values per node: each one is dropped once it is
-        # used up, so no dead one is held through a transform (peak memory)
-        del hphi
-        mean1 = float(rhs1.mean())
-        b_phi = (1.0 - omega_relax) * b_phi + omega_relax * (rhs1 - mean1)
-        hphi = _inverse_hessian(b_phi, symbols)
-
-        rhs2 = bracket_values(hv, hphi) / z - om + bilap0
-        del hv
-        mean2 = float(rhs2.mean())
-        b_v = (1.0 - omega_relax) * b_v + omega_relax * (rhs2 - mean2)
-        hv = _inverse_hessian(b_v, symbols)
-        max_proj = max(max_proj, abs(mean1), abs(mean2))
+        step = beta * f
+        cols = min(pairs, depth)
+        if cols:
+            dx = d_x[:cols].reshape(cols, -1)
+            df = d_f[:cols].reshape(cols, -1)
+            gamma = np.linalg.lstsq(df @ df.T, df @ f.ravel(), rcond=None)[0]
+            step -= (gamma @ dx + beta * (gamma @ df)).reshape(shape)
+        slot = pairs % depth
+        # the pair holds the change b_u took in floating point, which on the
+        # roundoff floor is not the step
+        np.negative(b_u, out=d_x[slot])
+        np.negative(f, out=d_f[slot])
+        b_u += step
+        d_x[slot] += b_u
+        del step, f, b_phi
+        f, b_phi, proj = defect(b_u)
+        d_f[slot] += f
+        max_proj = max(max_proj, proj)
         sweeps += 1
 
-        r1, r2 = _vk_residual(grid, hv, hphi, b_v, b_phi, sources, m, project_means=True)
-        rho_new = max(r1 / y, r2 / z) / scale
-        grow_streak = grow_streak + 1 if rho_new > 1.01 * rho else 0
+        f_norm = grid.norm_l2(f)
+        rho_new = f_norm / scale
         history.append(rho_new)
+        if rho_new > rho:
+            # restart from the newest pair alone, moved to slot 0
+            restarts += 1
+            if slot:
+                d_x[0] = d_x[slot]
+                d_f[0] = d_f[slot]
+            pairs = 1
+        else:
+            pairs += 1
         rho = rho_new
-        if grow_streak >= 5:
+        best = min(best, rho)
+        if not rho <= max(history[0], _DIVERGE_GAIN * best):
             status = DIVERGING
             break
 
-    del hv, hphi
-    v = solve_biharmonic(ScalarField(grid, b_v)) if sweeps else ScalarField(grid, v_start)
+    del d_x, d_f, f
+    v = solve_biharmonic(ScalarField(grid, b_u))
+    if h0 is not None:
+        v = ScalarField(grid, v.data + (v0.data - v0.data.mean()))
     state = VKState(v, solve_biharmonic(ScalarField(grid, b_phi)))
-    del b_v, b_phi
+    del b_u, b_phi
     r1_raw, r2_raw = _stencil_residual(state, sources, m)
     report = SolveReport(
         iterations=sweeps,
@@ -753,15 +806,17 @@ def solve_vk(
         extras={
             "residual_history": history,
             "equation_residuals": {"r1": r1_raw, "r2": r2_raw},
-            "projected_residuals": {"r1": r1, "r2": r2},
+            "projected_residuals": {"r1": 0.0, "r2": z * f_norm},
             "max_mean_projection": max_proj,
+            "anderson": {"depth": depth, "restarts": restarts},
         },
         status=status,
     )
     if status == DIVERGING:
         raise SolverError(
-            "von Karman Picard iteration diverging; reduce the relaxation "
-            "factor or the growth amplitude",
+            "von Karman Picard iteration diverging: the residual rose above its "
+            f"start and {_DIVERGE_GAIN:g} times its best; reduce the relaxation "
+            "(the damping of the Anderson-mixed step on B_v) or the growth amplitude",
             residual=rho,
             report=report,
         )
