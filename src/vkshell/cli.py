@@ -55,6 +55,7 @@ from .growth import (
     GROWTH_PRESETS,
     GrowthFields,
     GrowthSpec,
+    _check_terms,
     eval_growth,
     eval_poly,
     growth_preset,
@@ -160,9 +161,9 @@ def _parse_growth(block: dict, grid: Grid2D) -> tuple[GrowthFields, dict]:
 def _poly_terms(terms, where: str) -> list:
     """The checked (coef, p, q) triples of a polynomial term list."""
     try:
-        return GrowthSpec(eps_entries={(1, 1): terms}).eps_entries[(1, 1)]
+        return _check_terms(terms, where)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_poly_field(grid: Grid2D, terms, where: str) -> np.ndarray:

@@ -20,6 +20,7 @@ test arena.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,11 +51,20 @@ Term = tuple[float, int, int]  # coef * x1^p * x2^q
 
 
 def _check_terms(terms, where: str):
+    """The checked (coef, p, q) triples of a term list: a list of 3-item lists
+    of a real coefficient and two integer exponents; strings and bools fail."""
+    if not isinstance(terms, (list, tuple)):
+        raise GrowthSpecError(f"{where}: expected a list of [coef, p, q] terms, got {terms!r}")
     out = []
     for t in terms:
-        if len(t) != 3:
+        if not (isinstance(t, (list, tuple)) and len(t) == 3):
             raise GrowthSpecError(f"{where}: term {t!r} is not a (coef, p, q) triple")
-        coef, p, q = float(t[0]), int(t[1]), int(t[2])
+        coef, p, q = t
+        if isinstance(coef, bool) or not isinstance(coef, numbers.Real):
+            raise GrowthSpecError(f"{where}: coefficient in {t!r} is not a number")
+        if any(isinstance(e, bool) or not isinstance(e, numbers.Integral) for e in (p, q)):
+            raise GrowthSpecError(f"{where}: exponent in {t!r} is not an integer")
+        coef, p, q = float(coef), int(p), int(q)
         if not math.isfinite(coef):
             raise GrowthSpecError(f"{where}: non-finite coefficient {t!r}")
         if p < 0 or q < 0:

@@ -24,8 +24,8 @@ Contents:
                     variants).  It iterates on the right-hand side B_v of
                     the v solve alone, with the phi half-step exact, so the
                     sweep is a fixed-point map of B_v whose defect is the
-                    residual; `relaxation` damps the mixed step, and a
-                    growing residual restarts the mixing history.  Each
+                    residual; `relaxation` damps the mixed step, which
+                    mixes a sliding window of the last steps.  Each
                     hessian is read from its right-hand side through the
                     stencils' Fourier symbols, so a sweep applies no stencil
                     and no solve correction; the two corrected solves run
@@ -402,8 +402,9 @@ def _lbfgs(fg, x0: np.ndarray, tol: float, max_iter: int, h0):
 
     h0 is scaled by s^T y / y^T h0(y) of the newest pair (Nocedal & Wright,
     Numerical Optimization, 7.2); the first step is the unit step along
-    -h0(g).  Energies never increase.  Stops once |grad| <= tol (1 + |f(x0)|);
-    a search direction that is not a descent direction, or a step that
+    -h0(g).  Energies never increase.  Stops once |grad| <= tol (1 + |f(x0)|),
+    CONVERGED even when that is also the last of max_iter iterations; a
+    search direction that is not a descent direction, or a step that
     backtracks below _MIN_STEP, ends the run at x with LINE_SEARCH_FAILED.
     Returns (x, status, stats); stats holds the iterations, fg evaluations,
     rejected trial steps and the (f, |grad|) history, which ends at x.
@@ -415,11 +416,7 @@ def _lbfgs(fg, x0: np.ndarray, tol: float, max_iter: int, h0):
     gamma = 1.0
     gnorm = float(np.linalg.norm(g))
     stats = {"iterations": 0, "fg_evals": 1, "backtracks": 0, "history": [[f, gnorm]]}
-    status = BUDGET_EXHAUSTED
-    while stats["iterations"] < max_iter:
-        if gnorm <= tol_abs:
-            status = CONVERGED
-            break
+    while gnorm > tol_abs and stats["iterations"] < max_iter:
         q = g.copy()
         alphas = []
         for s, y, rho in reversed(hist):
@@ -457,7 +454,7 @@ def _lbfgs(fg, x0: np.ndarray, tol: float, max_iter: int, h0):
         gnorm = float(np.linalg.norm(g))
         stats["iterations"] += 1
         stats["history"].append([f, gnorm])
-    return x, status, stats
+    return x, CONVERGED if gnorm <= tol_abs else BUDGET_EXHAUSTED, stats
 
 
 def minimize(
@@ -608,17 +605,18 @@ def _stencil_residual(state: VKState, sources: tuple, m: en.Material, project_me
 
 
 # Roundoff-floor detection over the Picard residual history: a floor is
-# flat and not monotone.  For some (window, band, ceiling) rule below, the
-# best residual before the last `window` ones lies below `ceiling`, and the
-# window stays above _FLOOR_GAIN times that best and below `band` times it;
-# nor does it fall at every sweep or rise at every sweep.  A window of equal
-# residuals is a floor.  The tight rule catches plain relaxation's plateaus.
-# Anderson steps built on rounding noise scatter the residual, which the
-# longer, wider rule catches; its ceiling keeps a stall far above rounding
-# level from passing for a floor.  Slow linear contraction falls every sweep
-# and a divergence leaves the band, so neither qualifies.
-_FLOOR_GAIN = 0.9
-_FLOOR_RULES = ((5, 1.0 / _FLOOR_GAIN, math.inf), (10, 10.0, 1e-12))
+# flat and not monotone.  Over the last _FLOOR_WINDOW residuals, the best one
+# before them lies below _FLOOR_CEILING, the window stays above _FLOOR_LOW
+# times that best and below _FLOOR_HIGH times it, and it neither falls at
+# every sweep nor rises at every sweep.  Anderson steps built on rounding
+# noise scatter the residual within the band; a window of equal residuals is
+# a floor too.  The ceiling keeps a stall far above rounding level from
+# passing for a floor.  Slow linear contraction falls every sweep and a
+# divergence leaves the band, so neither qualifies.
+_FLOOR_WINDOW = 10
+_FLOOR_LOW = 0.9
+_FLOOR_HIGH = 10.0
+_FLOOR_CEILING = 1e-12
 
 # Anderson acceleration of the Picard map (Walker & Ni, SIAM J. Numer. Anal.
 # 49 (2011) 1715): the number of past steps mixed into each one.  A solve
@@ -630,18 +628,16 @@ _DIVERGE_GAIN = 1e3
 
 def _roundoff_floor(history: list[float]) -> float | None:
     """The floor estimate (median of the window) if the history sits on one."""
-    for window_len, band, ceiling in _FLOOR_RULES:
-        if len(history) <= window_len:
-            continue
-        window = history[-window_len:]
-        best = min(history[:-window_len])
-        if not (best < ceiling and _FLOOR_GAIN * best < min(window) <= max(window) < band * best):
-            continue
-        steps = list(zip(window, window[1:]))
-        if all(b < a for a, b in steps) or all(b > a for a, b in steps):
-            continue
-        return float(np.median(window))
-    return None
+    if len(history) <= _FLOOR_WINDOW:
+        return None
+    window = history[-_FLOOR_WINDOW:]
+    best = min(history[:-_FLOOR_WINDOW])
+    if not (best < _FLOOR_CEILING and _FLOOR_LOW * best < min(window) <= max(window) < _FLOOR_HIGH * best):
+        return None
+    steps = list(zip(window, window[1:]))
+    if all(b < a for a, b in steps) or all(b > a for a, b in steps):
+        return None
+    return float(np.median(window))
 
 
 def solve_vk(
@@ -669,13 +665,12 @@ def solve_vk(
     _ANDERSON_DEPTH with damping beta = opts.relaxation:
       B_v <- B_v + beta f - (dX + beta dF) gamma,
     where dX and dF hold the last changes of B_v and f and gamma solves the
-    normal equations of min |f - dF gamma|.  With no history the step is
-    plain relaxation, B_v + beta f.  A residual that grows restarts the
-    history from the newest pair alone; extras["anderson"] counts the
-    restarts.  The loop carries B_u = B_v - bilap v0 (v = v0 + u, zero for
-    'old'), which shifts the iterates by a constant and leaves the mixing
-    unchanged; det hess v - det0 is then cof(hess v0) : hess u + det hess u,
-    with no cancellation.  The returned phi is solve_biharmonic of the
+    normal equations of min |f - dF gamma|.  The history is a sliding window
+    of the last _ANDERSON_DEPTH pairs and is never cleared; with no history
+    the step is plain relaxation, B_v + beta f.  The loop carries
+    B_u = B_v - bilap v0 (v = v0 + u, zero for 'old'), which shifts the
+    iterates by a constant and leaves the mixing unchanged; det hess v - det0
+    is then cof(hess v0) : hess u + det hess u, with no cancellation.  The returned phi is solve_biharmonic of the
     final B_phi and v that of B_u plus v0 - mean (a solve that runs no
     sweep returns its start state), and extras["equation_residuals"] is
     vk_residual of them.
@@ -726,12 +721,9 @@ def solve_vk(
 
     beta = opts.relaxation
     depth = _ANDERSON_DEPTH
-    # ring buffers of the last changes of b_u and of f, one pair per slot;
-    # `pairs` counts the pairs since the last restart
+    # ring buffers of the last changes of b_u and of f, one pair per slot
     d_x = np.empty((depth,) + shape)
     d_f = np.empty((depth,) + shape)
-    pairs = 0
-    restarts = 0
 
     status = BUDGET_EXHAUSTED
     floor = None
@@ -753,13 +745,13 @@ def solve_vk(
         if sweeps >= opts.max_sweeps:
             break
         step = beta * f
-        cols = min(pairs, depth)
+        cols = min(sweeps, depth)
         if cols:
             dx = d_x[:cols].reshape(cols, -1)
             df = d_f[:cols].reshape(cols, -1)
             gamma = np.linalg.lstsq(df @ df.T, df @ f.ravel(), rcond=None)[0]
             step -= (gamma @ dx + beta * (gamma @ df)).reshape(shape)
-        slot = pairs % depth
+        slot = sweeps % depth
         # the pair holds the change b_u took in floating point, which on the
         # roundoff floor is not the step
         np.negative(b_u, out=d_x[slot])
@@ -773,18 +765,8 @@ def solve_vk(
         sweeps += 1
 
         f_norm = grid.norm_l2(f)
-        rho_new = f_norm / scale
-        history.append(rho_new)
-        if rho_new > rho:
-            # restart from the newest pair alone, moved to slot 0
-            restarts += 1
-            if slot:
-                d_x[0] = d_x[slot]
-                d_f[0] = d_f[slot]
-            pairs = 1
-        else:
-            pairs += 1
-        rho = rho_new
+        rho = f_norm / scale
+        history.append(rho)
         best = min(best, rho)
         if not rho <= max(history[0], _DIVERGE_GAIN * best):
             status = DIVERGING
@@ -808,7 +790,6 @@ def solve_vk(
             "equation_residuals": {"r1": r1_raw, "r2": r2_raw},
             "projected_residuals": {"r1": 0.0, "r2": z * f_norm},
             "max_mean_projection": max_proj,
-            "anderson": {"depth": depth, "restarts": restarts},
         },
         status=status,
     )

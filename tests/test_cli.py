@@ -204,6 +204,7 @@ def test_report_carries_solver_extras(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert len(report["extras"]["residual_history"]) == report["iterations"] + 1
     assert "extras" not in json.loads((out / "summary.json").read_text())["outputs"]["solve"]
+    assert "residual_history" not in (out / "summary.json").read_text()
 
     doc = base_config(growth={"preset": "zero"})
     doc["run"] = {"command": "minimize", "functional": "I4INF", "penalty": {"doublings": 2},
@@ -283,20 +284,6 @@ def test_run_determinism(tmp_path):
     assert (tmp_path / "r1" / "fields" / "v.csv").read_bytes() == (tmp_path / "r2" / "fields" / "v.csv").read_bytes()
 
 
-def test_report_carries_the_anderson_restarts(tmp_path):
-    doc = base_config()
-    doc["geometry"]["v0"] = "zero"
-    doc["run"] = {"command": "solve-vk", "model": "old"}
-    out = tmp_path / "vk"
-    assert cli.main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
-    hist = report["extras"]["residual_history"]
-    rises = sum(1 for a, b in zip(hist, hist[1:]) if b > a)
-    assert report["extras"]["anderson"]["restarts"] == rises >= 1
-    assert len(hist) == report["iterations"] + 1
-    assert "anderson" not in json.dumps(json.loads((out / "summary.json").read_text()))
-
-
 NON_PERIODIC_V0 = {
     "saddle": "saddle",
     "paraboloid": "paraboloid",
@@ -326,6 +313,31 @@ def test_periodic_grid_accepts_a_constant_polynomial_v0():
     doc["geometry"] = {"v0": [[0.3, 0, 0], [0.2, 0, 0]]}
     cfg = cli.parse_config(doc)
     assert np.all(cfg.v0.data == 0.5)
+
+
+MALFORMED_TERMS = {
+    "v0_term_not_a_list": ("geometry.v0", {"geometry": {"v0": [5]}}),
+    "state_not_a_list": ("run.state.v", {"run": {"command": "scaling", "h_list": [0.1], "n_t": 3,
+                                                 "state": {"v": 5, "w": [[], []]}}}),
+    "growth_term_not_a_list": ("eps[1,1]", {"growth": {"eps.1.1": [7]}}),
+    "fractional_exponent": ("eps[1,1]", {"growth": {"eps.1.1": [[1.0, 1.5, 0]]}}),
+    "string_exponent": ("eps[1,1]", {"growth": {"eps.1.1": [[1.0, "2", 0]]}}),
+    "bool_exponent": ("eps[1,1]", {"growth": {"eps.1.1": [[1.0, True, 0]]}}),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_TERMS))
+def test_malformed_term_lists_are_config_errors(tmp_path, capsys, case):
+    # a config error (exit 2) named after its key, not a traceback (exit 1)
+    where, overrides = MALFORMED_TERMS[case]
+    doc = base_config(geometry={"v0": "paraboloid"}, growth={"preset": "zero"})
+    doc["grid"] = {"nx": 16, "ny": 16, "domain": [0.0, 1.0, 0.0, 1.0], "bc": "dirichlet-ghost"}
+    doc.update(overrides)
+    argv = ["run", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {where}: " in err or f"config error: growth: {where}: " in err
+    assert "Traceback" not in err
 
 
 def test_run_solve_vk_requires_periodic(tmp_path):

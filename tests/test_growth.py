@@ -49,6 +49,16 @@ def test_spec_validation():
     assert spec.eps_entries[(1, 1)] == ((0.5, 0, 2),)
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [7, [7], [[1.0, 0]], [(1.0, 1.5, 0)], [(1.0, "2", 0)], [(1.0, True, 0)], [(None, 1, 0)]],
+    ids=["list_not_a_list", "term_not_a_list", "two_items", "fractional", "string", "bool", "no_coef"],
+)
+def test_spec_rejects_malformed_terms(terms):
+    with pytest.raises(GrowthSpecError):
+        GrowthSpec(eps_entries={(1, 1): terms})
+
+
 def test_eval_growth_zero_and_monomial(square33):
     zero = eval_growth(GrowthSpec(), square33)
     assert np.max(np.abs(zero.eps_g.data)) == 0.0
