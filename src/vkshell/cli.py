@@ -514,12 +514,16 @@ def _run_minimize(cfg: ExperimentConfig, outdir: Path) -> dict:
     else:
         raise ConfigError(f"run.init: expected 'zero' or 'random', got {init_kind!r}")
     pen = cfg.run.get("penalty", {})
-    opts = so.MinimizeOptions(
-        tol=float(_number(cfg.run, "tol", "run", 1e-8)),
-        max_iter=_integer(cfg.run, "max_iter", "run", 1000, 0),
-        penalty_init=float(_number(pen, "initial", "run.penalty", 1.0)),
-        penalty_doublings=_integer(pen, "doublings", "run.penalty", 3, 0),
-    )
+    tol = float(_number(cfg.run, "tol", "run", 1e-8))
+    max_iter = _integer(cfg.run, "max_iter", "run", 1000, 0)
+    penalty_init = float(_number(pen, "initial", "run.penalty", 1.0))
+    doublings = _integer(pen, "doublings", "run.penalty", 3, 0)
+    try:
+        opts = so.MinimizeOptions(
+            tol=tol, max_iter=max_iter, penalty_init=penalty_init, penalty_doublings=doublings
+        )
+    except ValueError as exc:  # a tol < 0 or a penalty_init <= 0
+        raise ConfigError(f"run: {exc}") from exc
     state, report = so.minimize(functional, init, cfg.growth, cfg.material, cfg.v0, opts)
     fields_dir = outdir / "fields"
     fields_dir.mkdir(exist_ok=True)
@@ -542,8 +546,8 @@ def _run_solve_vk(cfg: ExperimentConfig, outdir: Path) -> dict:
     relaxation = float(_number(cfg.run, "relaxation", "run", 0.7))
     try:
         opts = so.VKOptions(tol=tol, max_sweeps=max_sweeps, relaxation=relaxation)
-    except ValueError as exc:  # a relaxation <= 0
-        raise ConfigError(f"run.relaxation: {exc}") from exc
+    except ValueError as exc:  # a tol < 0 or a relaxation <= 0
+        raise ConfigError(f"run: {exc}") from exc
     state, report = so.solve_vk(model, cfg.growth, cfg.material, cfg.v0, opts)
     fields_dir = outdir / "fields"
     fields_dir.mkdir(exist_ok=True)

@@ -9,6 +9,17 @@ the relaxation of Q3(F) = 2 mu |sym F|^2 + lambda (tr F)^2 over normal
 completions c x e3 + e3 x c.  The unique minimizer c(F_tan) is retained
 because the recovery-sequence warping needs it verbatim.
 
+Plane form.  The stretching and bending integrands S and K are symmetric, so
+one formula (_integrands) builds them as three planes each (xx, yy, xy) from
+the state's derivative planes, and _q2_planes / _stress_planes give their Q2
+and stress plane by plane; q2 and q2_stress on (..., 2, 2) stacks read the
+same two functions.  total_energy forms the derivative planes with the
+grid's per-axis stencils.  grad_energy forms them with one sparse product by
+the plate derivative operator (fields.plate_derivative_matrix, built once
+per grid) and returns the gradient through one product by its transpose.
+Every row of that operator is bitwise the per-axis stencil, so both paths
+see the same planes and the same quadrature.
+
 Energies are plain quadrature sums over the grid; gradients differentiate
 that sum exactly (adjoint stencils), so finite-difference checks of the
 gradient hold to solver precision, not just to discretization order.
@@ -17,7 +28,7 @@ gradient hold to solver precision, not just to discretization order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +36,13 @@ from .fields import (
     Grid2D,
     ScalarField,
     VectorField2,
+    bracket_planes,
     bracket_values,
-    cof2_values,
-    grad_values,
     hessian_values,
-    sym_grad_values,
+    sym_stack,
     sym_values,
 )
-from .growth import GrowthFields, sym_tan
+from .growth import GrowthFields
 
 I40 = "I40"
 I41 = "I41"
@@ -83,6 +93,25 @@ def q3(F: np.ndarray, m: Material) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
+def _q2_planes(xx, yy, xy, m: Material):
+    """(Q2, trace) of the symmetric field with planes (xx, yy, xy)."""
+    tr = xx + yy
+    return 2.0 * m.mu * (xx * xx + xy * xy + xy * xy + yy * yy) + m.lam_plane * tr * tr, tr
+
+
+def _stress_planes(xx, yy, xy, tr, m: Material):
+    """Planes of N = 2 mu F + lam_plane (tr F) Id, so dQ2 = 2 N : dF."""
+    mu2 = 2.0 * m.mu
+    lt = m.lam_plane * tr
+    return mu2 * xx + lt, mu2 * yy + lt, mu2 * xy
+
+
+def _sym_planes(f: np.ndarray):
+    """(xx, yy, xy) planes of the symmetric part of a (..., n, n) stack's
+    tangential block."""
+    return f[..., 0, 0], f[..., 1, 1], 0.5 * (f[..., 0, 1] + f[..., 1, 0])
+
+
 def q2(F2: np.ndarray, m: Material):
     """Relaxed form and its minimizing normal completion.
 
@@ -91,9 +120,7 @@ def q2(F2: np.ndarray, m: Material):
     Both are linear/quadratic in F2 and depend only on its symmetric part.
     """
     F2 = np.asarray(F2, dtype=float)
-    s = sym_values(F2)
-    tr = np.trace(F2, axis1=-2, axis2=-1)
-    val = 2.0 * m.mu * np.sum(s * s, axis=(-2, -1)) + m.lam_plane * tr * tr
+    val, tr = _q2_planes(*_sym_planes(F2), m)
     c = np.zeros(F2.shape[:-2] + (3,))
     c[..., 2] = -m.lam * tr / (2.0 * (2.0 * m.mu + m.lam))
     if val.ndim == 0:
@@ -103,12 +130,8 @@ def q2(F2: np.ndarray, m: Material):
 
 def q2_stress(F2: np.ndarray, m: Material) -> np.ndarray:
     """Half-derivative N(F) = 2 mu sym F + lam_plane (tr F) Id, so dQ2 = 2 N."""
-    s = sym_values(np.asarray(F2, dtype=float))
-    tr = np.trace(s, axis1=-2, axis2=-1)
-    out = 2.0 * m.mu * s.copy()
-    out[..., 0, 0] += m.lam_plane * tr
-    out[..., 1, 1] += m.lam_plane * tr
-    return out
+    xx, yy, xy = _sym_planes(np.asarray(F2, dtype=float))
+    return sym_stack(*_stress_planes(xx, yy, xy, xx + yy, m))
 
 
 def warping_l(F: np.ndarray) -> np.ndarray:
@@ -184,8 +207,83 @@ class PlateState:
         return cls(variant, w, v, vt)
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., :, None] * b[..., None, :]
+# -- the plane-form integrands --------------------------------------------------
+
+# indices into the derivative planes (fields.PLATE_ROWS)
+_W1_1, _W1_2, _W2_1, _W2_2, _V_1, _V_2, _V_11, _V_22, _VT_1, _VT_2 = range(10)
+
+
+def _scalar_planes(grid: Grid2D, a: np.ndarray) -> tuple:
+    """(d1, d2, d11, d22, d12) of a scalar field by the per-axis stencils; d12
+    is dcross's, D1x applied to the d2 plane."""
+    a_2 = grid.d1(a, 1)
+    return grid.d1(a, 0), a_2, grid.d2(a, 0), grid.d2(a, 1), grid.d1(a_2, 0)
+
+
+def _stencil_planes(s: PlateState) -> tuple[list, np.ndarray]:
+    """The state's derivative planes (fields.PLATE_ROWS order) and its d12 v
+    plane, by the per-axis stencils: the value path."""
+    grid = s.grid
+    w = s.w.data
+    planes = [grid.d1(w[..., i], k) for i in range(2) for k in range(2)]
+    *vd, v_12 = _scalar_planes(grid, s.v.data)
+    planes += vd
+    if s.vtilde is not None:
+        planes += [grid.d1(s.vtilde.data, 0), grid.d1(s.vtilde.data, 1)]
+    return planes, v_12
+
+
+def _v0_planes(functional: str, v0: ScalarField | None):
+    """v0's planes where the functional has v0 terms, else None."""
+    if functional == I40 or v0 is None:
+        return None
+    return _scalar_planes(v0.grid, v0.data)
+
+
+def _integrands(functional: str, d, v_12, g: GrowthFields, p0):
+    """The one formula of the integrands, plane by plane.
+
+    d holds the state's derivative planes (fields.PLATE_ROWS order), v_12 its
+    d12 v plane and p0 v0's planes (d1, d2, d11, d22, d12), or None for no v0
+    terms.  Returns (S, K, r): the (xx, yy, xy) planes of
+
+      S = sym grad w + 1/2 grad v x grad v - (sym eps_g)_tan
+          [I41: - 1/2 grad v0 x grad v0;  I4INF: + sym(grad vtilde x grad v0)]
+      K = hess v + (sym kappa_g)_tan   [I41: - hess v0]
+
+    and for I4INF the constraint residual r = cof(hess v0) : hess v (else
+    None).
+    """
+    w1_1, w1_2, w2_1, w2_2, v_1, v_2, v_11, v_22 = d[:8]
+    exx, eyy, exy = _sym_planes(g.eps_g.data)
+    sxx = w1_1 + 0.5 * (v_1 * v_1) - exx
+    syy = w2_2 + 0.5 * (v_2 * v_2) - eyy
+    sxy = 0.5 * (w1_2 + w2_1) + 0.5 * (v_1 * v_2) - exy
+    kxx, kyy, kxy = _sym_planes(g.kappa_g.data)
+    kxx, kyy, kxy = v_11 + kxx, v_22 + kyy, v_12 + kxy
+    r = None
+    if p0 is not None:
+        p_1, p_2, p_11, p_22, p_12 = p0
+        if functional == I41:
+            sxx = sxx - 0.5 * (p_1 * p_1)
+            syy = syy - 0.5 * (p_2 * p_2)
+            sxy = sxy - 0.5 * (p_1 * p_2)
+            kxx, kyy, kxy = kxx - p_11, kyy - p_22, kxy - p_12
+        elif functional == I4INF:
+            t_1, t_2 = d[_VT_1], d[_VT_2]
+            sxx = sxx + t_1 * p_1
+            syy = syy + t_2 * p_2
+            sxy = sxy + 0.5 * (t_1 * p_2 + t_2 * p_1)
+            r = bracket_planes((p_11, p_22, p_12), (v_11, v_22, v_12))
+    return (sxx, syy, sxy), (kxx, kyy, kxy), r
+
+
+def integrand_values(s: PlateState, g: GrowthFields, v0: ScalarField | None = None):
+    """(S, K) as (..., 2, 2) stacks: the stretching and bending integrand
+    arguments of the state's variant (see _integrands); without v0 the v0
+    terms are left out."""
+    stretch, bend, _ = _integrands(s.variant, *_stencil_planes(s), g, _v0_planes(s.variant, v0))
+    return sym_stack(*stretch), sym_stack(*bend)
 
 
 def stretching_values(s: PlateState, g: GrowthFields, v0: ScalarField | None = None) -> np.ndarray:
@@ -196,46 +294,22 @@ def stretching_values(s: PlateState, g: GrowthFields, v0: ScalarField | None = N
     I4INF: B + 1/2 grad v x grad v - (sym eps_g)_tan,
            B = sym grad w + sym(grad vtilde x grad v0)
     """
-    grid = s.grid
-    dv = grad_values(grid, s.v.data)
-    out = sym_grad_values(grid, s.w.data) + 0.5 * _outer(dv, dv) - sym_tan(g.eps_g)
-    if s.variant == I41 and v0 is not None:
-        dv0 = grad_values(grid, v0.data)
-        out = out - 0.5 * _outer(dv0, dv0)
-    elif s.variant == I4INF and v0 is not None:
-        dv0 = grad_values(grid, v0.data)
-        dvt = grad_values(grid, s.vtilde.data)
-        out = out + sym_values(_outer(dvt, dv0))
-    return out
+    return integrand_values(s, g, v0)[0]
 
 
 def bending_values(s: PlateState, g: GrowthFields, v0: ScalarField | None = None) -> np.ndarray:
     """Bending integrand argument: hess v [- hess v0 for I41] + (sym kappa_g)_tan."""
-    grid = s.grid
-    out = hessian_values(grid, s.v.data) + sym_tan(g.kappa_g)
-    if s.variant == I41 and v0 is not None:
-        out = out - hessian_values(grid, v0.data)
-    return out
-
-
-def _constraint(grid: Grid2D, v: ScalarField, v0: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """cof(hess v0) and the pointwise linearized isometry residual cof(hess v0) : hess v."""
-    hv0 = hessian_values(grid, v0.data)
-    return cof2_values(hv0), bracket_values(hv0, hessian_values(grid, v.data))
+    return integrand_values(s, g, v0)[1]
 
 
 def constraint_values(v: ScalarField, v0: ScalarField) -> np.ndarray:
     """Pointwise linearized isometry residual cof(hess v0) : hess v."""
-    return _constraint(v.grid, v, v0)[1]
+    return bracket_values(hessian_values(v.grid, v0.data), hessian_values(v.grid, v.data))
 
 
-def _integrands(functional: str, s: PlateState, g: GrowthFields, v0: ScalarField | None, penalty: float):
-    """The one argument check, then the functional's integrands at s.
-
-    Returns (stretch, bend, a, r): the stretching and bending arguments of
-    Q2, and for I4INF cof(hess v0) and the constraint residual (else None).
-    I40 and I41 take states of either of their two variants.
-    """
+def _check(functional: str, s: PlateState, g: GrowthFields, v0: ScalarField | None, penalty: float):
+    """The one argument check of the energies.  I40 and I41 take states of
+    either of their two variants."""
     if functional not in VARIANTS:
         raise ValueError(f"unknown functional {functional!r}")
     if (s.variant == I4INF) != (functional == I4INF):
@@ -247,18 +321,11 @@ def _integrands(functional: str, s: PlateState, g: GrowthFields, v0: ScalarField
         if v0 is None:
             raise ValueError(f"{functional} needs v0")
         s.grid.require_same(v0.grid, "state and v0")
-    sv = s if s.variant == functional else replace(s, variant=functional)
-    a = r = None
-    if functional == I4INF:
-        a, r = _constraint(s.grid, s.v, v0)
-    return stretching_values(sv, g, v0), bending_values(sv, g, v0), a, r
 
 
-def _quadrature(grid: Grid2D, m: Material, stretch, bend, r, penalty: float) -> tuple[float, float]:
-    """(energy, constraint residual): the Q2 quadrature of the integrands plus
-    the penalty on r, and the L2 norm of r (0 without a constraint)."""
-    qs, _ = q2(stretch, m)
-    qb, _ = q2(bend, m)
+def _quadrature(grid: Grid2D, qs, qb, r, penalty: float) -> tuple[float, float]:
+    """(energy, constraint residual): the quadrature of the Q2 planes qs and
+    qb plus the penalty on r, and the L2 norm of r (0 without a constraint)."""
     e = grid.integrate_values(0.5 * qs + qb / 24.0)
     if r is None:
         return e, 0.0
@@ -268,8 +335,9 @@ def _quadrature(grid: Grid2D, m: Material, stretch, bend, r, penalty: float) -> 
 
 def _energy(functional, s, g, m, v0, penalty) -> tuple[float, float]:
     """(energy, constraint residual) of one functional at s."""
-    stretch, bend, _, r = _integrands(functional, s, g, v0, penalty)
-    return _quadrature(s.grid, m, stretch, bend, r, penalty)
+    _check(functional, s, g, v0, penalty)
+    stretch, bend, r = _integrands(functional, *_stencil_planes(s), g, _v0_planes(functional, v0))
+    return _quadrature(s.grid, _q2_planes(*stretch, m)[0], _q2_planes(*bend, m)[0], r, penalty)
 
 
 def energy_i40(s: PlateState, g: GrowthFields, m: Material) -> float:
@@ -308,20 +376,6 @@ def total_energy(
     return _energy(functional, s, g, m, v0, penalty)[0]
 
 
-def _hess_adjoint(grid: Grid2D, n: np.ndarray) -> np.ndarray:
-    """Adjoint of phi -> N : hess phi for a symmetric weight stack N."""
-    return (
-        grid.d2_t(n[..., 0, 0], 0)
-        + grid.d2_t(n[..., 1, 1], 1)
-        + grid.dcross_t(n[..., 0, 1] + n[..., 1, 0])
-    )
-
-
-def _grad_adjoint(grid: Grid2D, p: np.ndarray) -> np.ndarray:
-    """Adjoint of phi -> p . grad phi for a vector weight stack p."""
-    return grid.d1_t(p[..., 0], 0) + grid.d1_t(p[..., 1], 1)
-
-
 def grad_energy(
     functional: str,
     s: PlateState,
@@ -332,36 +386,47 @@ def grad_energy(
 ) -> tuple[float, PlateState]:
     """The discrete energy and its exact gradient, shaped like the state.
 
-    One pass over the integrands: the energy is total_energy's, from the same
-    quadrature of the same arrays, and the gradient differentiates that sum
-    itself (stencil adjoints), so central finite differences of the energy
-    reproduce it to roundoff-limited accuracy.
+    Two sparse products by the grid's plate derivative operator L
+    (Grid2D.plate_operator): L x gives the state's derivative planes and
+    D1x their d12 v plane; the plane-form integrands, their Q2 and their
+    stress follow; L^T of the stress-weighted planes (the d12 weight through
+    D1x^T onto the d2 v plane) is the gradient.  The energy is total_energy's
+    to the last bit, since every row of L is bitwise the stencil the value
+    path applies, and the gradient differentiates that quadrature sum itself,
+    so central finite differences of the energy reproduce it to
+    roundoff-limited accuracy.
     """
-    stretch, bend, a, r = _integrands(functional, s, g, v0, penalty)
+    _check(functional, s, g, v0, penalty)
     grid = s.grid
-    energy, _ = _quadrature(grid, m, stretch, bend, r, penalty)
+    shape = (grid.nx, grid.ny)
+    lmat, lmat_t, dx, dx_t = grid.plate_operator(functional == I4INF)
+    d = (lmat @ s.flatten()).reshape((-1,) + shape)
+    v_12 = (dx @ d[_V_2].ravel()).reshape(shape)
+    p0 = _v0_planes(functional, v0)
+    stretch, bend, r = _integrands(functional, d, v_12, g, p0)
+    qs, tr_s = _q2_planes(*stretch, m)
+    qb, tr_b = _q2_planes(*bend, m)
+    energy, _ = _quadrature(grid, qs, qb, r, penalty)
+
+    # dE = sum q (N(S) : dS + N(K) : dK / 12 + 2 penalty r dr)
     q = grid.quad_weights
-    ns = q2_stress(stretch, m)  # dE/dS = q * 2 N(S) * 1/2
-    nb = q2_stress(bend, m) / 12.0
-
-    dv = grad_values(grid, s.v.data)
-    grad_w = np.empty((grid.nx, grid.ny, 2))
-    for i in range(2):
-        grad_w[..., i] = grid.d1_t(q * ns[..., i, 0], 0) + grid.d1_t(q * ns[..., i, 1], 1)
-    nsdv = np.einsum("...ij,...j->...i", ns, dv)
-    grad_v = _grad_adjoint(grid, q[..., None] * nsdv) + _hess_adjoint(grid, q[..., None, None] * nb)
-
-    grad_vt = None
+    nxx, nyy, nxy = (q * n for n in _stress_planes(*stretch, tr_s, m))
+    mxx, myy, mxy = (q / 12.0 * n for n in _stress_planes(*bend, tr_b, m))
+    v_1, v_2 = d[_V_1], d[_V_2]
+    p = np.empty_like(d)
+    p[_W1_1], p[_W1_2], p[_W2_1], p[_W2_2] = nxx, nxy, nxy, nyy
+    p[_V_1] = nxx * v_1 + nxy * v_2
+    p[_V_2] = nxy * v_1 + nyy * v_2
+    p[_V_11], p[_V_22] = mxx, myy
+    p_cross = 2.0 * mxy
     if functional == I4INF:
-        dv0 = grad_values(grid, v0.data)
-        nsdv0 = np.einsum("...ij,...j->...i", ns, dv0)
-        grad_vt = _grad_adjoint(grid, q[..., None] * nsdv0)
+        p_1, p_2, p_11, p_22, p_12 = p0
+        p[_VT_1] = nxx * p_1 + nxy * p_2
+        p[_VT_2] = nxy * p_1 + nyy * p_2
         if penalty > 0.0:
-            grad_v = grad_v + 2.0 * penalty * _hess_adjoint(grid, (q * r)[..., None, None] * a)
-
-    return energy, PlateState(
-        s.variant,
-        VectorField2(grid, grad_w),
-        ScalarField(grid, grad_v),
-        ScalarField(grid, grad_vt) if grad_vt is not None else None,
-    )
+            pr = 2.0 * penalty * q * r
+            p[_V_11] += pr * p_22
+            p[_V_22] += pr * p_11
+            p_cross = p_cross - 2.0 * pr * p_12
+    p[_V_2] += (dx_t @ p_cross.ravel()).reshape(shape)
+    return energy, PlateState.unflatten(lmat_t @ p.ravel(), grid, s.variant)

@@ -12,6 +12,8 @@ defined here.  The design is deliberately plain:
 * centered second-order stencils for first and second derivatives, with
   the mixed derivative as the 4-point centered cross,
 * the bilaplacian is the laplacian applied twice, never a separate stencil,
+* matrix forms (the linearized-isometry bracket, the plate derivative
+  operator) are Kronecker products of the same 1d stencil matrices,
 * node quadrature matched to the boundary mode (rectangle rule when
   periodic, trapezoid otherwise).
 
@@ -123,6 +125,7 @@ class Grid2D:
         self.X2.setflags(write=False)
         self._mats: dict[tuple, sp.csr_matrix] = {}
         self._eigs: dict[tuple, tuple] = {}
+        self._plate_ops: dict[bool, tuple] = {}
         self._quad: np.ndarray | None = None
 
     # -- identity ---------------------------------------------------------
@@ -187,7 +190,7 @@ class Grid2D:
     def bilap(self, a: np.ndarray) -> np.ndarray:
         return self.lap(self.lap(a))
 
-    # exact transposes of the discrete operators (needed by analytic gradients)
+    # exact transposes of the per-axis stencils
 
     def d1_t(self, a: np.ndarray, axis: int) -> np.ndarray:
         return self._apply(self._mat(axis, 1, adjoint=True), a, axis)
@@ -195,8 +198,19 @@ class Grid2D:
     def d2_t(self, a: np.ndarray, axis: int) -> np.ndarray:
         return self._apply(self._mat(axis, 2, adjoint=True), a, axis)
 
-    def dcross_t(self, a: np.ndarray) -> np.ndarray:
-        return self.d1_t(self.d1_t(a, 0), 1)
+    def plate_operator(self, vtilde: bool) -> tuple[sp.csr_matrix, ...]:
+        """(L, L^T, Dx, Dx^T) for the plate states of this grid, all CSR.
+
+        L is plate_derivative_matrix(self, vtilde) and Dx = D1x (x) I the
+        axis-0 first-derivative block, which forms d12 v from the d2 v plane
+        as dcross does.  Built on first use, cached per grid instance.
+        """
+        ops = self._plate_ops.get(vtilde)
+        if ops is None:
+            lmat = plate_derivative_matrix(self, vtilde)
+            dx = sp.kron(self._mat(0, 1), sp.identity(self.ny), format="csr")
+            ops = self._plate_ops[vtilde] = (lmat, lmat.T.tocsr(), dx, dx.T.tocsr())
+        return ops
 
     def eigenbasis(self, axis: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs (lam, V) of D^T W1 D with respect to W1, so V^T W1 V = I.
@@ -400,12 +414,16 @@ def det2(B: MatrixField2) -> ScalarField:
     return ScalarField(B.grid, det2_values(B.data))
 
 
+def bracket_planes(a, b) -> np.ndarray:
+    """Pointwise cof(A) : B of two symmetric 2x2 fields given by their
+    planes (xx, yy, xy)."""
+    return a[0] * b[1] + a[1] * b[0] - 2.0 * a[2] * b[2]
+
+
 def bracket_values(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
     """Pointwise cof(ha) : hb of two stacks of symmetric 2x2 hessians."""
-    return (
-        ha[..., 0, 0] * hb[..., 1, 1]
-        + ha[..., 1, 1] * hb[..., 0, 0]
-        - 2.0 * ha[..., 0, 1] * hb[..., 0, 1]
+    return bracket_planes(
+        (ha[..., 0, 0], ha[..., 1, 1], ha[..., 0, 1]), (hb[..., 0, 0], hb[..., 1, 1], hb[..., 0, 1])
     )
 
 
@@ -422,6 +440,40 @@ def bracket_matrix(grid: Grid2D, ha: np.ndarray) -> sp.csr_matrix:
         + sp.diags(ha[..., 0, 0].ravel()) @ sp.kron(ix, grid._mat(1, 2))
         - sp.diags(2.0 * ha[..., 0, 1].ravel()) @ sp.kron(grid._mat(0, 1), grid._mat(1, 1))
     ).tocsr()
+
+
+# the rows of plate_derivative_matrix, plane by plane
+PLATE_ROWS = ("w1_1", "w1_2", "w2_1", "w2_2", "v_1", "v_2", "v_11", "v_22", "vt_1", "vt_2")
+
+
+def plate_derivative_matrix(grid: Grid2D, vtilde: bool = False) -> sp.csr_matrix:
+    """CSR matrix of the derivative planes of a flat plate state.
+
+    Acts on x = (w.ravel(), v.ravel()[, vtilde.ravel()]), w sampled as
+    (nx, ny, 2), and returns the C-ordered planes PLATE_ROWS stacked (the
+    last two with vtilde only): d_j w_i, d_j v, d11 v, d22 v [, d_j vtilde].
+    Assembled from the grid's own 1d stencils, D1x (x) I, I (x) D1y,
+    D2x (x) I and I (x) D2y, so every row is bitwise Grid2D.d1 / d2 of its
+    field.  d12 v is no row: a kron(D1x, D1y) row rounds differently from
+    Grid2D.dcross, which applies D1x to the d2 v plane (Grid2D.plate_operator
+    holds that D1x block).
+    """
+    ix, iy = sp.identity(grid.nx), sp.identity(grid.ny)
+    first = sp.vstack([sp.kron(grid._mat(0, 1), iy), sp.kron(ix, grid._mat(1, 1))])
+    second = sp.vstack([sp.kron(grid._mat(0, 2), iy), sp.kron(ix, grid._mat(1, 2))])
+    blocks = [first, first, sp.vstack([first, second])]
+    if vtilde:
+        blocks.append(first)
+    out = sp.block_diag(blocks, format="csr")
+    # block_diag puts w_i on the plane of columns [i n, (i + 1) n); the state
+    # interleaves the node pairs, so node k's w_i is column 2 k + i
+    n = grid.nx * grid.ny
+    cols = out.indices
+    on_w = cols < 2 * n
+    cols[on_w] = 2 * (cols[on_w] % n) + cols[on_w] // n
+    out.has_sorted_indices = False
+    out.sort_indices()
+    return out
 
 
 def airy_bracket(v: ScalarField, phi: ScalarField) -> ScalarField:
@@ -450,14 +502,18 @@ def grad_values(grid: Grid2D, a: np.ndarray) -> np.ndarray:
     return np.stack([grid.d1(a, 0), grid.d1(a, 1)], axis=-1)
 
 
+def sym_stack(xx: np.ndarray, yy: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """The (..., 2, 2) stack of the symmetric field with planes (xx, yy, xy)."""
+    out = np.empty(np.shape(xx) + (2, 2))
+    out[..., 0, 0] = xx
+    out[..., 0, 1] = xy
+    out[..., 1, 0] = xy
+    out[..., 1, 1] = yy
+    return out
+
+
 def hessian_values(grid: Grid2D, a: np.ndarray) -> np.ndarray:
-    hxx, hyy, hxy = grid.d2(a, 0), grid.d2(a, 1), grid.dcross(a)
-    h = np.empty(a.shape + (2, 2))
-    h[..., 0, 0] = hxx
-    h[..., 0, 1] = hxy
-    h[..., 1, 0] = hxy
-    h[..., 1, 1] = hyy
-    return h
+    return sym_stack(grid.d2(a, 0), grid.d2(a, 1), grid.dcross(a))
 
 
 def sym_grad_values(grid: Grid2D, w: np.ndarray) -> np.ndarray:

@@ -43,9 +43,9 @@ normal nu of Y, and the normal warping
     d1 = l(kappa_g) - 2 c(bending integrand),
 
 with l and c from the energy module.  The stretching and bending
-integrands S and K are energy.stretching_values / bending_values of the
-regime's plate state (I40, I41 or I4INF), the very arguments the 2-D limit
-functional integrates.  Expanding (grad y)^T grad y against the
+integrands S and K are energy.integrand_values of the regime's plate state
+(I40, I41 or I4INF), the very arguments the 2-D limit functional
+integrates.  Expanding (grad y)^T grad y against the
 pulled-back metric shows the order-h^2 strain is exactly
 [S - (x3/h) K]^* + sym((d0 + (x3/h) d1 - l(...)) x e3), which the above
 warping relaxes pointwise to Q2; the scaled energies then converge to the
@@ -552,8 +552,9 @@ class RecoveryTemplate:
                 wtilde = VectorField2(grid, reconstruct_displacement(e, grid))
             grid.require_same(wtilde.grid, "state and shell")
         self.vtilde, self.wtilde = vtilde, wtilde
-        _, c_s = en.q2(en.stretching_values(state, g, v0), m)
-        _, c_k = en.q2(en.bending_values(state, g, v0), m)
+        # the Q2 completions of S and K; the integrand stacks die here, before
+        # the warping gradients below are allocated
+        c_s, c_k = (en.q2(f, m)[1] for f in en.integrand_values(state, g, v0))
         self.d0 = en.warping_l(g.eps_g.data) + 2.0 * c_s
         self.d1 = en.warping_l(g.kappa_g.data) - 2.0 * c_k
         self.dd0 = _grad3(grid, self.d0)

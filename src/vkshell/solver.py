@@ -315,12 +315,24 @@ _BACKTRACK = 0.5
 _MIN_STEP = 1e-16
 
 
-@dataclass
+@dataclass(frozen=True)
 class MinimizeOptions:
     tol: float = 1e-8
     max_iter: int = 1000
     penalty_init: float = 1.0
     penalty_doublings: int = 3
+
+    def __post_init__(self):
+        # tol = 0 is admitted: the run then stops on its budget or a failed
+        # line search
+        _check_tol(self.tol)
+        if not (math.isfinite(self.penalty_init) and self.penalty_init > 0.0):
+            raise ValueError(f"penalty_init must be a finite number > 0, got {self.penalty_init!r}")
+
+
+def _check_tol(tol: float):
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def _tensor_solve(vx: np.ndarray, vy: np.ndarray, sym: np.ndarray, gf: np.ndarray) -> np.ndarray:
@@ -548,6 +560,7 @@ class VKOptions:
     relaxation: float = 0.7
 
     def __post_init__(self):
+        _check_tol(self.tol)  # tol = 0 runs to the roundoff floor
         if not (math.isfinite(self.relaxation) and self.relaxation > 0.0):
             raise ValueError(f"relaxation must be a finite number > 0, got {self.relaxation!r}")
 

@@ -373,6 +373,10 @@ SCALING = {"command": "scaling", "h_list": [0.1, 0.05], "n_t": 3}
         {**SCALING, "h_list": [0.1, 0.05, -0.01]},
         {"command": "solve-vk", "relaxation": 0},
         {"command": "solve-vk", "relaxation": -0.5},
+        {"command": "solve-vk", "tol": -1e-10},
+        {"command": "minimize", "tol": -1e-8},
+        {"command": "minimize", "functional": "I4INF", "penalty": {"initial": -1}},
+        {"command": "minimize", "functional": "I4INF", "penalty": {"initial": 0}},
     ],
 )
 def test_run_rejects_bad_run_values(tmp_path, capsys, run):

@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from vkshell import energy as en
+from vkshell import fields
 from vkshell.fields import (
     DIRICHLET,
     PERIODIC,
     Grid2D,
     ScalarField,
     VectorField2,
+    cof2_values,
+    grad_values,
+    hessian_values,
+    sym_grad_values,
+    sym_values,
 )
-from vkshell.growth import GrowthFields
+from vkshell.growth import GrowthFields, growth_preset, sym_tan
 from vkshell.cli import brute_force_q2
 
 
@@ -246,6 +252,86 @@ def test_gradient_matches_finite_differences(bc, functional, rng):
 
     fd = (e_at(x + t * dd) - e_at(x - t * dd)) / (2 * t)
     assert abs(float(np.dot(grad, dd)) - fd) / abs(fd) < 1e-6
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _stack_q2(f, m):
+    s = sym_values(f)
+    tr = np.trace(f, axis1=-2, axis2=-1)
+    return 2.0 * m.mu * np.sum(s * s, axis=(-2, -1)) + m.lam_plane * tr * tr
+
+
+def _stack_integrands(functional, s, g, v0):
+    """S, K and the constraint residual r (None but for I4INF) built on
+    (..., 2, 2) stacks, term by term as the functionals define them."""
+    grid = s.grid
+    dv = grad_values(grid, s.v.data)
+    stretch = sym_grad_values(grid, s.w.data) + 0.5 * _outer(dv, dv) - sym_tan(g.eps_g)
+    bend = hessian_values(grid, s.v.data) + sym_tan(g.kappa_g)
+    r = None
+    dv0 = grad_values(grid, v0.data)
+    if functional == en.I41:
+        stretch = stretch - 0.5 * _outer(dv0, dv0)
+        bend = bend - hessian_values(grid, v0.data)
+    elif functional == en.I4INF:
+        stretch = stretch + sym_values(_outer(grad_values(grid, s.vtilde.data), dv0))
+        hv0 = hessian_values(grid, v0.data)
+        r = np.sum(cof2_values(hv0) * hessian_values(grid, s.v.data), axis=(-2, -1))
+    return stretch, bend, r
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC])
+@pytest.mark.parametrize("functional", [en.I40, en.I41, en.I4INF])
+def test_plane_integrands_match_the_stack_formulas(bc, functional, rng):
+    domain = (0.0, 1.0, 0.0, 1.0) if bc == DIRICHLET else (0.0, 2 * np.pi, 0.0, 2 * np.pi)
+    grid = Grid2D(16, 18, domain, bc=bc)
+    m = en.Material(1.3, 0.7)
+    eps = 0.1 * rng.standard_normal((grid.nx, grid.ny, 3, 3))
+    kap = 0.1 * rng.standard_normal((grid.nx, grid.ny, 3, 3))
+    g = GrowthFields.from_arrays(grid, eps, kap)
+    v0 = ScalarField(grid, 0.4 * np.sin(grid.X1) * np.sin(grid.X2))
+    s = en.PlateState.random(grid, functional, rng, 0.5)
+    stretch, bend, r = _stack_integrands(functional, s, g, v0)
+    penalty = 1.5 if functional == en.I4INF else 0.0
+    ref = grid.integrate_values(0.5 * _stack_q2(stretch, m) + _stack_q2(bend, m) / 24.0)
+    if r is not None:
+        ref += penalty * grid.integrate_values(r * r)
+    assert abs(en.total_energy(functional, s, g, m, v0, penalty) - ref) <= 1e-14 * abs(ref)
+    assert abs(en.grad_energy(functional, s, g, m, v0, penalty)[0] - ref) <= 1e-14 * abs(ref)
+    for got, want in ((en.stretching_values(s, g, v0), stretch), (en.bending_values(s, g, v0), bend)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_grad_energy_applies_no_per_axis_stencil(square33, rng, monkeypatch):
+    # one product by the plate derivative operator forms the planes and one by
+    # its transpose the gradient; the operator is built once per grid
+    grid = square33
+    g = growth_preset("kappa_sine", grid, 1.0)
+    m = en.Material(1.0, 1.0)
+    s = en.PlateState.random(grid, en.I40, rng, 0.1)
+    calls = {"stencil": 0, "build": 0}
+    for name in ("d1", "d2", "d1_t", "d2_t"):
+        orig = getattr(Grid2D, name)
+
+        def counted(self, a, axis, _orig=orig):
+            calls["stencil"] += 1
+            return _orig(self, a, axis)
+
+        monkeypatch.setattr(Grid2D, name, counted)
+    build = fields.plate_derivative_matrix
+
+    def counted_build(*a, **k):
+        calls["build"] += 1
+        return build(*a, **k)
+
+    monkeypatch.setattr(fields, "plate_derivative_matrix", counted_build)
+    for evals in (1, 2, 3):
+        en.grad_energy(en.I40, s, g, m)
+        assert calls["stencil"] <= evals
+        assert calls["build"] == 1
 
 
 def test_gradient_orthogonal_to_gauge_modes(unit_square, rng):

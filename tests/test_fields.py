@@ -8,6 +8,7 @@ from vkshell.fields import (
     GridMismatchError,
     MatrixField2,
     MatrixField3,
+    PLATE_ROWS,
     ScalarField,
     SizingError,
     VectorField2,
@@ -211,6 +212,51 @@ def test_bracket_matrix_is_the_pointwise_bracket(grid, rng):
     ref = bracket_values(ha, hessian_values(grid, v))
     got = (bracket_matrix(grid, ha) @ v.ravel()).reshape(v.shape)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid2D(33, 37, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET),
+        Grid2D(17, 17, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET),
+        Grid2D(64, 64, (0.0, TWO_PI, 0.0, TWO_PI), bc=PERIODIC),
+    ],
+    ids=["ghost33x37", "ghost17", "torus64"],
+)
+def test_plate_operator_rows_are_the_stencils(grid, rng):
+    # each row of the matrix form is bitwise the per-axis stencil of its
+    # field, and D1x on the d2 v row is bitwise dcross; the value path of the
+    # energies and its gradient path see the same planes
+    shape = (grid.nx, grid.ny)
+    w = rng.standard_normal(shape + (2,))
+    v, vt = rng.standard_normal(shape), rng.standard_normal(shape)
+    lmat, lmat_t, dx, dx_t = grid.plate_operator(True)
+    planes = (lmat @ np.concatenate([w.ravel(), v.ravel(), vt.ravel()])).reshape((-1,) + shape)
+    want = [grid.d1(w[..., i], k) for i in range(2) for k in range(2)]
+    want += [grid.d1(v, 0), grid.d1(v, 1), grid.d2(v, 0), grid.d2(v, 1), grid.d1(vt, 0), grid.d1(vt, 1)]
+    assert len(planes) == len(PLATE_ROWS) == len(want)
+    for name, got, ref in zip(PLATE_ROWS, planes, want):
+        assert np.array_equal(got, ref), name
+    v_2 = planes[PLATE_ROWS.index("v_2")]
+    assert np.array_equal((dx @ v_2.ravel()).reshape(shape), grid.dcross(v))
+    # without vtilde: the same rows and columns less the vtilde ones
+    n = grid.nx * grid.ny
+    l40 = grid.plate_operator(False)[0]
+    assert l40.shape == (8 * n, 3 * n)
+    assert (l40 != lmat[: 8 * n, : 3 * n]).nnz == 0
+    assert (lmat_t != lmat.T).nnz == 0 and (dx_t != dx.T).nnz == 0
+    # built once per grid instance
+    assert grid.plate_operator(True)[0] is lmat
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_stencil_transposes_are_the_adjoints(square33, torus64, rng, axis):
+    for grid in (square33, torus64):
+        a = rng.standard_normal((grid.nx, grid.ny))
+        b = rng.standard_normal((grid.nx, grid.ny))
+        for d, d_t in ((grid.d1, grid.d1_t), (grid.d2, grid.d2_t)):
+            lhs, rhs = np.sum(d(a, axis) * b), np.sum(a * d_t(b, axis))
+            assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(d(a, axis) * b))
 
 
 def test_integrate(square33, torus64):

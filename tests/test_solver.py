@@ -336,8 +336,9 @@ def test_minimize_evaluates_each_stage_start_once(square33, rng, monkeypatch, fu
 
 def test_minimize_builds_the_integrands_once_per_evaluation(square33, rng, monkeypatch):
     # each fg evaluation is one grad_energy pass, which also yields the energy;
-    # total_energy only checks the start and prices the final state
-    calls = {"stretch": 0, "grad": 0, "total": 0}
+    # total_energy only checks the start and prices the final state.  Each
+    # pass builds the plane-form integrands once
+    calls = {"integrands": 0, "grad": 0, "total": 0}
 
     def counted(name, fn):
         def call(*a, **k):
@@ -345,7 +346,7 @@ def test_minimize_builds_the_integrands_once_per_evaluation(square33, rng, monke
             return fn(*a, **k)
         return call
 
-    monkeypatch.setattr(en, "stretching_values", counted("stretch", en.stretching_values))
+    monkeypatch.setattr(en, "_integrands", counted("integrands", en._integrands))
     monkeypatch.setattr(en, "grad_energy", counted("grad", en.grad_energy))
     monkeypatch.setattr(en, "total_energy", counted("total", en.total_energy))
     g = growth_preset("kappa_sine", square33, 1.0)
@@ -354,7 +355,7 @@ def test_minimize_builds_the_integrands_once_per_evaluation(square33, rng, monke
     assert rep.iterations == 5
     assert calls["grad"] == rep.extras["penalty_stages"][0]["fg_evals"]
     assert calls["total"] == 2
-    assert calls["stretch"] == calls["grad"] + calls["total"]
+    assert calls["integrands"] == calls["grad"] + calls["total"]
 
 
 def test_flat_hessian_inverse_inverts_the_membrane_blocks(square33, rng):
@@ -691,6 +692,25 @@ def test_vk_stencil_residual_matches_the_residual_of_the_defect(torus64, model):
 def test_vk_options_reject_a_non_positive_relaxation(relaxation):
     with pytest.raises(ValueError, match="relaxation"):
         so.VKOptions(relaxation=relaxation)
+
+
+@pytest.mark.parametrize("tol", [-1e-10, np.nan, np.inf])
+def test_solver_options_reject_a_negative_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        so.VKOptions(tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        so.MinimizeOptions(tol=tol)
+
+
+@pytest.mark.parametrize("penalty_init", [0.0, -1.0, np.nan, np.inf])
+def test_minimize_options_reject_a_non_positive_penalty(penalty_init):
+    with pytest.raises(ValueError, match="penalty_init"):
+        so.MinimizeOptions(penalty_init=penalty_init)
+
+
+def test_solver_options_admit_tol_zero():
+    assert so.VKOptions(tol=0.0).tol == 0.0
+    assert so.MinimizeOptions(tol=0.0).tol == 0.0
 
 
 def test_vk_requires_periodic(square33):
