@@ -155,6 +155,14 @@ def _parse_growth(block: dict, grid: Grid2D) -> tuple[GrowthFields, dict]:
         spec = GrowthSpec.from_config(block)
     except ValueError as exc:
         raise ConfigError(f"growth: {exc}") from exc
+    if grid.periodic:
+        for name, entries in (("eps", spec.eps_entries), ("kappa", spec.kappa_entries)):
+            for (i, j), terms in entries.items():
+                if any(p + q > 0 for _, p, q in terms):
+                    raise ConfigError(
+                        f"growth: {name}[{i},{j}] is a non-constant polynomial, which jumps at the "
+                        "seam of a periodic grid; use a preset or constant terms there"
+                    )
     return eval_growth(spec, grid), {"spec_keys": sorted(block)}
 
 

@@ -39,6 +39,7 @@ from .fields import (
     bracket_planes,
     bracket_values,
     hessian_values,
+    sym_planes,
     sym_stack,
     sym_values,
 )
@@ -106,12 +107,6 @@ def _stress_planes(xx, yy, xy, tr, m: Material):
     return mu2 * xx + lt, mu2 * yy + lt, mu2 * xy
 
 
-def _sym_planes(f: np.ndarray):
-    """(xx, yy, xy) planes of the symmetric part of a (..., n, n) stack's
-    tangential block."""
-    return f[..., 0, 0], f[..., 1, 1], 0.5 * (f[..., 0, 1] + f[..., 1, 0])
-
-
 def q2(F2: np.ndarray, m: Material):
     """Relaxed form and its minimizing normal completion.
 
@@ -120,7 +115,7 @@ def q2(F2: np.ndarray, m: Material):
     Both are linear/quadratic in F2 and depend only on its symmetric part.
     """
     F2 = np.asarray(F2, dtype=float)
-    val, tr = _q2_planes(*_sym_planes(F2), m)
+    val, tr = _q2_planes(*sym_planes(F2), m)
     c = np.zeros(F2.shape[:-2] + (3,))
     c[..., 2] = -m.lam * tr / (2.0 * (2.0 * m.mu + m.lam))
     if val.ndim == 0:
@@ -130,7 +125,7 @@ def q2(F2: np.ndarray, m: Material):
 
 def q2_stress(F2: np.ndarray, m: Material) -> np.ndarray:
     """Half-derivative N(F) = 2 mu sym F + lam_plane (tr F) Id, so dQ2 = 2 N."""
-    xx, yy, xy = _sym_planes(np.asarray(F2, dtype=float))
+    xx, yy, xy = sym_planes(np.asarray(F2, dtype=float))
     return sym_stack(*_stress_planes(xx, yy, xy, xx + yy, m))
 
 
@@ -255,11 +250,11 @@ def _integrands(functional: str, d, v_12, g: GrowthFields, p0):
     None).
     """
     w1_1, w1_2, w2_1, w2_2, v_1, v_2, v_11, v_22 = d[:8]
-    exx, eyy, exy = _sym_planes(g.eps_g.data)
+    exx, eyy, exy = sym_planes(g.eps_g.data)
     sxx = w1_1 + 0.5 * (v_1 * v_1) - exx
     syy = w2_2 + 0.5 * (v_2 * v_2) - eyy
     sxy = 0.5 * (w1_2 + w2_1) + 0.5 * (v_1 * v_2) - exy
-    kxx, kyy, kxy = _sym_planes(g.kappa_g.data)
+    kxx, kyy, kxy = sym_planes(g.kappa_g.data)
     kxx, kyy, kxy = v_11 + kxx, v_22 + kyy, v_12 + kxy
     r = None
     if p0 is not None:

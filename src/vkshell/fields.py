@@ -18,7 +18,11 @@ defined here.  The design is deliberately plain:
   periodic, trapezoid otherwise).
 
 All field data is immutable after construction; operators allocate fresh
-outputs, so fields can be shared freely across threads.
+outputs, so fields can be shared freely across threads.  The public
+constructors copy their input.  Stacks of small matrices may be stored
+component-major (component_major): the logical shape stays (..., m, n), but
+each a[..., i, j] is one contiguous plane, so readers that take planes
+stream memory.
 """
 
 from __future__ import annotations
@@ -270,8 +274,9 @@ class Grid2D:
 
 # -- field containers --------------------------------------------------------
 
-def _freeze(a: np.ndarray, shape_suffix: tuple, grid: Grid2D) -> np.ndarray:
-    arr = np.array(a, dtype=float, copy=True)
+def _freeze(a: np.ndarray, shape_suffix: tuple, grid: Grid2D, copy: bool = True) -> np.ndarray:
+    """The checked, read-only samples; copy=False takes a float array itself."""
+    arr = np.array(a, dtype=float, copy=copy)
     want = (grid.nx, grid.ny) + shape_suffix
     if arr.shape != want:
         raise GridMismatchError(f"data shape {arr.shape} does not match grid shape {want}")
@@ -351,6 +356,29 @@ class MatrixField3:
     def zeros(cls, grid: Grid2D) -> "MatrixField3":
         return cls(grid, np.zeros((grid.nx, grid.ny, 3, 3)))
 
+    @classmethod
+    def _adopt(cls, grid: Grid2D, data: np.ndarray) -> "MatrixField3":
+        """The field over an array the library has just built and holds no
+        other reference to: checked and made read-only in place, not copied,
+        so its layout is kept."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "data", _freeze(data, (3, 3), grid, copy=False))
+        return f
+
+
+def component_major(shape, zeros: bool = False) -> np.ndarray:
+    """Array of logical shape (..., m, n) stored as m x n planes.
+
+    Each a[..., i, j] is one contiguous plane, so kernels that read and write
+    whole components stream memory instead of gathering every (m n)-th
+    value.  Uninitialised unless zeros; a zeroed one takes its pages from
+    the system as the planes are first touched.
+    """
+    shape = tuple(shape)
+    alloc = np.zeros if zeros else np.empty
+    return np.moveaxis(alloc(shape[-2:] + shape[:-2]), (0, 1), (-2, -1))
+
 
 # -- differential operators ---------------------------------------------------
 
@@ -376,20 +404,26 @@ def apply_diff(f: ScalarField, kind: str):
     raise ValueError(f"unknown derivative kind {kind!r}; expected one of {_DIFF_KINDS}")
 
 
+def curl_t_curl_planes(grid: Grid2D, xx: np.ndarray, yy: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """curl^T curl of the symmetric field with planes (xx, yy, xy):
+    d22 xx + d11 yy - d12 (xy + xy)."""
+    return grid.d2(xx, 1) + grid.d2(yy, 0) - grid.dcross(xy + xy)
+
+
+def div_t_div_planes(grid: Grid2D, xx: np.ndarray, yy: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """div^T div of the symmetric field with planes (xx, yy, xy):
+    d11 xx + d22 yy + d12 (xy + xy)."""
+    return grid.d2(xx, 0) + grid.d2(yy, 1) + grid.dcross(xy + xy)
+
+
 def curl_t_curl(B: MatrixField2) -> ScalarField:
-    """curl^T curl B = d22 B11 + d11 B22 - d12 (B12 + B21)."""
-    g = B.grid
-    b = B.data
-    out = g.d2(b[..., 0, 0], 1) + g.d2(b[..., 1, 1], 0) - g.dcross(b[..., 0, 1] + b[..., 1, 0])
-    return ScalarField(g, out)
+    """curl^T curl B = d22 B11 + d11 B22 - d12 (B12 + B21); only sym B counts."""
+    return ScalarField(B.grid, curl_t_curl_planes(B.grid, *sym_planes(B.data)))
 
 
 def div_t_div(B: MatrixField2) -> ScalarField:
-    """div^T div B = d11 B11 + d22 B22 + d12 (B12 + B21)."""
-    g = B.grid
-    b = B.data
-    out = g.d2(b[..., 0, 0], 0) + g.d2(b[..., 1, 1], 1) + g.dcross(b[..., 0, 1] + b[..., 1, 0])
-    return ScalarField(g, out)
+    """div^T div B = d11 B11 + d22 B22 + d12 (B12 + B21); only sym B counts."""
+    return ScalarField(B.grid, div_t_div_planes(B.grid, *sym_planes(B.data)))
 
 
 def cof2_values(b: np.ndarray) -> np.ndarray:
@@ -496,6 +530,12 @@ def norm_l2(f: ScalarField) -> float:
 
 def sym_values(b: np.ndarray) -> np.ndarray:
     return 0.5 * (b + np.swapaxes(b, -1, -2))
+
+
+def sym_planes(f: np.ndarray):
+    """(xx, yy, xy) planes of the symmetric part of a (..., n, n) stack's
+    tangential block; xx and yy are views of f."""
+    return f[..., 0, 0], f[..., 1, 1], 0.5 * (f[..., 0, 1] + f[..., 1, 0])
 
 
 def grad_values(grid: Grid2D, a: np.ndarray) -> np.ndarray:

@@ -15,6 +15,17 @@ The in-plane stretching tensor eps_g and the bending tensor kappa_g are
 Polynomial entry specifications keep every derived quantity testable
 against exact analytic oracles; trigonometric presets cover the periodic
 test arena.
+
+Storage.  eps_g and kappa_g keep the logical shape (nx, ny, 3, 3).
+growth_preset and eval_growth sample each tensor straight into one zeroed
+component-major allocation (fields.component_major: each (i, j) entry is one
+contiguous plane), and the fields take those arrays without a copy.  The
+presets are sampled separably, c * f(k1 x1)[:, None] * g(k2 x2)[None, :],
+which gives the bits of the 2-D formula from one sine per grid line.  The
+readers take planes: lambda_g and omega_g apply their stencils to the
+(xx, yy, xy) planes of the symmetric tangential block, and the 3-D shell
+multiplies the tensors plane by plane.  GrowthFields.from_arrays and the
+public MatrixField3 constructor copy their input and keep its layout.
 """
 
 from __future__ import annotations
@@ -31,11 +42,12 @@ from .fields import (
     MatrixField3,
     ScalarField,
     VectorField2,
-    cof2_values,
-    curl_t_curl,
-    div_t_div,
+    component_major,
+    curl_t_curl_planes,
+    div_t_div_planes,
     grad_values,
     hessian_values,
+    sym_planes,
     sym_values,
 )
 
@@ -130,6 +142,17 @@ class GrowthFields:
     def from_arrays(cls, grid: Grid2D, eps: np.ndarray, kappa: np.ndarray) -> "GrowthFields":
         return cls(MatrixField3(grid, eps), MatrixField3(grid, kappa))
 
+    @classmethod
+    def _sampled(cls, grid: Grid2D, eps: np.ndarray, kappa: np.ndarray) -> "GrowthFields":
+        """The fields over two arrays this module has just sampled: no copy."""
+        return cls(MatrixField3._adopt(grid, eps), MatrixField3._adopt(grid, kappa))
+
+
+def _blank_tensors(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+    """Zeroed component-major (nx, ny, 3, 3) arrays for eps_g and kappa_g."""
+    shape = (grid.nx, grid.ny, 3, 3)
+    return component_major(shape, zeros=True), component_major(shape, zeros=True)
+
 
 def eval_poly(terms, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
     out = np.zeros_like(X1)
@@ -140,13 +163,12 @@ def eval_poly(terms, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
 
 def eval_growth(spec: GrowthSpec, grid: Grid2D) -> GrowthFields:
     """Sample the polynomial spec exactly at the grid nodes."""
-    eps = np.zeros((grid.nx, grid.ny, 3, 3))
-    kappa = np.zeros((grid.nx, grid.ny, 3, 3))
+    eps, kappa = _blank_tensors(grid)
     for (i, j), terms in spec.eps_entries.items():
         eps[..., i - 1, j - 1] = eval_poly(terms, grid.X1, grid.X2)
     for (i, j), terms in spec.kappa_entries.items():
         kappa[..., i - 1, j - 1] = eval_poly(terms, grid.X1, grid.X2)
-    return GrowthFields.from_arrays(grid, eps, kappa)
+    return GrowthFields._sampled(grid, eps, kappa)
 
 
 def sym_tan(m: MatrixField3) -> np.ndarray:
@@ -156,17 +178,16 @@ def sym_tan(m: MatrixField3) -> np.ndarray:
 
 def lambda_g(g: GrowthFields) -> ScalarField:
     """curl^T curl of the tangential minor of eps_g."""
-    tan = sym_tan(g.eps_g)
-    return curl_t_curl(MatrixField2(g.grid, tan, symmetric=True))
+    return ScalarField(g.grid, curl_t_curl_planes(g.grid, *sym_planes(g.eps_g.data)))
 
 
 def omega_g(g: GrowthFields, nu: float) -> ScalarField:
     """div^T div ((sym kappa_g)_tan + nu cof (sym kappa_g)_tan)."""
     if not 0.0 <= nu < 0.5:
         raise ValueError(f"Poisson ratio must sit in [0, 1/2), got {nu}")
-    tan = sym_tan(g.kappa_g)
-    comb = tan + nu * cof2_values(tan)
-    return div_t_div(MatrixField2(g.grid, comb, symmetric=True))
+    xx, yy, xy = sym_planes(g.kappa_g.data)
+    # cof swaps the diagonal planes and negates xy
+    return ScalarField(g.grid, div_t_div_planes(g.grid, xx + nu * yy, yy + nu * xx, xy - nu * xy))
 
 
 def embed2(tan: np.ndarray) -> np.ndarray:
@@ -198,10 +219,10 @@ def incompatibility(g: GrowthFields) -> tuple[VectorField2, float]:
     bending growth is a hessian.
     """
     grid = g.grid
-    tan = sym_tan(g.kappa_g)
+    xx, yy, xy = sym_planes(g.kappa_g.data)
     c = np.empty((grid.nx, grid.ny, 2))
-    for i in range(2):
-        c[..., i] = grid.d1(tan[..., i, 1], 0) - grid.d1(tan[..., i, 0], 1)
+    c[..., 0] = grid.d1(xy, 0) - grid.d1(xx, 1)
+    c[..., 1] = grid.d1(yy, 0) - grid.d1(xy, 1)
     norm = math.sqrt(max(grid.integrate_values(c[..., 0] ** 2 + c[..., 1] ** 2), 0.0))
     return VectorField2(grid, c), norm
 
@@ -243,29 +264,34 @@ def growth_preset(name: str, grid: Grid2D, amplitude: float = 1.0) -> GrowthFiel
                      omega_g = a k1^2 sin(k1 x1) independently of nu
     """
     k1, k2 = wavenumbers(grid)
-    X1 = grid.X1 - grid.domain[0]
-    X2 = grid.X2 - grid.domain[2]
-    eps = np.zeros((grid.nx, grid.ny, 3, 3))
-    kappa = np.zeros((grid.nx, grid.ny, 3, 3))
+    # one sine per grid line: c * f1[:, None] * f2[None, :] rounds as the
+    # 2-D formula c * f1(X1) * f2(X2) does
+    t1 = k1 * (grid.x1 - grid.domain[0])
+    t2 = k2 * (grid.x2 - grid.domain[2])
+    eps, kappa = _blank_tensors(grid)
     a = float(amplitude)
+
+    def outer(out, c, f1, f2):
+        np.multiply(c * f1[:, None], f2[None, :], out=out)
+
     if name == "zero":
         pass
     elif name == "eps_sine":
-        eps[..., 0, 0] = a * np.sin(k1 * X1) * np.sin(k2 * X2)
+        outer(eps[..., 0, 0], a, np.sin(t1), np.sin(t2))
     elif name == "kappa_sine":
-        kappa[..., 0, 0] = a * np.sin(k1 * X1) * np.sin(k2 * X2)
+        outer(kappa[..., 0, 0], a, np.sin(t1), np.sin(t2))
     elif name == "kappa_compatible":
-        s1, c1 = np.sin(k1 * X1), np.cos(k1 * X1)
-        s2, c2 = np.sin(k2 * X2), np.cos(k2 * X2)
-        kappa[..., 0, 0] = -a * k1 * k1 * s1 * s2
-        kappa[..., 0, 1] = a * k1 * k2 * c1 * c2
+        s1, c1 = np.sin(t1), np.cos(t1)
+        s2, c2 = np.sin(t2), np.cos(t2)
+        outer(kappa[..., 0, 0], -a * k1 * k1, s1, s2)
+        outer(kappa[..., 0, 1], a * k1 * k2, c1, c2)
         kappa[..., 1, 0] = kappa[..., 0, 1]
-        kappa[..., 1, 1] = -a * k2 * k2 * s1 * s2
+        outer(kappa[..., 1, 1], -a * k2 * k2, s1, s2)
     elif name == "omega_sine":
-        kappa[..., 0, 0] = -a * np.sin(k1 * X1)
+        kappa[..., 0, 0] = (-a * np.sin(t1))[:, None]
     else:
         raise ValueError(f"unknown growth preset {name!r}")
-    return GrowthFields.from_arrays(grid, eps, kappa)
+    return GrowthFields._sampled(grid, eps, kappa)
 
 
 def omega_sine_reference(grid: Grid2D, amplitude: float = 1.0):

@@ -30,9 +30,11 @@ products are closed-form elementwise kernels (cofactor expansion, adjugate,
 and _matmul3's nine sums of three products) on whole (..., 3, 3) stacks, not
 batched LAPACK calls or numpy's stacked matmul.  Every point stack the module
 forms (chart Jacobian, q^h and its inverse, grad y, F and e) is
-component-major: its shape is still (..., 3, 3), but each a[..., i, j] is one
-contiguous plane, so the kernels stream whole planes.  They accept any layout
-and give the same bits on each.
+component-major (fields.component_major): its shape is still (..., 3, 3), but
+each a[..., i, j] is one contiguous plane, so the kernels stream whole planes.
+They accept any layout and give the same bits on each.  The sampled growth
+tensors are stored the same way, so q^h reads kappa_g and eps_g in place,
+plane by plane, with no transposing pass.
 
 Recovery.  One Kirchhoff-Love-plus-warping ansatz covers all regimes:
 deformed mid-surface Y(x) (per-regime displacement scaling), exact unit
@@ -74,6 +76,7 @@ from .fields import (
     ScalarField,
     VectorField2,
     VectorField3,
+    component_major as _component_major,
     grad_values,
     hessian_values,
     sym_values,
@@ -205,7 +208,12 @@ class Immersion:
 
 
 class GrowthEvaluator:
-    """q^h(x, x3) = Id + h^2 eps_g(x) + h x3 kappa_g(x), exact in x3."""
+    """q^h(x, x3) = Id + h^2 eps_g(x) + h x3 kappa_g(x), exact in x3.
+
+    Each thickness node multiplies kappa_g into a fresh component-major q^h.
+    A sampled kappa_g has that layout, so the product reads it in place,
+    plane by plane, with no transposing pass.
+    """
 
     def __init__(self, g: GrowthFields, cfg: ShellConfig):
         cfg.grid.require_same(g.grid, "growth and shell")
@@ -243,17 +251,6 @@ class GrowthEvaluator:
 
 
 # -- closed-form kernels on (..., 3, 3) stacks ---------------------------------------
-
-def _component_major(shape) -> np.ndarray:
-    """Uninitialised array of logical shape (..., m, n) stored as m x n planes.
-
-    Each a[..., i, j] is one contiguous plane, so the kernels below, which
-    read and write whole components, stream memory instead of gathering
-    every ninth value.
-    """
-    shape = tuple(shape)
-    return np.moveaxis(np.empty(shape[-2:] + shape[:-2]), (0, 1), (-2, -1))
-
 
 def _cofactor(a: np.ndarray, i: int, j: int) -> np.ndarray:
     """Signed cofactor (i, j); the cyclic index form carries the sign."""

@@ -27,7 +27,8 @@ Contents:
                     residual; `relaxation` damps the mixed step, which
                     mixes a sliding window of the last steps.  Each
                     hessian is read from its right-hand side through the
-                    stencils' Fourier symbols, so a sweep applies no stencil
+                    stencils' Fourier symbols, as its three planes
+                    (xx, yy, xy), so a sweep applies no stencil
                     and no solve correction; the two corrected solves run
                     once, on the final right-hand sides.  It stops once its
                     residual sits on the roundoff floor.
@@ -54,6 +55,7 @@ from .fields import (
     ScalarField,
     VectorField2,
     bracket_matrix,
+    bracket_planes,
     bracket_values,
     curl_t_curl,
     det2_values,
@@ -194,16 +196,13 @@ def _inv_bilap_symbol(grid: Grid2D, hessian: bool = False):
     return lx[:, None] * inv, ly[None, :] * inv, cross * inv
 
 
-def _inverse_hessian(b: np.ndarray, symbols: tuple) -> np.ndarray:
-    """Stencil hessian of the zero-mean solution of bilap(u) = b, from the
-    symbols of _inv_bilap_symbol(grid, hessian=True): one rfft2 and three
-    irfft2, and no roundoff amplified by a stencil applied to u."""
+def _inverse_hessian(b: np.ndarray, symbols: tuple) -> tuple[np.ndarray, ...]:
+    """Stencil hessian of the zero-mean solution of bilap(u) = b as its planes
+    (xx, yy, xy), from the symbols of _inv_bilap_symbol(grid, hessian=True):
+    one rfft2 and three irfft2, and no roundoff amplified by a stencil
+    applied to u."""
     b_hat = np.fft.rfft2(b)
-    h = np.empty(b.shape + (2, 2))
-    for (i, k), sym in zip(((0, 0), (1, 1), (0, 1)), symbols):
-        h[..., i, k] = np.fft.irfft2(b_hat * sym, s=b.shape)
-    h[..., 1, 0] = h[..., 0, 1]
-    return h
+    return tuple(np.fft.irfft2(b_hat * sym, s=b.shape) for sym in symbols)
 
 
 def solve_biharmonic(rhs: ScalarField) -> ScalarField:
@@ -566,15 +565,17 @@ class VKOptions:
 
 
 def _vk_sources(model: str, g: GrowthFields, m: en.Material, v0: ScalarField):
-    """(lambda_g, omega_g, hess v0, bilap v0); the v0 terms are None and 0.0
-    for the 'old' model, which has none."""
+    """(lambda_g, omega_g, hess v0, bilap v0), hess v0 as its planes
+    (xx, yy, xy); the v0 terms are None and 0.0 for the 'old' model, which has
+    none."""
     if model not in ("old", "new"):
         raise ValueError(f"unknown model {model!r}; expected 'old' or 'new'")
     grid = g.grid
     lam = lambda_g(g).data
     om = omega_g(g, m.nu).data
     if model == "new":
-        return lam, om, hessian_values(grid, v0.data), grid.bilap(v0.data)
+        a = v0.data
+        return lam, om, (grid.d2(a, 0), grid.d2(a, 1), grid.dcross(a)), grid.bilap(a)
     return lam, om, None, 0.0
 
 
@@ -606,7 +607,7 @@ def _stencil_residual(state: VKState, sources: tuple, m: en.Material, project_me
     y, z = m.young, m.bending
     hv = hessian_values(grid, state.v.data)
     hphi = hessian_values(grid, state.phi.data)
-    det0 = 0.0 if h0 is None else det2_values(h0)
+    det0 = 0.0 if h0 is None else h0[0] * h0[1] - h0[2] * h0[2]
     # the laplacian of the hessian's trace is bitwise grid.bilap, since
     # lap = d2x + d2y
     r1 = grid.lap(hphi[..., 0, 0] + hphi[..., 1, 1]) + y * (det2_values(hv) - det0 + lam)
@@ -653,6 +654,30 @@ def _roundoff_floor(history: list[float]) -> float | None:
     return float(np.median(window))
 
 
+def _picard_defect(b_u, lam, om, h0, y, z, symbols):
+    """One Picard map of solve_vk: f = G(b_u) - b_u, the phi source P(b_u) and
+    the larger projected mean.  h0 is None ('old') or the planes
+    (xx, yy, xy) of hess v0; every hessian is read as its three planes."""
+    hv = _inverse_hessian(b_u, symbols)
+    xx, yy, xy = hv
+    b_phi = xx * yy - xy * xy + lam  # det hess u + lambda_g
+    if h0 is not None:
+        # det(h0 + hu) - det(h0) = cof(h0) : hu + det(hu), no cancellation
+        b_phi += bracket_planes(h0, hv)
+        xx += h0[0]
+        yy += h0[1]
+        xy += h0[2]
+    b_phi *= -y
+    mean1 = float(b_phi.mean())
+    b_phi -= mean1
+    hphi = _inverse_hessian(b_phi, symbols)
+    f = bracket_planes(hv, hphi) / z - om
+    mean2 = float(f.mean())
+    f -= mean2
+    f -= b_u
+    return f, b_phi, max(abs(mean1), abs(mean2))
+
+
 def solve_vk(
     model: str,
     g: GrowthFields,
@@ -668,8 +693,10 @@ def solve_vk(
     magnitudes are reported.  One sweep is the map
       B_phi = P(B_v) = -Y (det hess v - det0 + lambda_g) - mean,
       G(B_v) = [cof(hess v) : hess phi] / Z - omega_g + bilap v0 - mean,
-    with hess v and hess phi read from the transforms of B_v and B_phi
-    through the stencil symbols (_inverse_hessian): 8 FFTs and no stencil.
+    with hess v and hess phi read as their planes (xx, yy, xy) from the
+    transforms of B_v and B_phi through the stencil symbols
+    (_inverse_hessian): 8 FFTs, no stencil and no (..., 2, 2) stack; det and
+    the bracket are plane products (fields.bracket_planes).
     The phi half-step is exact, so the projected r1 is 0 and the projected
     r2 is Z f, with f = G(B_v) - B_v the defect; the residual rho is
     |f| / scale, read off f with no separate residual pass.
@@ -711,27 +738,6 @@ def solve_vk(
     shape = (grid.nx, grid.ny)
     symbols = _inv_bilap_symbol(grid, hessian=True)
 
-    def defect(b_u):
-        """f = G(b_u) - b_u, the phi source P(b_u) and the larger projected mean."""
-        hv = _inverse_hessian(b_u, symbols)
-        b_phi = det2_values(hv) + lam
-        if h0 is not None:
-            # det(h0 + hu) - det(h0) = cof(h0) : hu + det(hu), no cancellation
-            b_phi += bracket_values(h0, hv)
-            hv += h0
-        b_phi *= -y
-        mean1 = float(b_phi.mean())
-        b_phi -= mean1
-        hphi = _inverse_hessian(b_phi, symbols)
-        f = bracket_values(hv, hphi) / z - om
-        # a hessian is four values per node: both are dropped before the
-        # caller's next allocation (peak memory)
-        del hv, hphi
-        mean2 = float(f.mean())
-        f -= mean2
-        f -= b_u
-        return f, b_phi, max(abs(mean1), abs(mean2))
-
     beta = opts.relaxation
     depth = _ANDERSON_DEPTH
     # ring buffers of the last changes of b_u and of f, one pair per slot
@@ -742,7 +748,7 @@ def solve_vk(
     floor = None
     sweeps = 0
     b_u = np.zeros(shape)
-    f, b_phi, max_proj = defect(b_u)
+    f, b_phi, max_proj = _picard_defect(b_u, lam, om, h0, y, z, symbols)
     f_norm = grid.norm_l2(f)
     rho = f_norm / scale
     history = [rho]
@@ -772,7 +778,7 @@ def solve_vk(
         b_u += step
         d_x[slot] += b_u
         del step, f, b_phi
-        f, b_phi, proj = defect(b_u)
+        f, b_phi, proj = _picard_defect(b_u, lam, om, h0, y, z, symbols)
         d_f[slot] += f
         max_proj = max(max_proj, proj)
         sweeps += 1

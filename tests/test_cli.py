@@ -308,6 +308,36 @@ def test_periodic_grid_rejects_a_non_periodic_v0(tmp_path, capsys, command, v0):
     assert "config error:" in err and "seam of a periodic grid" in err
 
 
+NON_PERIODIC_GROWTH = {
+    "kappa_linear": {"kappa.1.1": [[0.1, 1, 0]]},
+    "eps_quadratic": {"eps.1.2": [[0.2, 0, 0], [0.05, 1, 1]], "eps.2.1": [[0.2, 0, 0]]},
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("growth", list(NON_PERIODIC_GROWTH), ids=list(NON_PERIODIC_GROWTH))
+def test_periodic_grid_rejects_a_non_periodic_growth_entry(tmp_path, capsys, command, growth):
+    # a polynomial growth entry jumps at the seam of the torus, and so do the
+    # sources lambda_g and omega_g built from it
+    doc = base_config(growth=NON_PERIODIC_GROWTH[growth], geometry={"v0": "zero"})
+    doc["grid"]["nx"] = doc["grid"]["ny"] = 32
+    doc["run"] = {"command": "solve-vk", "model": "old"}
+    argv = [command, "--config", str(write_config(tmp_path, doc))]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "seam of a periodic grid" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_periodic_grid_accepts_constant_growth_entries():
+    doc = base_config(growth={"eps.1.1": [[0.3, 0, 0], [0.2, 0, 0]], "kappa.2.2": [[-0.1, 0, 0]]})
+    cfg = cli.parse_config(doc)
+    assert np.all(cfg.growth.eps_g.data[..., 0, 0] == 0.5)
+    assert np.all(cfg.growth.kappa_g.data[..., 1, 1] == -0.1)
+
+
 def test_periodic_grid_accepts_a_constant_polynomial_v0():
     doc = base_config()
     doc["geometry"] = {"v0": [[0.3, 0, 0], [0.2, 0, 0]]}

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vkshell.fields import (
+    DIRICHLET,
+    PERIODIC,
+    Grid2D,
     MatrixField3,
     ScalarField,
     apply_diff,
@@ -9,6 +14,7 @@ from vkshell.fields import (
     sym_grad_values,
 )
 from vkshell.growth import (
+    GROWTH_PRESETS,
     GrowthFields,
     GrowthSpec,
     GrowthSpecError,
@@ -221,3 +227,93 @@ def test_growth_presets(torus64):
     assert n_comp < 50.0 * torus64.dx**2
     with pytest.raises(ValueError):
         growth_preset("nope", torus64)
+
+
+# -- storage: one component-major allocation per sampled tensor -------------------
+
+def _preset_formulas(name, grid, a):
+    """The presets' 2-D formulas on the node meshgrids, as (eps, kappa) entries."""
+    k1, k2 = 2.0 * np.pi / (grid.domain[1] - grid.domain[0]), 2.0 * np.pi / (grid.domain[3] - grid.domain[2])
+    X1, X2 = grid.X1 - grid.domain[0], grid.X2 - grid.domain[2]
+    s1, c1, s2, c2 = np.sin(k1 * X1), np.cos(k1 * X1), np.sin(k2 * X2), np.cos(k2 * X2)
+    return {
+        "zero": ({}, {}),
+        "eps_sine": ({(0, 0): a * s1 * s2}, {}),
+        "kappa_sine": ({}, {(0, 0): a * s1 * s2}),
+        "kappa_compatible": ({}, {
+            (0, 0): -a * k1 * k1 * s1 * s2,
+            (0, 1): a * k1 * k2 * c1 * c2,
+            (1, 0): a * k1 * k2 * c1 * c2,
+            (1, 1): -a * k2 * k2 * s1 * s2,
+        }),
+        "omega_sine": ({}, {(0, 0): -a * s1}),
+    }[name]
+
+
+PRESET_GRIDS = {
+    "ghost65x47": lambda: Grid2D(65, 47, (-0.5, 1.5, 0.25, 1.0), bc=DIRICHLET),
+    "torus": lambda: Grid2D(64, 48, (0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi), bc=PERIODIC),
+}
+
+
+@pytest.mark.parametrize("where", list(PRESET_GRIDS))
+@pytest.mark.parametrize("name", GROWTH_PRESETS)
+def test_presets_are_component_major_read_only_and_bitwise_the_2d_formulas(name, where):
+    grid = PRESET_GRIDS[where]()
+    a = 0.7
+    g = growth_preset(name, grid, a)
+    for tensor, formulas in zip((g.eps_g.data, g.kappa_g.data), _preset_formulas(name, grid, a)):
+        assert tensor.shape == (grid.nx, grid.ny, 3, 3)
+        assert not tensor.flags.writeable
+        for i in range(3):
+            for j in range(3):
+                plane = tensor[..., i, j]
+                assert plane.flags.c_contiguous, (i, j)
+                want = formulas.get((i, j), np.zeros_like(grid.X1))
+                assert np.array_equal(plane, want), (name, i, j)
+
+
+def test_eval_growth_is_component_major_and_read_only(square33):
+    spec = GrowthSpec(eps_entries={(1, 2): [(0.5, 1, 1)]}, kappa_entries={(3, 3): [(2.0, 0, 2)]})
+    g = eval_growth(spec, square33)
+    for tensor in (g.eps_g.data, g.kappa_g.data):
+        assert not tensor.flags.writeable
+        assert all(tensor[..., i, j].flags.c_contiguous for i in range(3) for j in range(3))
+    assert np.array_equal(g.kappa_g.data[..., 2, 2], 2.0 * square33.X2**2)
+
+
+def test_parse_config_samples_the_growth_once():
+    # eps_g and kappa_g are two tensor sizes; sampling into them in place and
+    # taking them without a copy keeps the peak below three (a C-ordered
+    # sample copied into the fields peaked at 4.6)
+    from vkshell import cli
+
+    doc = {
+        "grid": {"nx": 256, "ny": 256, "domain": [0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi], "bc": "periodic"},
+        "material": {"mu": 1.0, "lambda": 1.0},
+        "growth": {"preset": "kappa_sine", "amplitude": 0.5},
+        "geometry": {"v0": "zero"},
+    }
+    cli.parse_config(doc)  # lazy imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        cfg = cli.parse_config(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tensor = cfg.growth.kappa_g.data.nbytes
+    assert tensor == 256 * 256 * 9 * 8
+    assert peak < 3.0 * tensor
+
+
+def test_from_arrays_copies_its_input(square33, rng):
+    grid = square33
+    eps = rng.standard_normal((grid.nx, grid.ny, 3, 3))
+    kappa = rng.standard_normal((grid.nx, grid.ny, 3, 3))
+    g = GrowthFields.from_arrays(grid, eps, kappa)
+    before = g.eps_g.data.copy(), g.kappa_g.data.copy()
+    eps += 1.0
+    kappa[..., 0, 0] = 0.0
+    assert np.array_equal(g.eps_g.data, before[0]) and np.array_equal(g.kappa_g.data, before[1])
+    assert eps.flags.writeable and kappa.flags.writeable
+    assert not g.eps_g.data.flags.writeable and not g.kappa_g.data.flags.writeable

@@ -13,6 +13,7 @@ from vkshell.fields import (
     ScalarField,
     VectorField2,
     airy_bracket,
+    bracket_values,
     curl_t_curl,
     det2_values,
     hessian_values,
@@ -545,8 +546,57 @@ def test_inverse_hessian_matches_the_stencil_hessian_of_the_solve(rng, shape):
     b = rng.standard_normal((nx, ny))
     b -= b.mean()
     got = so._inverse_hessian(b, so._inv_bilap_symbol(grid, hessian=True))
-    want = hessian_values(grid, so.solve_biharmonic(ScalarField(grid, b)).data)
-    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    h = hessian_values(grid, so.solve_biharmonic(ScalarField(grid, b)).data)
+    want = (h[..., 0, 0], h[..., 1, 1], h[..., 0, 1])
+    assert len(got) == 3
+    for plane, ref in zip(got, want):
+        assert plane.shape == (nx, ny) and plane.flags.c_contiguous
+        assert np.max(np.abs(plane - ref)) <= 1e-10 * np.max(np.abs(h))
+
+
+def _stack_defect(b_u, lam, om, hv0, y, z, symbols):
+    """The Picard defect built on (..., 2, 2) hessian stacks with det2_values
+    and bracket_values, as an independent reference for the plane form."""
+
+    def hessian_stack(b):
+        b_hat = np.fft.rfft2(b)
+        h = np.empty(b.shape + (2, 2))
+        for (i, k), sym in zip(((0, 0), (1, 1), (0, 1)), symbols):
+            h[..., i, k] = np.fft.irfft2(b_hat * sym, s=b.shape)
+        h[..., 1, 0] = h[..., 0, 1]
+        return h
+
+    hv = hessian_stack(b_u)
+    b_phi = det2_values(hv) + lam
+    if hv0 is not None:
+        b_phi += bracket_values(hv0, hv)
+        hv += hv0
+    b_phi *= -y
+    mean1 = float(b_phi.mean())
+    b_phi -= mean1
+    f = bracket_values(hv, hessian_stack(b_phi)) / z - om
+    mean2 = float(f.mean())
+    f -= mean2
+    f -= b_u
+    return f, b_phi, max(abs(mean1), abs(mean2))
+
+
+@pytest.mark.parametrize("model", ["old", "new"])
+def test_picard_defect_on_planes_is_bitwise_the_stack_form(torus64, rng, model):
+    grid = torus64
+    m = en.Material(1.0, 0.6)
+    g = growth_preset("kappa_sine", grid, 0.5)
+    v0 = ScalarField(grid, 0.3 * np.sin(grid.X1) * np.sin(grid.X2))
+    sources = so._vk_sources(model, g, m, v0)
+    lam, om, h0, _ = sources
+    hv0 = None if h0 is None else hessian_values(grid, v0.data)
+    symbols = so._inv_bilap_symbol(grid, hessian=True)
+    b_u = 0.1 * rng.standard_normal(grid.X1.shape)
+    got = so._picard_defect(b_u, lam, om, h0, m.young, m.bending, symbols)
+    want = _stack_defect(b_u, lam, om, hv0, m.young, m.bending, symbols)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
 
 
 def _bench_vk_grid():
