@@ -274,13 +274,23 @@ class Grid2D:
 
 # -- field containers --------------------------------------------------------
 
-def _freeze(a: np.ndarray, shape_suffix: tuple, grid: Grid2D, copy: bool = True) -> np.ndarray:
-    """The checked, read-only samples; copy=False takes a float array itself."""
+def _freeze(
+    a: np.ndarray, shape_suffix: tuple, grid: Grid2D, copy: bool = True, planes=None
+) -> np.ndarray:
+    """The checked, read-only samples; copy=False takes a float array itself.
+
+    planes, when given, lists the (i, j) planes a[..., i, j] to check for
+    finiteness, the rest being known zero: those are not read.
+    """
     arr = np.array(a, dtype=float, copy=copy)
     want = (grid.nx, grid.ny) + shape_suffix
     if arr.shape != want:
         raise GridMismatchError(f"data shape {arr.shape} does not match grid shape {want}")
-    if not np.all(np.isfinite(arr)):
+    if planes is None:
+        finite = np.all(np.isfinite(arr))
+    else:
+        finite = all(np.all(np.isfinite(arr[..., i, j])) for i, j in planes)
+    if not finite:
         raise ValueError("field samples must all be finite")
     arr.setflags(write=False)
     return arr
@@ -357,13 +367,14 @@ class MatrixField3:
         return cls(grid, np.zeros((grid.nx, grid.ny, 3, 3)))
 
     @classmethod
-    def _adopt(cls, grid: Grid2D, data: np.ndarray) -> "MatrixField3":
-        """The field over an array the library has just built and holds no
-        other reference to: checked and made read-only in place, not copied,
-        so its layout is kept."""
+    def _adopt(cls, grid: Grid2D, data: np.ndarray, planes) -> "MatrixField3":
+        """The field over a zeroed array the library has just written at the
+        (i, j) planes listed in planes and holds no other reference to: those
+        planes are checked, and the array is made read-only in place, not
+        copied, so its layout is kept and its untouched planes are not read."""
         f = object.__new__(cls)
         object.__setattr__(f, "grid", grid)
-        object.__setattr__(f, "data", _freeze(data, (3, 3), grid, copy=False))
+        object.__setattr__(f, "data", _freeze(data, (3, 3), grid, copy=False, planes=planes))
         return f
 
 

@@ -19,13 +19,15 @@ test arena.
 Storage.  eps_g and kappa_g keep the logical shape (nx, ny, 3, 3).
 growth_preset and eval_growth sample each tensor straight into one zeroed
 component-major allocation (fields.component_major: each (i, j) entry is one
-contiguous plane), and the fields take those arrays without a copy.  The
-presets are sampled separably, c * f(k1 x1)[:, None] * g(k2 x2)[None, :],
-which gives the bits of the 2-D formula from one sine per grid line.  The
-readers take planes: lambda_g and omega_g apply their stencils to the
-(xx, yy, xy) planes of the symmetric tangential block, and the 3-D shell
-multiplies the tensors plane by plane.  GrowthFields.from_arrays and the
-public MatrixField3 constructor copy their input and keep its layout.
+contiguous plane), and the fields take those arrays without a copy; the
+finiteness check reads only the planes the sampler wrote, so the untouched
+zero planes are never paged in.  The presets are sampled separably,
+c * f(k1 x1)[:, None] * g(k2 x2)[None, :], which gives the bits of the 2-D
+formula from one sine per grid line.  The readers take planes: lambda_g and
+omega_g apply their stencils to the (xx, yy, xy) planes of the symmetric
+tangential block, and the 3-D shell multiplies the tensors plane by plane.  GrowthFields.from_arrays and the
+public MatrixField3 constructor copy their input, keep its layout and check
+all of it.
 """
 
 from __future__ import annotations
@@ -143,9 +145,12 @@ class GrowthFields:
         return cls(MatrixField3(grid, eps), MatrixField3(grid, kappa))
 
     @classmethod
-    def _sampled(cls, grid: Grid2D, eps: np.ndarray, kappa: np.ndarray) -> "GrowthFields":
-        """The fields over two arrays this module has just sampled: no copy."""
-        return cls(MatrixField3._adopt(grid, eps), MatrixField3._adopt(grid, kappa))
+    def _sampled(
+        cls, grid: Grid2D, eps: np.ndarray, kappa: np.ndarray, eps_planes, kappa_planes
+    ) -> "GrowthFields":
+        """The fields over two zeroed arrays this module has just sampled at
+        the listed (i, j) planes: no copy, and only those planes are checked."""
+        return cls(MatrixField3._adopt(grid, eps, eps_planes), MatrixField3._adopt(grid, kappa, kappa_planes))
 
 
 def _blank_tensors(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +173,8 @@ def eval_growth(spec: GrowthSpec, grid: Grid2D) -> GrowthFields:
         eps[..., i - 1, j - 1] = eval_poly(terms, grid.X1, grid.X2)
     for (i, j), terms in spec.kappa_entries.items():
         kappa[..., i - 1, j - 1] = eval_poly(terms, grid.X1, grid.X2)
-    return GrowthFields._sampled(grid, eps, kappa)
+    planes = ([(i - 1, j - 1) for i, j in entries] for entries in (spec.eps_entries, spec.kappa_entries))
+    return GrowthFields._sampled(grid, eps, kappa, *planes)
 
 
 def sym_tan(m: MatrixField3) -> np.ndarray:
@@ -274,12 +280,15 @@ def growth_preset(name: str, grid: Grid2D, amplitude: float = 1.0) -> GrowthFiel
     def outer(out, c, f1, f2):
         np.multiply(c * f1[:, None], f2[None, :], out=out)
 
+    # the (i, j) planes each preset writes into eps and kappa
     if name == "zero":
-        pass
+        written = (), ()
     elif name == "eps_sine":
         outer(eps[..., 0, 0], a, np.sin(t1), np.sin(t2))
+        written = ((0, 0),), ()
     elif name == "kappa_sine":
         outer(kappa[..., 0, 0], a, np.sin(t1), np.sin(t2))
+        written = (), ((0, 0),)
     elif name == "kappa_compatible":
         s1, c1 = np.sin(t1), np.cos(t1)
         s2, c2 = np.sin(t2), np.cos(t2)
@@ -287,11 +296,13 @@ def growth_preset(name: str, grid: Grid2D, amplitude: float = 1.0) -> GrowthFiel
         outer(kappa[..., 0, 1], a * k1 * k2, c1, c2)
         kappa[..., 1, 0] = kappa[..., 0, 1]
         outer(kappa[..., 1, 1], -a * k2 * k2, s1, s2)
+        written = (), ((0, 0), (0, 1), (1, 0), (1, 1))
     elif name == "omega_sine":
         kappa[..., 0, 0] = (-a * np.sin(t1))[:, None]
+        written = (), ((0, 0),)
     else:
         raise ValueError(f"unknown growth preset {name!r}")
-    return GrowthFields._sampled(grid, eps, kappa)
+    return GrowthFields._sampled(grid, eps, kappa, *written)
 
 
 def omega_sine_reference(grid: Grid2D, amplitude: float = 1.0):

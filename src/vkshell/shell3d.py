@@ -29,12 +29,22 @@ can neither pass the guard nor set the maximum.  The 3x3 determinants, inverses 
 products are closed-form elementwise kernels (cofactor expansion, adjugate,
 and _matmul3's nine sums of three products) on whole (..., 3, 3) stacks, not
 batched LAPACK calls or numpy's stacked matmul.  Every point stack the module
-forms (chart Jacobian, q^h and its inverse, grad y, F and e) is
-component-major (fields.component_major): its shape is still (..., 3, 3), but
-each a[..., i, j] is one contiguous plane, so the kernels stream whole planes.
-They accept any layout and give the same bits on each.  The sampled growth
-tensors are stored the same way, so q^h reads kappa_g and eps_g in place,
-plane by plane, with no transposing pass.
+forms is component-major (fields.component_major): its shape is still
+(..., 3, 3), but each a[..., i, j] is one contiguous plane, so the kernels
+stream whole planes.  They accept any layout and give the same bits on each.
+The sampled growth tensors are stored the same way, so q^h reads kappa_g and
+eps_g in place, plane by plane, with no transposing pass.
+
+Stacks.  energy_3d streams the thickness nodes through two stacks allocated
+once per call: f takes grad y at the node, then grad y (grad phi_tilde)^-1,
+then F (_matmul3_into writes each product back row by row through four
+scratch planes), and the other takes each inverse and then e.  The chart
+Jacobian and q^h are the only stacks formed per node, each dropped once
+inverted; the other per-call stacks are the GrowthEvaluator's Id + h^2 eps_g
+and the Immersion's normal and its gradient.  No stack of every node exists:
+a Deformation3D hands out one node's grad y on request (node_jacobian), and
+its grad_y, the stack of all n_t nodes, is built only when read (tests, and
+the benchmark's point count).
 
 Recovery.  One Kirchhoff-Love-plus-warping ansatz covers all regimes:
 deformed mid-surface Y(x) (per-regime displacement scaling), exact unit
@@ -57,13 +67,16 @@ Sweep template.  d0, d1 and their in-plane gradients and the constrained
 regime's wtilde do not depend on h.  They form a RecoveryTemplate, which
 scaling_study builds once and hands to each row's build_recovery, so a row is
 energy_3d(build_recovery(template, cfg), g, m): the deformation carries its
-shell, and the shell its Gauss rule.
+shell, and the shell its Gauss rule.  A row's deformation keeps only its
+node-independent planes (grad Y, grad nu and nu + h^2 d0) and reads d1 and the
+gradients of d0 and d1 from the template.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -164,11 +177,8 @@ class Immersion:
         nvec[..., 1] = -g * dv[..., 1] / nfac
         nvec[..., 2] = 1.0 / nfac
         self._normal = nvec
-        self._tangents = _component_major((grid.nx, grid.ny, 3, 2))
-        self._tangents[...] = 0.0
-        self._tangents[..., 0, 0] = 1.0
-        self._tangents[..., 1, 1] = 1.0
-        self._tangents[..., 2, :] = g * dv
+        # d_j phi = (e_j, g d_j v0): only the third row varies in x
+        self._slope = g * dv
         # dn[..., :, j] = d_j n by the chain rule on n = (-g grad v0, 1)/N
         dn = _component_major((grid.nx, grid.ny, 3, 2))
         dnfac = g * g * (dv[..., 0:1] * hv[..., 0, :] + dv[..., 1:2] * hv[..., 1, :]) / nfac[..., None]
@@ -195,15 +205,16 @@ class Immersion:
 
     def grad_phi_tilde(self, x3: float) -> np.ndarray:
         """Exact chart Jacobian (nx, ny, 3, 3): columns d1, d2, normal."""
-        out = _component_major(self._tangents.shape[:2] + (3, 3))
+        out = _component_major(self._dn.shape[:2] + (3, 3))
         np.multiply(x3, self._dn, out=out[..., :2])
-        out[..., :2] += self._tangents
+        out[..., :2, :2] += np.eye(2)
+        out[..., 2, :2] += self._slope
         out[..., 2] = self._normal
         return out
 
     def tangent_normal_defect(self) -> float:
         """max |d_i phi . n| at the mid-surface; zero by construction."""
-        dots = np.einsum("...ij,...i->...j", self._tangents, self._normal)
+        dots = self._normal[..., :2] + self._slope * self._normal[..., 2:]
         return float(np.max(np.abs(dots)))
 
 
@@ -243,19 +254,24 @@ class GrowthEvaluator:
         self._require_invertible(_det3(q))
         return q
 
-    def inverse_at(self, x3: float) -> np.ndarray:
+    def inverse_at(self, x3: float, out: np.ndarray | None = None) -> np.ndarray:
+        """(q^h)^-1 at x3, written into out (a (nx, ny, 3, 3) stack) when
+        given, else into a fresh component-major one."""
         with np.errstate(divide="ignore", invalid="ignore"):  # a singular q^h raises below
-            inv, dets = _inv3(self._assemble(x3))
+            inv, dets = _inv3(self._assemble(x3), out)
         self._require_invertible(dets)
         return inv
 
 
 # -- closed-form kernels on (..., 3, 3) stacks ---------------------------------------
 
-def _cofactor(a: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Signed cofactor (i, j); the cyclic index form carries the sign."""
+def _cofactor(a: np.ndarray, i: int, j: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Signed cofactor (i, j), written into out when given; the cyclic index
+    form carries the sign."""
     i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
-    return a[..., i1, j1] * a[..., i2, j2] - a[..., i1, j2] * a[..., i2, j1]
+    c = np.multiply(a[..., i1, j1], a[..., i2, j2], out=out)
+    c -= a[..., i1, j2] * a[..., i2, j1]
+    return c
 
 
 def _det3(a: np.ndarray) -> np.ndarray:
@@ -263,12 +279,13 @@ def _det3(a: np.ndarray) -> np.ndarray:
     return sum(a[..., 0, j] * _cofactor(a, 0, j) for j in range(3))
 
 
-def _inv3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse (adjugate over determinant) and the determinant itself."""
-    adj = _component_major(a.shape)
+def _inv3(a: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse (adjugate over determinant), written into out when given, and
+    the determinant itself."""
+    adj = _component_major(a.shape) if out is None else out
     for i in range(3):
         for j in range(3):
-            adj[..., j, i] = _cofactor(a, i, j)
+            _cofactor(a, i, j, adj[..., j, i])
     det = sum(a[..., 0, j] * adj[..., j, 0] for j in range(3))
     adj /= det[..., None, None]
     return adj, det
@@ -281,18 +298,34 @@ def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     planes.  Each product is rounded before the sums (no fused multiply-add).
     """
     out = _component_major(np.broadcast_shapes(a.shape, b.shape))
+    out[...] = a
+    return _matmul3_into(out, b)
+
+
+def _matmul3_into(a: np.ndarray, b: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """a <- a b in place, with the bits of _matmul3(a, b).
+
+    work is a scratch of four planes, shape (4,) + a.shape[:-2], allocated when
+    not given.  Each row of the product is formed in the first three, with
+    its products in the fourth, and then copied over the row of a it was
+    formed from, so no second stack is allocated.
+    """
+    if work is None:
+        work = np.empty((4,) + a.shape[:-2])
+    row, tmp = np.moveaxis(work[:3], 0, -1), work[3]
     for i in range(3):
         for j in range(3):
-            o = out[..., i, j]
+            o = work[j]
             np.multiply(a[..., i, 0], b[..., 0, j], out=o)
-            o += a[..., i, 1] * b[..., 1, j]
-            o += a[..., i, 2] * b[..., 2, j]
-    return out
+            o += np.multiply(a[..., i, 1], b[..., 1, j], out=tmp)
+            o += np.multiply(a[..., i, 2], b[..., 2, j], out=tmp)
+        a[..., i, :] = row
+    return a
 
 
-def _strain(F: np.ndarray) -> np.ndarray:
-    """e = F^T F - Id, symmetric by construction."""
-    e = _component_major(F.shape)
+def _strain(F: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """e = F^T F - Id, symmetric by construction, written into out when given."""
+    e = _component_major(F.shape) if out is None else out
     for i in range(3):
         for j in range(i, 3):
             e[..., i, j] = e[..., j, i] = sum(F[..., k, i] * F[..., k, j] for k in range(3))
@@ -301,12 +334,30 @@ def _strain(F: np.ndarray) -> np.ndarray:
 
 
 def _strain_norm_sq(e: np.ndarray) -> np.ndarray:
-    """|e|^2, summed in the pairing np.sum takes over nine contiguous values.
+    """|e|^2, summed in the pairing np.sum takes over nine contiguous values:
+    ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)) + s8 for the squares s
+    in row-major order.
 
-    Written out so that every memory layout of e gives the same bits.
+    Written out so that every memory layout of e gives the same bits, and
+    formed progressively, so that at most four planes are live at once.
     """
-    sq = [e[..., i, j] * e[..., i, j] for i in range(3) for j in range(3)]
-    return ((sq[0] + sq[1]) + (sq[2] + sq[3])) + ((sq[4] + sq[5]) + (sq[6] + sq[7])) + sq[8]
+
+    def sq(n):
+        i, j = divmod(n, 3)
+        return e[..., i, j] * e[..., i, j]
+
+    def quad(n):  # (s_n + s_n+1) + (s_n+2 + s_n+3)
+        total = sq(n)
+        total += sq(n + 1)
+        pair = sq(n + 2)
+        pair += sq(n + 3)
+        total += pair
+        return total
+
+    total = quad(0)
+    total += quad(4)
+    total += sq(8)
+    return total
 
 
 def _density_from_strain(e: np.ndarray, m: en.Material, norm_sq: np.ndarray | None = None) -> np.ndarray:
@@ -403,22 +454,40 @@ def dist_so3(F: np.ndarray) -> np.ndarray:
     return _dist_from_strain(_strain(F), F, _det3(F))
 
 
-@dataclass(frozen=True)
 class Deformation3D:
-    """Analytic deformation gradient samples grad y at (node, Gauss) pairs.
-
-    grad_y[k] is the Jacobian of y(x, x3) at the k-th node of cfg.gauss_rule();
-    built in closed form (stencils in-plane, exact in x3), never by
+    """Analytic deformation gradient grad y at the (node, Gauss) pairs of the
+    shell cfg, built in closed form (stencils in-plane, exact in x3), never by
     differencing across the thin direction.
+
+    node_jacobian(k, out) writes the Jacobian of y(x, x3) at the k-th node of
+    cfg.gauss_rule() into out, a component-major (nx, ny, 3, 3) buffer of the
+    caller's; energy_3d reads the deformation through it alone.  Deformation3D
+    (cfg, grad_y) serves the nodes of an explicit (n_t, nx, ny, 3, 3) stack;
+    build_recovery's deformation holds only node-independent planes and forms
+    each node when asked.  The whole stack grad_y is derived: it is built,
+    component-major, each time it is read.
     """
 
-    cfg: ShellConfig
-    grad_y: np.ndarray  # (n_t, nx, ny, 3, 3)
+    def __init__(self, cfg: ShellConfig, grad_y: np.ndarray):
+        want = (cfg.n_t, cfg.grid.nx, cfg.grid.ny, 3, 3)
+        if grad_y.shape != want:
+            raise ValueError(f"grad_y shape {grad_y.shape}, expected {want}")
+        self.cfg = cfg
+        self._grad_y = grad_y
 
-    def __post_init__(self):
-        want = (self.cfg.n_t, self.cfg.grid.nx, self.cfg.grid.ny, 3, 3)
-        if self.grad_y.shape != want:
-            raise ValueError(f"grad_y shape {self.grad_y.shape}, expected {want}")
+    def node_jacobian(self, k: int, out: np.ndarray) -> np.ndarray:
+        """grad y at the k-th thickness node, written into out and returned."""
+        out[...] = self._grad_y[k]
+        return out
+
+    @property
+    def grad_y(self) -> np.ndarray:
+        """(n_t, nx, ny, 3, 3), component-major: every node, freshly built."""
+        cfg = self.cfg
+        grad = _component_major((cfg.n_t, cfg.grid.nx, cfg.grid.ny, 3, 3))
+        for k in range(cfg.n_t):
+            self.node_jacobian(k, grad[k])
+        return grad
 
 
 def identity_deformation(cfg: ShellConfig) -> Deformation3D:
@@ -443,25 +512,33 @@ def energy_3d(u: Deformation3D, g: GrowthFields, m: en.Material) -> tuple[float,
     volume Jacobian det(grad phi_tilde).  Accumulation is compensated
     (math.fsum over all weighted point values), hence order independent.
     The distance diagnostics run the exact kernel only where
-    _needs_exact_dist cannot settle them.
+    _needs_exact_dist cannot settle them.  The thickness nodes stream: each
+    one asks u for its Jacobian into a single buffer (u.node_jacobian), and
+    both products (with (grad phi_tilde)^-1, then with (q^h)^-1) go back into
+    it, so no stack of every node exists and u.grad_y is never read.
     """
     cfg = u.cfg
     imm = Immersion(cfg)
     qh = GrowthEvaluator(g, cfg)
     qw = cfg.grid.quad_weights
+    # one node at a time: grad y, then grad y (grad phi_tilde)^-1, then F, all
+    # in f; each inverse, then e, in b; the products' rows pass through work
+    f, b = (_component_major((cfg.grid.nx, cfg.grid.ny, 3, 3)) for _ in range(2))
+    work = np.empty((4, cfg.grid.nx, cfg.grid.ny))
     contributions = []
     min_det = math.inf
     max_dist = 0.0
     flagged = 0
     for k, (x3, gw) in enumerate(zip(*cfg.gauss_rule())):
-        gp_inv, jac = _inv3(imm.grad_phi_tilde(x3))
-        a = _matmul3(u.grad_y[k], gp_inv)
-        del gp_inv  # each stack goes once used, before the next one is formed
-        det_u = _det3(a)
+        u.node_jacobian(k, f)
+        # the chart Jacobian and q^h are the only stacks formed per node, each
+        # dropped once inverted
+        _, jac = _inv3(imm.grad_phi_tilde(x3), b)
+        _matmul3_into(f, b, work)
+        det_u = _det3(f)
         min_det = min(min_det, float(det_u.min()))
-        f = _matmul3(a, qh.inverse_at(x3))
-        del a
-        e = _strain(f)
+        _matmul3_into(f, qh.inverse_at(x3, b), work)
+        e = _strain(f, b)
         norm_sq = _strain_norm_sq(e)
         # det q^h > 0 (checked by inverse_at), so det f has the sign of det_u
         exact = _needs_exact_dist(norm_sq, det_u, max_dist)
@@ -471,8 +548,9 @@ def energy_3d(u: Deformation3D, g: GrowthFields, m: en.Material) -> tuple[float,
         flagged += int(np.count_nonzero(d > DIST_SO3_GUARD))
         wvals = _density_from_strain(e, m, norm_sq)
         contributions.append((gw / cfg.h) * qw * wvals * jac)
-        del f, e
-    total = math.fsum(np.concatenate([c.ravel() for c in contributions]).tolist())
+    # fsum rounds the exact sum once, so reading one node's values at a time
+    # gives the bits of one pass over all of them
+    total = math.fsum(itertools.chain.from_iterable(c.ravel().tolist() for c in contributions))
     diag = {"min_det_grad_u": min_det, "max_dist_so3": max_dist, "points_beyond_guard": flagged}
     if min_det <= 0.0:
         warnings.warn("deformation gradient loses orientation at a quadrature point")
@@ -575,6 +653,11 @@ def build_recovery(template: RecoveryTemplate, cfg: ShellConfig) -> Deformation3
     in-plane compensator wtilde (sym grad wtilde = -sym(grad v x grad v0),
     which exists when the linearized isometry constraint holds) is the
     template's.  The template holds everything that does not depend on h.
+
+    No stack of grad y is formed here: the deformation returned keeps the
+    node-independent planes grad Y, grad nu and nu + h^2 d0 (15 planes, 5/3
+    of one point stack) and writes node k's grad y into the buffer energy_3d
+    hands it.
     """
     grid = cfg.grid
     regime = resolve_regime(cfg.v0, cfg.alpha)
@@ -602,23 +685,46 @@ def build_recovery(template: RecoveryTemplate, cfg: ShellConfig) -> Deformation3
         dy[..., 1, j] += grid.d1(disp12[..., 1], j)
         dy[..., 2, j] = grid.d1(y3, j)
 
-    cross = np.cross(dy[..., 0], dy[..., 1])
-    nu = cross / np.linalg.norm(cross, axis=-1, keepdims=True)
+    # nu = d1 Y x d2 Y / |d1 Y x d2 Y|, plane by plane in the rounding order of
+    # np.cross (a1 b2 - a2 b1) and np.linalg.norm ((x^2 + y^2) + z^2)
+    nu = np.moveaxis(np.empty((3, grid.nx, grid.ny)), 0, -1)
+    for c in range(3):
+        c1, c2 = (c + 1) % 3, (c + 2) % 3
+        np.multiply(dy[..., c1, 0], dy[..., c2, 1], out=nu[..., c])
+        nu[..., c] -= dy[..., c2, 0] * dy[..., c1, 1]
+    nu /= np.sqrt((nu[..., 0] * nu[..., 0] + nu[..., 1] * nu[..., 1]) + nu[..., 2] * nu[..., 2])[..., None]
     dnu = _grad3(grid, nu)
-    normal_col = nu + h * h * template.d0
+    nu += h * h * template.d0  # the normal column nu + h^2 d0, in nu's planes
+    return _Recovery(cfg, template, dy, dnu, nu)
 
-    # the tangent columns are written in place: exact addition commutes, so
-    # t dnu + dy + ... has the bits of dy + t dnu + t h^2 dd0 + t^2 h / 2 dd1
-    grad = _component_major((cfg.n_t, grid.nx, grid.ny, 3, 3))
-    term = _component_major(dy.shape)
-    for k, t in enumerate(cfg.gauss_rule()[0]):
-        tangent = grad[k, ..., :2]
-        np.multiply(t, dnu, out=tangent)
-        tangent += dy
-        tangent += np.multiply(t * h * h, template.dd0, out=term)
-        tangent += np.multiply(0.5 * t * t * h, template.dd1, out=term)
-        grad[k, ..., 2] = t * h * template.d1 + normal_col
-    return Deformation3D(cfg, grad)
+
+class _Recovery(Deformation3D):
+    """build_recovery's deformation: the row's node-independent planes dy,
+    dnu and nu + h^2 d0, with the template's d1, grad d0 and grad d1; node k's
+    Jacobian is formed from them when asked."""
+
+    def __init__(self, cfg, template, dy, dnu, normal_col):
+        self.cfg = cfg
+        self._template = template
+        self._dy, self._dnu, self._normal_col = dy, dnu, normal_col
+
+    def node_jacobian(self, k: int, out: np.ndarray) -> np.ndarray:
+        # the tangent columns are written in place, one at a time, with the
+        # normal column (written last) as scratch: exact addition commutes, so
+        # t dnu + dy + ... has the bits of dy + t dnu + t h^2 dd0 + t^2 h / 2 dd1
+        h = self.cfg.h
+        t = self.cfg.gauss_rule()[0][k]
+        tp = self._template
+        term = out[..., 2]
+        for j in range(2):
+            tangent = out[..., j]
+            np.multiply(t, self._dnu[..., j], out=tangent)
+            tangent += self._dy[..., j]
+            tangent += np.multiply(t * h * h, tp.dd0[..., j], out=term)
+            tangent += np.multiply(0.5 * t * t * h, tp.dd1[..., j], out=term)
+        np.multiply(t * h, tp.d1, out=term)
+        term += self._normal_col
+        return out
 
 
 # -- metric pullback consistency ---------------------------------------------------

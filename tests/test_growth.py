@@ -317,3 +317,27 @@ def test_from_arrays_copies_its_input(square33, rng):
     assert np.array_equal(g.eps_g.data, before[0]) and np.array_equal(g.kappa_g.data, before[1])
     assert eps.flags.writeable and kappa.flags.writeable
     assert not g.eps_g.data.flags.writeable and not g.kappa_g.data.flags.writeable
+
+
+def test_sampling_checks_only_the_planes_it_writes(square33, monkeypatch):
+    # the samplers write a few planes of zeroed tensors; reading the other,
+    # untouched planes only to check them faulted in their pages
+    plane = square33.nx * square33.ny
+    checked = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: checked.append(a.size) or isfinite(a))
+    growth_preset("kappa_compatible", square33)
+    assert checked == [plane] * 4
+    checked.clear()
+    eval_growth(GrowthSpec(eps_entries={(1, 2): [(0.5, 1, 1)]}, kappa_entries={(3, 3): [(2.0, 0, 2)]}), square33)
+    assert checked == [plane] * 2
+    checked.clear()
+    growth_preset("zero", square33)
+    assert checked == []
+    # a written plane is still checked, and the public constructors check all nine
+    with pytest.raises(ValueError, match="finite"):
+        growth_preset("kappa_sine", square33, amplitude=np.nan)
+    data = np.zeros((square33.nx, square33.ny, 3, 3))
+    data[3, 4, 2, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        MatrixField3(square33, data)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -730,3 +731,58 @@ def test_recovery_template_supplies_the_state():
     for other in (saddle, flat):
         with pytest.raises(ValueError, match="another v0 or regime"):
             sh.build_recovery(template, other)
+
+
+# -- the streamed thickness nodes ---------------------------------------------------
+
+@pytest.mark.parametrize("regime", sh.REGIMES)
+def test_recovery_and_its_explicit_stack_give_the_same_energy(square33, regime, monkeypatch):
+    # build_recovery's deformation forms each node when energy_3d asks for it;
+    # the stack it derives, handed back as an explicit Deformation3D, must give
+    # the same bits for the energy and every diagnostic
+    m = en.Material(1.2, 0.6)
+    g = sine_growth(square33)
+    alpha, v0, st = sweep_case(square33, regime)
+    h_list = [1e-1, 1e-3, 1e-5]
+    for h in h_list:
+        cfg = sh.ShellConfig(v0, alpha=alpha, h=h, n_t=5)
+        u = recovery(st.v, st.w, g, cfg, m, vtilde=st.vtilde)
+        stack = u.grad_y
+        assert stack is not u.grad_y and np.array_equal(stack, u.grad_y)
+        explicit = sh.Deformation3D(cfg, stack)
+        for k in range(cfg.n_t):
+            node = sh._component_major(stack.shape[1:])
+            assert u.node_jacobian(k, node) is node and np.array_equal(node, stack[k])
+        with monkeypatch.context() as mp:
+            mp.setattr(sh.Deformation3D, "grad_y", property(lambda self: pytest.fail("energy_3d read grad_y")))
+            streamed, served = sh.energy_3d(u, g, m), sh.energy_3d(explicit, g, m)
+        assert streamed == served
+    serial = sh.scaling_study(alpha, h_list, g, v0, st, m, workers=1)
+    threaded = sh.scaling_study(alpha, h_list, g, v0, st, m, workers=2)
+    assert threaded.csv_lines() == serial.csv_lines()
+
+
+def test_one_row_holds_few_point_stacks():
+    # one stack is nx ny 9 doubles; a row that held every node's grad y
+    # (n_t = 5 stacks) and a fresh stack per product peaked at 12.1, and
+    # build_recovery alone at 8.7
+    grid = Grid2D(129, 129, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
+    m = en.Material(1.0, 1.0)
+    g = sine_growth(grid)
+    alpha, v0, st = sweep_case(grid, sh.DMV)
+    template = sh.RecoveryTemplate(st.v, st.w, g, v0, sh.DMV, m)
+    cfg = sh.ShellConfig(v0, alpha=alpha, h=1e-2, n_t=5)
+    sh.energy_3d(sh.build_recovery(template, cfg), g, m)  # caches and lazy imports outside the measurement
+    stack = grid.nx * grid.ny * 9 * 8
+    tracemalloc.start()
+    try:
+        u = sh.build_recovery(template, cfg)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        del u
+        tracemalloc.reset_peak()
+        sh.energy_3d(sh.build_recovery(template, cfg), g, m)
+        row_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert build_peak < 3.0 * stack
+    assert row_peak < 10.0 * stack
