@@ -6,8 +6,9 @@ The three functionals share one quadratic form:
     Q2(F) = 2 mu |sym F|^2 + (2 mu lambda / (2 mu + lambda)) (tr F)^2,
 
 the relaxation of Q3(F) = 2 mu |sym F|^2 + lambda (tr F)^2 over normal
-completions c x e3 + e3 x c.  The unique minimizer c(F_tan) is retained
-because the recovery-sequence warping needs it verbatim.
+completions c x e3 + e3 x c.  The unique minimizer c(F_tan) reads only
+tr F_tan; completion gives its one nonzero component, which q2 returns and
+the 3-D recovery warping reads from the traces of the integrand planes.
 
 Plane form.  The stretching and bending integrands S and K are symmetric, so
 one formula (_integrands) builds them as three planes each (xx, yy, xy) from
@@ -61,8 +62,8 @@ class Material:
     def __post_init__(self):
         # lam = 0 (nu = 0) is admitted: the worked examples and the omega_g
         # precondition both use it.
-        if not (self.mu > 0.0 and self.lam >= 0.0):
-            raise ValueError(f"need mu > 0 and lam >= 0, got mu={self.mu}, lam={self.lam}")
+        if not (math.isfinite(self.mu) and math.isfinite(self.lam) and self.mu > 0.0 and self.lam >= 0.0):
+            raise ValueError(f"need finite mu > 0 and lam >= 0, got mu={self.mu}, lam={self.lam}")
         if not self.nu < 0.5:
             raise ValueError(f"Poisson ratio {self.nu} out of range")
 
@@ -117,10 +118,16 @@ def q2(F2: np.ndarray, m: Material):
     F2 = np.asarray(F2, dtype=float)
     val, tr = _q2_planes(*sym_planes(F2), m)
     c = np.zeros(F2.shape[:-2] + (3,))
-    c[..., 2] = -m.lam * tr / (2.0 * (2.0 * m.mu + m.lam))
+    c[..., 2] = completion(tr, m)
     if val.ndim == 0:
         return float(val), c
     return val, c
+
+
+def completion(tr, m: Material):
+    """The normal component -lambda tr F / (2(2 mu + lambda)) of q2's
+    minimizing completion c(F), from tr F; its other two components are 0."""
+    return -m.lam * tr / (2.0 * (2.0 * m.mu + m.lam))
 
 
 def q2_stress(F2: np.ndarray, m: Material) -> np.ndarray:
@@ -271,30 +278,6 @@ def _integrands(functional: str, d, v_12, g: GrowthFields, p0):
             sxy = sxy + 0.5 * (t_1 * p_2 + t_2 * p_1)
             r = bracket_planes((p_11, p_22, p_12), (v_11, v_22, v_12))
     return (sxx, syy, sxy), (kxx, kyy, kxy), r
-
-
-def integrand_values(s: PlateState, g: GrowthFields, v0: ScalarField | None = None):
-    """(S, K) as (..., 2, 2) stacks: the stretching and bending integrand
-    arguments of the state's variant (see _integrands); without v0 the v0
-    terms are left out."""
-    stretch, bend, _ = _integrands(s.variant, *_stencil_planes(s), g, _v0_planes(s.variant, v0))
-    return sym_stack(*stretch), sym_stack(*bend)
-
-
-def stretching_values(s: PlateState, g: GrowthFields, v0: ScalarField | None = None) -> np.ndarray:
-    """Stretching integrand argument, per variant.
-
-    I40:   sym grad w + 1/2 grad v x grad v - (sym eps_g)_tan
-    I41:   ... additionally - 1/2 grad v0 x grad v0
-    I4INF: B + 1/2 grad v x grad v - (sym eps_g)_tan,
-           B = sym grad w + sym(grad vtilde x grad v0)
-    """
-    return integrand_values(s, g, v0)[0]
-
-
-def bending_values(s: PlateState, g: GrowthFields, v0: ScalarField | None = None) -> np.ndarray:
-    """Bending integrand argument: hess v [- hess v0 for I41] + (sym kappa_g)_tan."""
-    return integrand_values(s, g, v0)[1]
 
 
 def constraint_values(v: ScalarField, v0: ScalarField) -> np.ndarray:

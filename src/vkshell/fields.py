@@ -393,28 +393,6 @@ def component_major(shape, zeros: bool = False) -> np.ndarray:
 
 # -- differential operators ---------------------------------------------------
 
-_DIFF_KINDS = ("grad", "hessian", "laplacian", "bilaplacian")
-
-
-def apply_diff(f: ScalarField, kind: str):
-    """Centered second-order derivative of a scalar field.
-
-    kind is one of 'grad' | 'hessian' | 'laplacian' | 'bilaplacian'; the
-    bilaplacian is exactly the laplacian stencil applied twice.
-    """
-    g = f.grid
-    a = f.data
-    if kind == "grad":
-        return VectorField2(g, grad_values(g, a))
-    if kind == "hessian":
-        return MatrixField2(g, hessian_values(g, a), symmetric=True)
-    if kind == "laplacian":
-        return ScalarField(g, g.lap(a))
-    if kind == "bilaplacian":
-        return ScalarField(g, g.bilap(a))
-    raise ValueError(f"unknown derivative kind {kind!r}; expected one of {_DIFF_KINDS}")
-
-
 def curl_t_curl_planes(grid: Grid2D, xx: np.ndarray, yy: np.ndarray, xy: np.ndarray) -> np.ndarray:
     """curl^T curl of the symmetric field with planes (xx, yy, xy):
     d22 xx + d11 yy - d12 (xy + xy)."""
@@ -449,14 +427,6 @@ def cof2_values(b: np.ndarray) -> np.ndarray:
 
 def det2_values(b: np.ndarray) -> np.ndarray:
     return b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]
-
-
-def cof2(B: MatrixField2) -> MatrixField2:
-    return MatrixField2(B.grid, cof2_values(B.data), symmetric=B.symmetric)
-
-
-def det2(B: MatrixField2) -> ScalarField:
-    return ScalarField(B.grid, det2_values(B.data))
 
 
 def bracket_planes(a, b) -> np.ndarray:
@@ -529,14 +499,6 @@ def airy_bracket(v: ScalarField, phi: ScalarField) -> ScalarField:
     v.grid.require_same(phi.grid, "bracket arguments")
     g = v.grid
     return ScalarField(g, bracket_values(hessian_values(g, v.data), hessian_values(g, phi.data)))
-
-
-def integrate(f: ScalarField) -> float:
-    return f.grid.integrate_values(f.data)
-
-
-def norm_l2(f: ScalarField) -> float:
-    return f.grid.norm_l2(f.data)
 
 
 def sym_values(b: np.ndarray) -> np.ndarray:

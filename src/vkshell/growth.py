@@ -177,11 +177,6 @@ def eval_growth(spec: GrowthSpec, grid: Grid2D) -> GrowthFields:
     return GrowthFields._sampled(grid, eps, kappa, *planes)
 
 
-def sym_tan(m: MatrixField3) -> np.ndarray:
-    """Tangential (2x2) minor of the symmetric part, as raw values."""
-    return sym_values(m.data)[..., :2, :2]
-
-
 def lambda_g(g: GrowthFields) -> ScalarField:
     """curl^T curl of the tangential minor of eps_g."""
     return ScalarField(g.grid, curl_t_curl_planes(g.grid, *sym_planes(g.eps_g.data)))

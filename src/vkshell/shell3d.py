@@ -27,7 +27,7 @@ eps / (1 + sqrt(1 + eps)) <= dist <= 1 - sqrt(1 - eps) (for eps < 1), and a
 point whose upper bound stays below min(0.3, the largest distance known)
 can neither pass the guard nor set the maximum.  The 3x3 determinants, inverses and
 products are closed-form elementwise kernels (cofactor expansion, adjugate,
-and _matmul3's nine sums of three products) on whole (..., 3, 3) stacks, not
+and _matmul3_into's nine sums of three products) on whole (..., 3, 3) stacks, not
 batched LAPACK calls or numpy's stacked matmul.  Every point stack the module
 forms is component-major (fields.component_major): its shape is still
 (..., 3, 3), but each a[..., i, j] is one contiguous plane, so the kernels
@@ -55,9 +55,9 @@ normal nu of Y, and the normal warping
     d1 = l(kappa_g) - 2 c(bending integrand),
 
 with l and c from the energy module.  The stretching and bending
-integrands S and K are energy.integrand_values of the regime's plate state
-(I40, I41 or I4INF), the very arguments the 2-D limit functional
-integrates.  Expanding (grad y)^T grad y against the
+integrands S and K are the energy module's integrand planes of the regime's
+plate state (I40, I41 or I4INF), the very arguments the 2-D limit functional
+integrates; c reads only their traces.  Expanding (grad y)^T grad y against the
 pulled-back metric shows the order-h^2 strain is exactly
 [S - (x3/h) K]^* + sym((d0 + (x3/h) d1 - l(...)) x e3), which the above
 warping relaxes pointwise to Q2; the scaled energies then converge to the
@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -119,6 +118,8 @@ class ShellConfig:
     n_t: int = 5
 
     def __post_init__(self):
+        if not (math.isfinite(self.h) and math.isfinite(self.alpha)):
+            raise ValueError(f"h and alpha must be finite, got h={self.h}, alpha={self.alpha}")
         if self.h <= 0.0:
             raise ValueError("thickness must be positive")
         if self.alpha < 0.0:
@@ -291,19 +292,11 @@ def _inv3(a: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.
     return adj, det
 
 
-def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product a b of two stacks, each entry a sum of three plane products.
+def _matmul3_into(a: np.ndarray, b: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """a <- a b in place, each entry a sum of three plane products.
 
     numpy's stacked matmul steps through one 3x3 at a time; this writes whole
     planes.  Each product is rounded before the sums (no fused multiply-add).
-    """
-    out = _component_major(np.broadcast_shapes(a.shape, b.shape))
-    out[...] = a
-    return _matmul3_into(out, b)
-
-
-def _matmul3_into(a: np.ndarray, b: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """a <- a b in place, with the bits of _matmul3(a, b).
 
     work is a scratch of four planes, shape (4,) + a.shape[:-2], allocated when
     not given.  Each row of the product is formed in the first three, with
@@ -509,8 +502,9 @@ def energy_3d(u: Deformation3D, g: GrowthFields, m: en.Material) -> tuple[float,
     the shell u.cfg, and its diagnostics.
 
     Quadrature: node weights in plane, Gauss through the thickness, exact
-    volume Jacobian det(grad phi_tilde).  Accumulation is compensated
-    (math.fsum over all weighted point values), hence order independent.
+    volume Jacobian det(grad phi_tilde).  Each node's weighted point values
+    are summed pairwise (np.sum) and the node sums by math.fsum; every value
+    is >= 0, so the total is accurate to about 1e-15 relative.
     The distance diagnostics run the exact kernel only where
     _needs_exact_dist cannot settle them.  The thickness nodes stream: each
     one asks u for its Jacobian into a single buffer (u.node_jacobian), and
@@ -525,7 +519,7 @@ def energy_3d(u: Deformation3D, g: GrowthFields, m: en.Material) -> tuple[float,
     # in f; each inverse, then e, in b; the products' rows pass through work
     f, b = (_component_major((cfg.grid.nx, cfg.grid.ny, 3, 3)) for _ in range(2))
     work = np.empty((4, cfg.grid.nx, cfg.grid.ny))
-    contributions = []
+    node_sums = []
     min_det = math.inf
     max_dist = 0.0
     flagged = 0
@@ -547,10 +541,8 @@ def energy_3d(u: Deformation3D, g: GrowthFields, m: en.Material) -> tuple[float,
             max_dist = max(max_dist, float(d.max()))
         flagged += int(np.count_nonzero(d > DIST_SO3_GUARD))
         wvals = _density_from_strain(e, m, norm_sq)
-        contributions.append((gw / cfg.h) * qw * wvals * jac)
-    # fsum rounds the exact sum once, so reading one node's values at a time
-    # gives the bits of one pass over all of them
-    total = math.fsum(itertools.chain.from_iterable(c.ravel().tolist() for c in contributions))
+        node_sums.append(float(np.sum((gw / cfg.h) * qw * wvals * jac)))
+    total = math.fsum(node_sums)
     diag = {"min_det_grad_u": min_det, "max_dist_so3": max_dist, "points_beyond_guard": flagged}
     if min_det <= 0.0:
         warnings.warn("deformation gradient loses orientation at a quadrature point")
@@ -597,8 +589,9 @@ class RecoveryTemplate:
     vtilde and the compensator wtilde, reconstructed by line integration when
     not supplied), and the warping vectors d0 = l(eps_g) + 2 c_s and
     d1 = l(kappa_g) - 2 c_k (c_s, c_k the Q2 completions of the regime's
-    integrands S and K) with their in-plane gradients.  scaling_study builds
-    one before its rows and hands it to each row's build_recovery.
+    integrands S and K, from their traces by energy.completion) with their
+    in-plane gradients.  scaling_study builds one before its rows and hands
+    it to each row's build_recovery.
     """
 
     def __init__(
@@ -627,11 +620,16 @@ class RecoveryTemplate:
                 wtilde = VectorField2(grid, reconstruct_displacement(e, grid))
             grid.require_same(wtilde.grid, "state and shell")
         self.vtilde, self.wtilde = vtilde, wtilde
-        # the Q2 completions of S and K; the integrand stacks die here, before
-        # the warping gradients below are allocated
-        c_s, c_k = (en.q2(f, m)[1] for f in en.integrand_values(state, g, v0))
-        self.d0 = en.warping_l(g.eps_g.data) + 2.0 * c_s
-        self.d1 = en.warping_l(g.kappa_g.data) - 2.0 * c_k
+        # c(S) and c(K) read only the traces of S and K; the integrand planes
+        # die here, before the warping gradients below are allocated
+        functional = state.variant
+        integrands = en._integrands(functional, *en._stencil_planes(state), g, en._v0_planes(functional, v0))
+        tr_s, tr_k = (xx + yy for xx, yy, _ in integrands[:2])
+        del integrands
+        self.d0 = en.warping_l(g.eps_g.data)
+        self.d0[..., 2] += 2.0 * en.completion(tr_s, m)
+        self.d1 = en.warping_l(g.kappa_g.data)
+        self.d1[..., 2] -= 2.0 * en.completion(tr_k, m)
         self.dd0 = _grad3(grid, self.d0)
         self.dd1 = _grad3(grid, self.d1)
 
@@ -746,7 +744,7 @@ def metric_residual(g: GrowthFields, v0: ScalarField, h: float) -> float:
     eff = effective_growth(g, v0)
     worst = 0.0
     for x3 in (-0.5 * h, 0.0, 0.5 * h):
-        assembled = _strain(_matmul3(qh.at(x3), imm.grad_phi_tilde(x3)))
+        assembled = _strain(_matmul3_into(qh.at(x3), imm.grad_phi_tilde(x3)))
         predicted = h * h * (2.0 * eff.eps_g.data) + 2.0 * h * x3 * eff.kappa_g.data
         worst = max(worst, float(np.max(np.abs(assembled - predicted))))
     return worst

@@ -327,6 +327,14 @@ class MinimizeOptions:
         _check_tol(self.tol)
         if not (math.isfinite(self.penalty_init) and self.penalty_init > 0.0):
             raise ValueError(f"penalty_init must be a finite number > 0, got {self.penalty_init!r}")
+        # max_iter = 0 is admitted: each stage then evaluates its start only
+        _check_budget("max_iter", self.max_iter)
+        _check_budget("penalty_doublings", self.penalty_doublings)
+
+
+def _check_budget(name: str, value: int):
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 def _check_tol(tol: float):
@@ -560,6 +568,7 @@ class VKOptions:
 
     def __post_init__(self):
         _check_tol(self.tol)  # tol = 0 runs to the roundoff floor
+        _check_budget("max_sweeps", self.max_sweeps)
         if not (math.isfinite(self.relaxation) and self.relaxation > 0.0):
             raise ValueError(f"relaxation must be a finite number > 0, got {self.relaxation!r}")
 

@@ -15,7 +15,7 @@ from vkshell.fields import (
     sym_grad_values,
     sym_values,
 )
-from vkshell.growth import GrowthFields, growth_preset, sym_tan
+from vkshell.growth import GrowthFields, growth_preset
 from vkshell.cli import brute_force_q2
 
 
@@ -39,6 +39,13 @@ def test_material_constants():
         en.Material(-1.0, 1.0)
     # plane-stress identity: Q2 closed form equals (lam + 2 mu)/12 bending scale
     assert m.bending == pytest.approx((m.lam_plane + 2 * m.mu) / 12.0)
+
+
+@pytest.mark.parametrize("mu, lam", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, np.nan)])
+def test_material_rejects_non_finite_constants(mu, lam):
+    # an infinite mu would make young and bending nan
+    with pytest.raises(ValueError, match="finite"):
+        en.Material(mu, lam)
 
 
 def test_q3():
@@ -264,13 +271,17 @@ def _stack_q2(f, m):
     return 2.0 * m.mu * np.sum(s * s, axis=(-2, -1)) + m.lam_plane * tr * tr
 
 
+def _sym_tan(m):
+    return sym_values(m.data)[..., :2, :2]
+
+
 def _stack_integrands(functional, s, g, v0):
     """S, K and the constraint residual r (None but for I4INF) built on
     (..., 2, 2) stacks, term by term as the functionals define them."""
     grid = s.grid
     dv = grad_values(grid, s.v.data)
-    stretch = sym_grad_values(grid, s.w.data) + 0.5 * _outer(dv, dv) - sym_tan(g.eps_g)
-    bend = hessian_values(grid, s.v.data) + sym_tan(g.kappa_g)
+    stretch = sym_grad_values(grid, s.w.data) + 0.5 * _outer(dv, dv) - _sym_tan(g.eps_g)
+    bend = hessian_values(grid, s.v.data) + _sym_tan(g.kappa_g)
     r = None
     dv0 = grad_values(grid, v0.data)
     if functional == en.I41:
@@ -301,8 +312,12 @@ def test_plane_integrands_match_the_stack_formulas(bc, functional, rng):
         ref += penalty * grid.integrate_values(r * r)
     assert abs(en.total_energy(functional, s, g, m, v0, penalty) - ref) <= 1e-14 * abs(ref)
     assert abs(en.grad_energy(functional, s, g, m, v0, penalty)[0] - ref) <= 1e-14 * abs(ref)
-    for got, want in ((en.stretching_values(s, g, v0), stretch), (en.bending_values(s, g, v0), bend)):
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    got_s, got_k, got_r = en._integrands(functional, *en._stencil_planes(s), g, en._v0_planes(functional, v0))
+    for got, want in ((fields.sym_stack(*got_s), stretch), (fields.sym_stack(*got_k), bend), (got_r, r)):
+        if want is None:
+            assert got is None
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_grad_energy_applies_no_per_axis_stencil(square33, rng, monkeypatch):

@@ -14,15 +14,14 @@ from vkshell.fields import (
     VectorField2,
     VectorField3,
     airy_bracket,
-    apply_diff,
     bracket_matrix,
     bracket_values,
-    cof2,
+    cof2_values,
     curl_t_curl,
-    det2,
+    det2_values,
     div_t_div,
+    grad_values,
     hessian_values,
-    integrate,
     load_csv,
     save_csv,
     sym_grad_values,
@@ -56,22 +55,21 @@ def test_field_validation(square33):
 
 def test_derivative_of_constant_is_zero(square33, torus64):
     for grid in (square33, torus64):
-        f = ScalarField.sample(grid, lambda x, y: 0 * x + 3.7)
-        for kind in ("grad", "hessian", "laplacian", "bilaplacian"):
-            out = apply_diff(f, kind)
+        f = ScalarField.sample(grid, lambda x, y: 0 * x + 3.7).data
+        for out in (grad_values(grid, f), hessian_values(grid, f), grid.lap(f), grid.bilap(f)):
             # roundoff amplified by 1/dx^2 (and squared for the bilaplacian)
-            assert np.max(np.abs(out.data)) < 1e-8
+            assert np.max(np.abs(out)) < 1e-8
 
 
 def test_hessian_exact_for_quadratics(square33):
     f = ScalarField.sample(square33, lambda x, y: x * y)
-    h = apply_diff(f, "hessian").data
+    h = hessian_values(square33, f.data)
     assert np.allclose(h[..., 0, 1], 1.0, atol=1e-12)
     assert np.allclose(h[..., 1, 0], 1.0, atol=1e-12)
     assert np.allclose(h[..., 0, 0], 0.0, atol=1e-12)
     # periodicized polynomial patch: exact away from the wrap seam
     gp = Grid2D(32, 32, (0, 1, 0, 1), bc=PERIODIC)
-    hp = apply_diff(ScalarField.sample(gp, lambda x, y: x * y), "hessian").data
+    hp = hessian_values(gp, ScalarField.sample(gp, lambda x, y: x * y).data)
     inner = hp[2:-2, 2:-2]
     assert np.allclose(inner[..., 0, 1], 1.0, atol=1e-12)
     assert np.allclose(inner[..., 0, 0], 0.0, atol=1e-12)
@@ -80,7 +78,7 @@ def test_hessian_exact_for_quadratics(square33):
 def test_laplacian_analytic_oracle(torus64):
     # d^2/dx^2 + d^2/dy^2 of sin x sin y = -2 sin x sin y
     f = ScalarField.sample(torus64, lambda x, y: np.sin(x) * np.sin(y))
-    lap = apply_diff(f, "laplacian").data
+    lap = torus64.lap(f.data)
     err = np.max(np.abs(lap + 2.0 * f.data))
     assert err < 2.0 * max(torus64.dx, torus64.dy) ** 2
 
@@ -89,7 +87,7 @@ def test_bilaplacian_is_composed_laplacian(torus64, square33):
     for grid in (torus64, square33):
         rng = np.random.default_rng(3)
         f = ScalarField(grid, rng.standard_normal((grid.nx, grid.ny)))
-        direct = apply_diff(f, "bilaplacian").data
+        direct = grid.bilap(f.data)
         composed = grid.lap(grid.lap(f.data))
         assert np.array_equal(direct, composed)
 
@@ -100,7 +98,7 @@ def test_operator_convergence_order():
     for n in (32, 64):
         g = Grid2D(n, n, (0, TWO_PI, 0, TWO_PI), bc=PERIODIC)
         f = ScalarField.sample(g, lambda x, y: np.sin(x) * np.sin(2 * y))
-        lap = apply_diff(f, "laplacian").data
+        lap = g.lap(f.data)
         errs[n] = np.max(np.abs(lap + 5.0 * f.data))
     ratio = errs[32] / errs[64]
     assert 3.2 < ratio < 4.8
@@ -129,27 +127,26 @@ def test_div_t_div_oracles(torus64, square33):
     assert np.max(np.abs(div_t_div(MatrixField2(square33, c, symmetric=True)).data)) < 1e-12
     # cof hess v0 lies in the kernel, analytic oracle v0 = sin x sin y
     v0 = ScalarField.sample(torus64, lambda x, y: np.sin(x) * np.sin(y))
-    h = apply_diff(v0, "hessian")
-    res = div_t_div(cof2(h)).data
+    h = hessian_values(torus64, v0.data)
+    res = div_t_div(MatrixField2(torus64, cof2_values(h), symmetric=True)).data
     assert np.max(np.abs(res)) < 20.0 * torus64.dx**2
     # hess(sin x) maps to its bilaplacian sin x
     v1 = ScalarField.sample(torus64, lambda x, y: np.sin(x) + 0 * y)
-    out = div_t_div(apply_diff(v1, "hessian")).data
+    out = div_t_div(MatrixField2(torus64, hessian_values(torus64, v1.data), symmetric=True)).data
     assert np.max(np.abs(out - np.sin(torus64.X1))) < 2.0 * torus64.dx**2
 
 
 def test_cof_det_pointwise(rng, square33):
-    b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    bf = MatrixField2(square33, np.tile(b, (33, 33, 1, 1)))
-    assert np.allclose(cof2(bf).data, np.tile([[0, -1], [-1, 0]], (33, 33, 1, 1)))
-    assert np.allclose(det2(bf).data, -1.0)
-    eye = MatrixField2(square33, np.tile(np.eye(2), (33, 33, 1, 1)))
-    assert np.allclose(cof2(eye).data, eye.data)
-    assert np.allclose(det2(eye).data, 1.0)
+    bf = np.tile([[0.0, 1.0], [1.0, 0.0]], (33, 33, 1, 1))
+    assert np.allclose(cof2_values(bf), np.tile([[0, -1], [-1, 0]], (33, 33, 1, 1)))
+    assert np.allclose(det2_values(bf), -1.0)
+    eye = np.tile(np.eye(2), (33, 33, 1, 1))
+    assert np.allclose(cof2_values(eye), eye)
+    assert np.allclose(det2_values(eye), 1.0)
     # cof B : B = 2 det B pointwise, random samples
-    r = MatrixField2(square33, rng.standard_normal((33, 33, 2, 2)))
-    lhs = np.sum(cof2(r).data * r.data, axis=(-2, -1))
-    assert np.max(np.abs(lhs - 2.0 * det2(r).data)) < 1e-13
+    r = rng.standard_normal((33, 33, 2, 2))
+    lhs = np.sum(cof2_values(r) * r, axis=(-2, -1))
+    assert np.max(np.abs(lhs - 2.0 * det2_values(r))) < 1e-13
 
 
 def test_airy_bracket(square33, torus64):
@@ -169,8 +166,8 @@ def test_airy_bracket(square33, torus64):
     # exact symmetry
     assert np.array_equal(airy_bracket(vt, pt).data, airy_bracket(pt, vt).data)
     # [v, v] = 2 det hess v pointwise
-    hv = apply_diff(vt, "hessian")
-    assert np.max(np.abs(airy_bracket(vt, vt).data - 2.0 * det2(hv).data)) < 1e-12
+    hv = hessian_values(torus64, vt.data)
+    assert np.max(np.abs(airy_bracket(vt, vt).data - 2.0 * det2_values(hv))) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -260,15 +257,15 @@ def test_stencil_transposes_are_the_adjoints(square33, torus64, rng, axis):
 
 
 def test_integrate(square33, torus64):
-    assert integrate(ScalarField.sample(square33, lambda x, y: 0 * x + 1.0)) == pytest.approx(1.0)
-    assert integrate(ScalarField.zeros(square33)) == 0.0
-    val = integrate(ScalarField.sample(torus64, lambda x, y: np.sin(x) ** 2))
+    assert square33.integrate_values(np.ones((33, 33))) == pytest.approx(1.0)
+    assert square33.integrate_values(np.zeros((33, 33))) == 0.0
+    val = torus64.integrate_values(np.sin(torus64.X1) ** 2)
     assert val == pytest.approx(2.0 * np.pi**2, rel=1e-12)
 
 
 def test_rank_one_identity(torus64):
     # curl^T curl (sym(grad v3 x grad v0)) = -cof(hess v0) : hess v3
-    from vkshell.fields import grad_values, hessian_values, sym_values, cof2_values
+    from vkshell.fields import sym_values
 
     g = torus64
     v0 = ScalarField.sample(g, lambda x, y: np.sin(x) * np.sin(y))

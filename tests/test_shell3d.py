@@ -16,6 +16,7 @@ from vkshell.fields import (
     hessian_values,
     grad_values,
     sym_grad_values,
+    sym_stack,
 )
 from vkshell.growth import GrowthFields, incompatibility
 
@@ -62,6 +63,10 @@ def test_shell_config_validation(grid48):
         sh.ShellConfig(v0, alpha=1.0, h=0.1, n_t=4)
     with pytest.raises(ValueError):
         sh.ShellConfig(ScalarField(grid48, 30.0 * grid48.X1), alpha=0.0, h=0.1)  # shallowness
+    # a nan h would make gamma nan
+    for h, alpha in ((np.nan, 1.0), (np.inf, 1.0), (0.1, np.nan), (0.1, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            sh.ShellConfig(v0, alpha=alpha, h=h)
     cfg = sh.ShellConfig(v0, alpha=2.0, h=0.05, n_t=5)
     assert cfg.gamma == pytest.approx(0.05**2)
 
@@ -545,8 +550,8 @@ def test_matmul3_is_within_the_dot_product_error_bound(rng):
     }
     for name, make in stacks.items():
         a, b = make(400), make(400)
-        got = sh._matmul3(component_major_copy(a), component_major_copy(b))
-        assert np.array_equal(got, sh._matmul3(a, b)), name
+        got = sh._matmul3_into(component_major_copy(a), component_major_copy(b))
+        assert np.array_equal(got, sh._matmul3_into(a.copy(), b)), name
         bound = 2.0 * 3.0 * u / (1.0 - 3.0 * u) * (np.abs(a) @ np.abs(b))
         assert np.all(np.abs(got - np.matmul(a, b)) <= bound), name
         for n, i, j in np.ndindex(40, 3, 3):
@@ -643,8 +648,8 @@ def full_kernel_diagnostics(u, g):
     dists = []
     for k, x3 in enumerate(u.cfg.gauss_rule()[0]):
         gp_inv, _ = sh._inv3(imm.grad_phi_tilde(x3))
-        a = sh._matmul3(u.grad_y[k], gp_inv)
-        f = sh._matmul3(a, qh.inverse_at(x3))
+        a = sh._matmul3_into(u.grad_y[k], gp_inv)
+        f = sh._matmul3_into(a.copy(), qh.inverse_at(x3))
         dists.append(sh._dist_from_strain(sh._strain(f), f, sh._det3(a)).ravel())
     d = np.concatenate(dists)
     return float(d.max()), int(np.count_nonzero(d > sh.DIST_SO3_GUARD))
@@ -731,6 +736,22 @@ def test_recovery_template_supplies_the_state():
     for other in (saddle, flat):
         with pytest.raises(ValueError, match="another v0 or regime"):
             sh.build_recovery(template, other)
+
+
+@pytest.mark.parametrize("regime", sh.REGIMES)
+def test_recovery_template_warping_is_the_q2_completion_of_the_integrands(square33, regime):
+    # the template reads c(S) and c(K) from the traces alone; q2's minimizer on
+    # the full (..., 2, 2) integrand stacks gives the same bits
+    m = en.Material(1.3, 0.7)
+    g = sine_growth(square33)
+    _, v0, st = sweep_case(square33, regime)
+    template = sh.RecoveryTemplate(st.v, st.w, g, v0, regime, m, st.vtilde)
+    functional = st.variant
+    stretch, bend, _ = en._integrands(functional, *en._stencil_planes(st), g, en._v0_planes(functional, v0))
+    c_s, c_k = (en.q2(sym_stack(*f), m)[1] for f in (stretch, bend))
+    assert np.any(c_s[..., 2] != 0.0) and np.any(c_k[..., 2] != 0.0)
+    assert np.array_equal(template.d0, en.warping_l(g.eps_g.data) + 2.0 * c_s)
+    assert np.array_equal(template.d1, en.warping_l(g.kappa_g.data) - 2.0 * c_k)
 
 
 # -- the streamed thickness nodes ---------------------------------------------------

@@ -758,6 +758,17 @@ def test_minimize_options_reject_a_non_positive_penalty(penalty_init):
         so.MinimizeOptions(penalty_init=penalty_init)
 
 
+@pytest.mark.parametrize(
+    "options, name",
+    [(so.MinimizeOptions, "max_iter"), (so.MinimizeOptions, "penalty_doublings"), (so.VKOptions, "max_sweeps")],
+)
+def test_solver_options_reject_a_negative_budget(options, name):
+    # penalty_doublings = -1 would run no stage and report converged
+    with pytest.raises(ValueError, match=name):
+        options(**{name: -1})
+    assert getattr(options(**{name: 0}), name) == 0
+
+
 def test_solver_options_admit_tol_zero():
     assert so.VKOptions(tol=0.0).tol == 0.0
     assert so.MinimizeOptions(tol=0.0).tol == 0.0
