@@ -38,7 +38,6 @@ from .fields import (
     Grid2D,
     MatrixField2,
     ScalarField,
-    SizingError,
     VectorField2,
     airy_bracket,
     cof2_values,
@@ -125,11 +124,11 @@ def _parse_grid(block: dict) -> Grid2D:
     domain = block.get("domain", [0.0, 1.0, 0.0, 1.0])
     if not (isinstance(domain, list) and len(domain) == 4):
         raise ConfigError("grid.domain must be [a1, b1, a2, b2]")
+    entries = dict(enumerate(domain))
+    ends = tuple(float(_number(entries, i, "grid.domain")) for i in entries)
     try:
-        return Grid2D(nx, ny, tuple(float(d) for d in domain), bc=bc)
-    except SizingError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-    except ValueError as exc:
+        return Grid2D(nx, ny, ends, bc=bc)
+    except ValueError as exc:  # a SizingError, or a step whose 1/dx^2 overflows
         raise ConfigError(f"grid: {exc}") from exc
 
 
@@ -150,7 +149,7 @@ def _parse_growth(block: dict, grid: Grid2D) -> tuple[GrowthFields, dict]:
         if name not in GROWTH_PRESETS:
             raise ConfigError(f"growth.preset: unknown preset {name!r}; choose from {GROWTH_PRESETS}")
         amp = _number(block, "amplitude", "growth", 1.0)
-        return growth_preset(name, grid, amp), {"preset": name, "amplitude": amp}
+        return _sampled("growth", growth_preset, name, grid, amp), {"preset": name, "amplitude": amp}
     try:
         spec = GrowthSpec.from_config(block)
     except ValueError as exc:
@@ -163,7 +162,7 @@ def _parse_growth(block: dict, grid: Grid2D) -> tuple[GrowthFields, dict]:
                         f"growth: {name}[{i},{j}] is a non-constant polynomial, which jumps at the "
                         "seam of a periodic grid; use a preset or constant terms there"
                     )
-    return eval_growth(spec, grid), {"spec_keys": sorted(block)}
+    return _sampled("growth", eval_growth, spec, grid), {"spec_keys": sorted(block)}
 
 
 def _poly_terms(terms, where: str) -> list:
@@ -174,8 +173,8 @@ def _poly_terms(terms, where: str) -> list:
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_poly_field(grid: Grid2D, terms, where: str) -> np.ndarray:
-    return eval_poly(_poly_terms(terms, where), grid.X1, grid.X2)
+def _parse_poly_field(grid: Grid2D, terms, where: str) -> ScalarField:
+    return _sampled(where, ScalarField, grid, eval_poly(_poly_terms(terms, where), grid.X1, grid.X2))
 
 
 def _sample_v0(grid: Grid2D, kind, scale: float) -> ScalarField:
@@ -205,9 +204,18 @@ def _sample_v0(grid: Grid2D, kind, scale: float) -> ScalarField:
     else:
         k1, k2 = wavenumbers(grid)
         data = np.sin(k1 * (x - grid.domain[0])) * np.sin(k2 * (y - grid.domain[2]))
-    return ScalarField(grid, scale * data)
+    return _sampled("geometry.v0", ScalarField, grid, scale * data)
 
 
+def _sampled(where: str, sample, *args):
+    """sample(*args), a field: finite config values that overflow it are a config error too."""
+    try:
+        return sample(*args)
+    except ValueError as exc:  # field samples must all be finite
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+@np.errstate(over="ignore", invalid="ignore")  # samples that overflow are reported once, by _sampled
 def parse_config(doc: dict) -> ExperimentConfig:
     _require_keys(doc, "config", ("grid", "material", "growth", "geometry"), ("run",))
     grid = _parse_grid(doc["grid"])
@@ -467,6 +475,7 @@ def _write_report(outdir: Path, report: so.SolveReport) -> None:
     _write_json(outdir / "report.json", payload)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in parse_config
 def _scaling_state(cfg: ExperimentConfig, regime: str) -> en.PlateState:
     grid = cfg.grid
     spec = cfg.run.get("state", "auto")
@@ -490,20 +499,20 @@ def _scaling_state(cfg: ExperimentConfig, regime: str) -> en.PlateState:
         v = ScalarField(grid, cfg.v0.data + bump) if regime == sh.DMV else ScalarField(grid, bump)
         return en.PlateState(en.I40, w, v)
     _require_keys(spec, "run.state", ("v", "w"), ("vtilde",))
-    v = ScalarField(grid, _parse_poly_field(grid, spec["v"], "run.state.v"))
+    v = _parse_poly_field(grid, spec["v"], "run.state.v")
     wlist = spec["w"]
     if not (isinstance(wlist, list) and len(wlist) == 2):
         raise ConfigError("run.state.w must be a pair of term lists")
     w = VectorField2(
         grid,
         np.stack(
-            [_parse_poly_field(grid, wlist[i], f"run.state.w[{i}]") for i in range(2)], axis=-1
+            [_parse_poly_field(grid, wlist[i], f"run.state.w[{i}]").data for i in range(2)], axis=-1
         ),
     )
+    if ("vtilde" in spec) != (regime == sh.CONSTRAINED):
+        raise ConfigError(f"run.state: vtilde is needed in the constrained regime and only there (regime {regime!r})")
     if regime == sh.CONSTRAINED:
-        if "vtilde" not in spec:
-            raise ConfigError("run.state needs vtilde in the constrained regime")
-        vt = ScalarField(grid, _parse_poly_field(grid, spec["vtilde"], "run.state.vtilde"))
+        vt = _parse_poly_field(grid, spec["vtilde"], "run.state.vtilde")
         return en.PlateState(en.I4INF, w, v, vt)
     return en.PlateState(en.I40, w, v)
 

@@ -15,11 +15,13 @@ one formula (_integrands) builds them as three planes each (xx, yy, xy) from
 the state's derivative planes, and _q2_planes / _stress_planes give their Q2
 and stress plane by plane; q2 and q2_stress on (..., 2, 2) stacks read the
 same two functions.  total_energy forms the derivative planes with the
-grid's per-axis stencils.  grad_energy forms them with one sparse product by
-the plate derivative operator (fields.plate_derivative_matrix, built once
-per grid) and returns the gradient through one product by its transpose.
-Every row of that operator is bitwise the per-axis stencil, so both paths
-see the same planes and the same quadrature.
+grid's per-axis stencils, v's and v0's as their ScalarField.planes, formed
+once per field; the 3-D recovery template runs the same pass for E2d.
+grad_energy forms the state's with one sparse product by the plate
+derivative operator (fields.plate_derivative_matrix, built once per grid)
+and returns the gradient through one product by its transpose.  Every row
+of that operator is bitwise the per-axis stencil, so both paths see the same
+planes and the same quadrature.
 
 Energies are plain quadrature sums over the grid; gradients differentiate
 that sum exactly (adjoint stencils), so finite-difference checks of the
@@ -38,8 +40,6 @@ from .fields import (
     ScalarField,
     VectorField2,
     bracket_planes,
-    bracket_values,
-    hessian_values,
     sym_planes,
     sym_stack,
     sym_values,
@@ -215,20 +215,14 @@ class PlateState:
 _W1_1, _W1_2, _W2_1, _W2_2, _V_1, _V_2, _V_11, _V_22, _VT_1, _VT_2 = range(10)
 
 
-def _scalar_planes(grid: Grid2D, a: np.ndarray) -> tuple:
-    """(d1, d2, d11, d22, d12) of a scalar field by the per-axis stencils; d12
-    is dcross's, D1x applied to the d2 plane."""
-    a_2 = grid.d1(a, 1)
-    return grid.d1(a, 0), a_2, grid.d2(a, 0), grid.d2(a, 1), grid.d1(a_2, 0)
-
-
 def _stencil_planes(s: PlateState) -> tuple[list, np.ndarray]:
     """The state's derivative planes (fields.PLATE_ROWS order) and its d12 v
-    plane, by the per-axis stencils: the value path."""
+    plane, by the per-axis stencils: the value path.  v's are its
+    ScalarField.planes."""
     grid = s.grid
     w = s.w.data
     planes = [grid.d1(w[..., i], k) for i in range(2) for k in range(2)]
-    *vd, v_12 = _scalar_planes(grid, s.v.data)
+    *vd, v_12 = s.v.planes
     planes += vd
     if s.vtilde is not None:
         planes += [grid.d1(s.vtilde.data, 0), grid.d1(s.vtilde.data, 1)]
@@ -237,9 +231,7 @@ def _stencil_planes(s: PlateState) -> tuple[list, np.ndarray]:
 
 def _v0_planes(functional: str, v0: ScalarField | None):
     """v0's planes where the functional has v0 terms, else None."""
-    if functional == I40 or v0 is None:
-        return None
-    return _scalar_planes(v0.grid, v0.data)
+    return None if functional == I40 or v0 is None else v0.planes
 
 
 def _integrands(functional: str, d, v_12, g: GrowthFields, p0):
@@ -282,7 +274,7 @@ def _integrands(functional: str, d, v_12, g: GrowthFields, p0):
 
 def constraint_values(v: ScalarField, v0: ScalarField) -> np.ndarray:
     """Pointwise linearized isometry residual cof(hess v0) : hess v."""
-    return bracket_values(hessian_values(v.grid, v0.data), hessian_values(v.grid, v.data))
+    return bracket_planes(v0.planes[2:], v.planes[2:])
 
 
 def _check(functional: str, s: PlateState, g: GrowthFields, v0: ScalarField | None, penalty: float):
@@ -311,11 +303,12 @@ def _quadrature(grid: Grid2D, qs, qb, r, penalty: float) -> tuple[float, float]:
     return e + penalty * res_sq, math.sqrt(max(res_sq, 0.0))
 
 
-def _energy(functional, s, g, m, v0, penalty) -> tuple[float, float]:
-    """(energy, constraint residual) of one functional at s."""
+def _energy(functional, s, g, m, v0, penalty) -> tuple:
+    """(energy, constraint residual, (tr S, tr K)) of one functional at s."""
     _check(functional, s, g, v0, penalty)
     stretch, bend, r = _integrands(functional, *_stencil_planes(s), g, _v0_planes(functional, v0))
-    return _quadrature(s.grid, _q2_planes(*stretch, m)[0], _q2_planes(*bend, m)[0], r, penalty)
+    (qs, tr_s), (qb, tr_k) = _q2_planes(*stretch, m), _q2_planes(*bend, m)
+    return *_quadrature(s.grid, qs, qb, r, penalty), (tr_s, tr_k)
 
 
 def energy_i40(s: PlateState, g: GrowthFields, m: Material) -> float:
@@ -340,7 +333,7 @@ def energy_i4inf(
     Returns (energy, constraint_residual): the functional plus a quadratic
     penalty on cof(hess v0) : hess v, and the L2 norm of that constraint.
     """
-    return _energy(I4INF, s, g, m, v0, constraint_penalty)
+    return _energy(I4INF, s, g, m, v0, constraint_penalty)[:2]
 
 
 def total_energy(

@@ -19,15 +19,17 @@ defined here.  The design is deliberately plain:
 
 All field data is immutable after construction; operators allocate fresh
 outputs, so fields can be shared freely across threads.  The public
-constructors copy their input.  Stacks of small matrices may be stored
-component-major (component_major): the logical shape stays (..., m, n), but
-each a[..., i, j] is one contiguous plane, so readers that take planes
-stream memory.
+constructors copy their input.  A scalar field keeps its derivative planes
+(ScalarField.planes) from their first read, as Grid2D keeps its operators.
+Stacks of small matrices may be stored component-major (component_major):
+the logical shape stays (..., m, n), but each a[..., i, j] is one contiguous
+plane, so readers that take planes stream memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -109,19 +111,18 @@ class Grid2D:
         if nx < 8 or ny < 8:
             raise SizingError(f"grid must be at least 8x8, got {nx}x{ny}")
         a1, b1, a2, b2 = map(float, domain)
-        if not (b1 > a1 and b2 > a2):
-            raise ValueError(f"degenerate domain {domain}")
+        cells = (nx, ny) if bc == PERIODIC else (nx - 1, ny - 1)
+        self.dx, self.dy = (b1 - a1) / cells[0], (b2 - a2) / cells[1]
+        # steps finite and > 0 (an infinite end gives inf or nan), and 1/dx^2, 1/dy^2 finite
+        if not all(0.0 < d < np.inf and 1.0 / max(d * d, 5e-324) < np.inf for d in (self.dx, self.dy)):
+            raise ValueError(f"degenerate domain {domain}: steps {self.dx}, {self.dy}")
         self.nx, self.ny = int(nx), int(ny)
         self.domain = (a1, b1, a2, b2)
         self.bc = bc
         if bc == PERIODIC:
-            self.dx = (b1 - a1) / nx
-            self.dy = (b2 - a2) / ny
             self.x1 = a1 + self.dx * np.arange(nx)
             self.x2 = a2 + self.dy * np.arange(ny)
         else:
-            self.dx = (b1 - a1) / (nx - 1)
-            self.dy = (b2 - a2) / (ny - 1)
             self.x1 = np.linspace(a1, b1, nx)
             self.x2 = np.linspace(a2, b2, ny)
         self.X1, self.X2 = np.meshgrid(self.x1, self.x2, indexing="ij")
@@ -298,11 +299,24 @@ def _freeze(
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
+    """Node samples of a scalar field, with its derivative planes."""
+
     grid: Grid2D
     data: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "data", _freeze(self.data, (), self.grid))
+
+    @cached_property
+    def planes(self) -> tuple:
+        """(d1, d2, d11, d22, d12), bitwise grad_values and hessian_values (d12 is
+        dcross's D1x of the d2 plane): 5 stencils on first read, then kept read-only."""
+        grid, a = self.grid, self.data
+        a_2 = grid.d1(a, 1)
+        out = (grid.d1(a, 0), a_2, grid.d2(a, 0), grid.d2(a, 1), grid.d1(a_2, 0))
+        for p in out:
+            p.setflags(write=False)
+        return out
 
     @classmethod
     def sample(cls, grid: Grid2D, fn) -> "ScalarField":

@@ -47,9 +47,8 @@ from .fields import (
     component_major,
     curl_t_curl_planes,
     div_t_div_planes,
-    grad_values,
-    hessian_values,
     sym_planes,
+    sym_stack,
     sym_values,
 )
 
@@ -205,12 +204,10 @@ def effective_growth(g: GrowthFields, v0: ScalarField) -> GrowthFields:
     kappa_eff = sym kappa_g - (hess v0)^*.
     """
     g.grid.require_same(v0.grid, "growth and v0")
-    grid = g.grid
-    dv = grad_values(grid, v0.data)
-    outer = dv[..., :, None] * dv[..., None, :]
-    eps_eff = sym_values(g.eps_g.data) + 0.5 * embed2(outer)
-    kap_eff = sym_values(g.kappa_g.data) - embed2(hessian_values(grid, v0.data))
-    return GrowthFields.from_arrays(grid, eps_eff, kap_eff)
+    p_1, p_2, p_11, p_22, p_12 = v0.planes
+    eps_eff = sym_values(g.eps_g.data) + 0.5 * embed2(sym_stack(p_1 * p_1, p_2 * p_2, p_1 * p_2))
+    kap_eff = sym_values(g.kappa_g.data) - embed2(sym_stack(p_11, p_22, p_12))
+    return GrowthFields.from_arrays(g.grid, eps_eff, kap_eff)
 
 
 def incompatibility(g: GrowthFields) -> tuple[VectorField2, float]:
@@ -237,11 +234,10 @@ def strain_pullback(sigma: MatrixField3, v0: ScalarField, gamma: float) -> Matri
         raise ValueError("gamma must be nonnegative")
     sigma.grid.require_same(v0.grid, "form and v0")
     grid = sigma.grid
-    dv = grad_values(grid, v0.data)
     tang = np.zeros((grid.nx, grid.ny, 3, 2))  # columns d_1 phi, d_2 phi
     tang[..., 0, 0] = 1.0
     tang[..., 1, 1] = 1.0
-    tang[..., 2, :] = gamma * dv
+    tang[..., 2, :] = gamma * np.stack(v0.planes[:2], axis=-1)
     out = np.einsum("...ai,...ab,...bj->...ij", tang, sigma.data, tang)
     return MatrixField2(grid, out)
 

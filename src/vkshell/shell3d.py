@@ -6,7 +6,8 @@ gamma = h^alpha; the plate-to-shell chart is phi_tilde(x, x3) =
 phi(x) + x3 n(x) with n the unit normal.  All derivatives of the chart
 are assembled in closed form from the stencil derivatives of v0 (chain
 rule, never by re-differencing normal samples), so |n| = 1 and the
-tangent-normal orthogonality hold exactly in floating point.
+tangent-normal orthogonality hold exactly in floating point.  They do not
+depend on h: every shell of a v0 reads the one set v0.planes.
 
 Energy.  The scaled energy (1/h) int W(grad u (q^h)^-1) dz is evaluated
 by the change of variables z = phi_tilde(x, x3): in-plane node quadrature
@@ -63,9 +64,11 @@ pulled-back metric shows the order-h^2 strain is exactly
 warping relaxes pointwise to Q2; the scaled energies then converge to the
 regime-matched two-dimensional functional.
 
-Sweep template.  d0, d1 and their in-plane gradients and the constrained
-regime's wtilde do not depend on h.  They form a RecoveryTemplate, which
-scaling_study builds once and hands to each row's build_recovery, so a row is
+Sweep template.  d0, d1 and their in-plane gradients, the constrained
+regime's wtilde and the limit energy E2d do not depend on h.  They form a
+RecoveryTemplate, built by one pass of the energy module's integrand formula:
+E2d is that pass's quadrature and d0, d1 read its traces.  scaling_study
+builds the template once and hands it to each row's build_recovery, so a row is
 energy_3d(build_recovery(template, cfg), g, m): the deformation carries its
 shell, and the shell its Gauss rule.  A row's deformation keeps only its
 node-independent planes (grad Y, grad nu and nu + h^2 d0) and reads d1 and the
@@ -89,9 +92,7 @@ from .fields import (
     VectorField2,
     VectorField3,
     component_major as _component_major,
-    grad_values,
-    hessian_values,
-    sym_values,
+    sym_stack,
 )
 from .growth import GrowthFields, GrowthSpecError, effective_growth, incompatibility
 from .solver import reconstruct_displacement
@@ -131,7 +132,7 @@ class ShellConfig:
         extent = min(b1 - a1, b2 - a2)
         if self.h > 0.2 * extent:
             raise ValueError(f"thickness {self.h} too large for domain extent {extent}")
-        slope = float(np.max(np.abs(grad_values(g, self.v0.data))))
+        slope = max(float(np.max(np.abs(d))) for d in self.v0.planes[:2])
         # boundary value 1 admitted: the unit-slope tilted-plane case sits there
         if self.gamma * slope > 1.0 + 1e-12:
             raise ValueError("shallowness violated: gamma * max|grad v0| must stay below 1")
@@ -169,26 +170,21 @@ class Immersion:
         self.cfg = cfg
         self.grid = grid
         g = cfg.gamma
-        dv = grad_values(grid, cfg.v0.data)
-        hv = hessian_values(grid, cfg.v0.data)
-        n2 = 1.0 + g * g * (dv[..., 0] ** 2 + dv[..., 1] ** 2)
-        nfac = np.sqrt(n2)
+        p_1, p_2, p_11, p_22, p_12 = cfg.v0.planes
+        nfac = np.sqrt(1.0 + g * g * (p_1**2 + p_2**2))
         nvec = np.empty((grid.nx, grid.ny, 3))
-        nvec[..., 0] = -g * dv[..., 0] / nfac
-        nvec[..., 1] = -g * dv[..., 1] / nfac
+        nvec[..., 0] = -g * p_1 / nfac
+        nvec[..., 1] = -g * p_2 / nfac
         nvec[..., 2] = 1.0 / nfac
         self._normal = nvec
-        # d_j phi = (e_j, g d_j v0): only the third row varies in x
-        self._slope = g * dv
         # dn[..., :, j] = d_j n by the chain rule on n = (-g grad v0, 1)/N
         dn = _component_major((grid.nx, grid.ny, 3, 2))
-        dnfac = g * g * (dv[..., 0:1] * hv[..., 0, :] + dv[..., 1:2] * hv[..., 1, :]) / nfac[..., None]
-        for j in range(2):
-            dn[..., 0, j] = (-g * hv[..., 0, j] - nvec[..., 0] * dnfac[..., j]) / nfac
-            dn[..., 1, j] = (-g * hv[..., 1, j] - nvec[..., 1] * dnfac[..., j]) / nfac
-            dn[..., 2, j] = -nvec[..., 2] * dnfac[..., j] / nfac
+        for j, (h_0j, h_1j) in enumerate(((p_11, p_12), (p_12, p_22))):  # the columns of hess v0
+            dnfac = g * g * (p_1 * h_0j + p_2 * h_1j) / nfac
+            dn[..., 0, j] = (-g * h_0j - nvec[..., 0] * dnfac) / nfac
+            dn[..., 1, j] = (-g * h_1j - nvec[..., 1] * dnfac) / nfac
+            dn[..., 2, j] = -nvec[..., 2] * dnfac / nfac
         self._dn = dn
-        self._v0 = cfg.v0.data
         self._gamma = g
 
     @property
@@ -201,7 +197,7 @@ class Immersion:
         pts = np.empty((grid.nx, grid.ny, 3))
         pts[..., 0] = grid.X1
         pts[..., 1] = grid.X2
-        pts[..., 2] = self._gamma * self._v0
+        pts[..., 2] = self._gamma * self.cfg.v0.data
         return pts + x3 * self._normal
 
     def grad_phi_tilde(self, x3: float) -> np.ndarray:
@@ -209,14 +205,15 @@ class Immersion:
         out = _component_major(self._dn.shape[:2] + (3, 3))
         np.multiply(x3, self._dn, out=out[..., :2])
         out[..., :2, :2] += np.eye(2)
-        out[..., 2, :2] += self._slope
+        for j in range(2):  # d_j phi = (e_j, g d_j v0): only the third row varies in x
+            out[..., 2, j] += self._gamma * self.cfg.v0.planes[j]
         out[..., 2] = self._normal
         return out
 
     def tangent_normal_defect(self) -> float:
         """max |d_i phi . n| at the mid-surface; zero by construction."""
-        dots = self._normal[..., :2] + self._slope * self._normal[..., 2:]
-        return float(np.max(np.abs(dots)))
+        nv, dv0 = self._normal, self.cfg.v0.planes
+        return max(float(np.max(np.abs(nv[..., j] + self._gamma * dv0[j] * nv[..., 2]))) for j in range(2))
 
 
 class GrowthEvaluator:
@@ -590,8 +587,9 @@ class RecoveryTemplate:
     not supplied), and the warping vectors d0 = l(eps_g) + 2 c_s and
     d1 = l(kappa_g) - 2 c_k (c_s, c_k the Q2 completions of the regime's
     integrands S and K, from their traces by energy.completion) with their
-    in-plane gradients.  scaling_study builds one before its rows and hands
-    it to each row's build_recovery.
+    in-plane gradients, and e2d, the limit functional at the state (penalty
+    0), from the same integrand pass.  scaling_study builds one before its
+    rows and hands it to each row's build_recovery.
     """
 
     def __init__(
@@ -612,20 +610,17 @@ class RecoveryTemplate:
         self.v0, self.regime, self.v, self.w = v0, regime, v, w
         # the state checks that vtilde comes exactly with the constrained regime
         state = en.PlateState(limit_functional_name(regime), w, v, vtilde)
+        # the one integrand pass, the limit functional's value path: E2d is its
+        # energy (penalty 0), and c(S) and c(K) read only the traces of S and K
+        self.e2d, _, (tr_s, tr_k) = en._energy(state.variant, state, g, m, v0, 0.0)
         if regime == CONSTRAINED:
             if wtilde is None:
-                dv = grad_values(grid, v.data)
-                dv0 = grad_values(grid, v0.data)
-                e = -sym_values(dv[..., :, None] * dv0[..., None, :])
-                wtilde = VectorField2(grid, reconstruct_displacement(e, grid))
+                # sym grad wtilde = -sym(grad v x grad v0), a temporary formed from the pass's planes
+                (v_1, v_2), (p_1, p_2) = v.planes[:2], v0.planes[:2]
+                wtilde = VectorField2(grid, reconstruct_displacement(
+                    sym_stack(-(v_1 * p_1), -(v_2 * p_2), -(0.5 * (v_1 * p_2 + v_2 * p_1))), grid))
             grid.require_same(wtilde.grid, "state and shell")
         self.vtilde, self.wtilde = vtilde, wtilde
-        # c(S) and c(K) read only the traces of S and K; the integrand planes
-        # die here, before the warping gradients below are allocated
-        functional = state.variant
-        integrands = en._integrands(functional, *en._stencil_planes(state), g, en._v0_planes(functional, v0))
-        tr_s, tr_k = (xx + yy for xx, yy, _ in integrands[:2])
-        del integrands
         self.d0 = en.warping_l(g.eps_g.data)
         self.d0[..., 2] += 2.0 * en.completion(tr_s, m)
         self.d1 = en.warping_l(g.kappa_g.data)
@@ -812,9 +807,9 @@ def scaling_study(
     """Recovery-sequence energy sweep h -> h^-4 I^3d against the 2d limit.
 
     Rows are ordered by the given (decreasing) h list; every row's shell is
-    built, and so checked, before the first row runs.  The regime-matched
-    limit functional supplies E2d; the incompatibility norm of the growth
-    rides along as metadata; all three are computed once per sweep.  With
+    built, and so checked, before the first row runs.  The template supplies
+    E2d, the regime-matched limit functional; the incompatibility norm of the
+    growth rides along as metadata; all three are computed once per sweep.  With
     workers > 1 the rows are computed on that many threads, each row whole
     on one thread, so the table is bitwise the serial one.
     """
@@ -824,25 +819,17 @@ def scaling_study(
     shells = [ShellConfig(v0, alpha=alpha, h=h, n_t=n_t) for h in h_list]
     _, inorm = incompatibility(g)
     regime = resolve_regime(v0, alpha)
-    limit_name = limit_functional_name(regime)
-    if regime == FLAT:
-        e2d = en.energy_i40(state, g, m)
-    elif regime == DMV:
-        e2d = en.energy_i41(state, g, m, v0)
-    else:
-        e2d = en.energy_i4inf(state, g, m, v0, 0.0)[0]
-
     template = RecoveryTemplate(state.v, state.w, g, v0, regime, m, state.vtilde, wtilde)
 
     def row(cfg: ShellConfig) -> ScalingRow:
         e3, _ = energy_3d(build_recovery(template, cfg), g, m)
         scaled = e3 / cfg.h**4
-        ratio = scaled / e2d if e2d != 0.0 else math.nan
-        return ScalingRow(cfg.h, cfg.gamma, e3, scaled, e2d, ratio)
+        ratio = scaled / template.e2d if template.e2d != 0.0 else math.nan
+        return ScalingRow(cfg.h, cfg.gamma, e3, scaled, template.e2d, ratio)
 
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(row, shells))
     else:
         rows = tuple(map(row, shells))
-    return ScalingStudy(rows, regime, limit_name, inorm)
+    return ScalingStudy(rows, regime, limit_functional_name(regime), inorm)

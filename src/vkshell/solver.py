@@ -61,6 +61,7 @@ from .fields import (
     det2_values,
     hessian_values,
     grad_values,
+    sym_stack,
     sym_values,
 )
 from .growth import GrowthFields, lambda_g, omega_g
@@ -275,8 +276,8 @@ def solve_mystery(v0: ScalarField, B: MatrixField2) -> tuple[ScalarField, Vector
     grid = v0.grid
     if grid.periodic:
         raise ValueError("solve_mystery poses a Dirichlet problem; use a ghost-mode grid")
-    hv0 = hessian_values(grid, v0.data)
-    dmin = float(det2_values(hv0).min())
+    p_1, p_2, p_11, p_22, p_12 = v0.planes
+    dmin = float((p_11 * p_22 - p_12 * p_12).min())
     if dmin <= 1e-12:
         raise EllipticityError(f"det(hess v0) must be uniformly positive; min is {dmin:.3e}")
 
@@ -285,7 +286,7 @@ def solve_mystery(v0: ScalarField, B: MatrixField2) -> tuple[ScalarField, Vector
     # v = 0 on the boundary: the system is the interior block of the operator
     nx, ny = grid.nx, grid.ny
     inner = np.arange(nx * ny).reshape(nx, ny)[1:-1, 1:-1].ravel()
-    mat = bracket_matrix(grid, hv0)[inner][:, inner]
+    mat = bracket_matrix(grid, sym_stack(p_11, p_22, p_12))[inner][:, inner]
     try:
         u = spla.spsolve(mat, f[1:-1, 1:-1].ravel())
     except Exception as exc:  # pragma: no cover - singular systems are input errors
@@ -298,7 +299,7 @@ def solve_mystery(v0: ScalarField, B: MatrixField2) -> tuple[ScalarField, Vector
     v = ScalarField(grid, vdata)
 
     dv = grad_values(grid, vdata)
-    dv0 = grad_values(grid, v0.data)
+    dv0 = np.stack([p_1, p_2], axis=-1)
     e = B.data - sym_values(dv[..., :, None] * dv0[..., None, :])
     w = reconstruct_displacement(e, grid)
     return v, VectorField2(grid, w)
@@ -380,7 +381,7 @@ def _flat_hessian_inverse(functional: str, grid: Grid2D, m: en.Material, v0, pen
     hv0 = None
     pbar = 0.0
     if constrained:
-        hv0 = hessian_values(grid, v0.data)  # |cof hess v0| = |hess v0|
+        hv0 = sym_stack(*v0.planes[2:])  # |cof hess v0| = |hess v0|
         pbar = grid.integrate_values(0.5 * np.sum(hv0 * hv0, axis=(-2, -1))) / grid.area
     sym_v = (a / 12.0 + 2.0 * penalty * pbar) * (np.sqrt(lx2)[:, None] + np.sqrt(ly2)[None, :]) ** 2
     # kernel x kernel modes with a constant factor (mode 0) are affine: skip them
@@ -395,8 +396,8 @@ def _flat_hessian_inverse(functional: str, grid: Grid2D, m: en.Material, v0, pen
 
     sym_vt = None
     if constrained:
-        dv0 = grad_values(grid, v0.data)
-        gbar = grid.integrate_values(np.sum(dv0 * dv0, axis=-1)) / grid.area
+        p_1, p_2 = v0.planes[:2]
+        gbar = grid.integrate_values(p_1 * p_1 + p_2 * p_2) / grid.area
         sym_vt = _kernel_filled(0.5 * a * (gbar if gbar > 0.0 else 1.0) * (lx1 + ly1))
 
     nx, ny = grid.nx, grid.ny
@@ -583,8 +584,8 @@ def _vk_sources(model: str, g: GrowthFields, m: en.Material, v0: ScalarField):
     lam = lambda_g(g).data
     om = omega_g(g, m.nu).data
     if model == "new":
-        a = v0.data
-        return lam, om, (grid.d2(a, 0), grid.d2(a, 1), grid.dcross(a)), grid.bilap(a)
+        hv0 = v0.planes[2:]  # bilap = lap lap, and lap v0 is bitwise d11 v0 + d22 v0
+        return lam, om, hv0, grid.lap(hv0[0] + hv0[1])
     return lam, om, None, 0.0
 
 

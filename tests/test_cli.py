@@ -378,13 +378,89 @@ def test_run_solve_vk_requires_periodic(tmp_path):
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
 
 
-def test_constrained_auto_state_requires_paraboloid(tmp_path):
+def test_constrained_auto_state_requires_paraboloid(tmp_path, capsys):
     doc = base_config()
     doc["grid"] = {"nx": 32, "ny": 32, "domain": [0.0, 1.0, 0.0, 1.0], "bc": "dirichlet-ghost"}
     doc["geometry"] = {"v0": "saddle", "alpha": 0.5}
     doc["run"] = {"command": "scaling", "h_list": [0.1, 0.05]}
     path = write_config(tmp_path, doc)
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "y")]) == 2
+    assert capsys.readouterr().err.startswith("config error: run.state 'auto' in the constrained regime")
+
+
+W_TERMS = [[[0.05, 2, 1]], [[-0.02, 0, 2]]]
+# (alpha, run.state) on the paraboloid v0
+EXPLICIT_STATES = {
+    "dmv": (1.0, {"v": [[0.5, 2, 0], [0.5, 0, 2], [0.1, 1, 1]], "w": W_TERMS}),
+    "constrained": (0.5, {"v": [[0.3, 2, 0], [-0.3, 0, 2]], "w": W_TERMS, "vtilde": [[0.2, 1, 1]]}),
+}
+
+
+def explicit_state_config(alpha, state):
+    doc = base_config(growth={"preset": "kappa_sine"}, geometry={"v0": "paraboloid", "alpha": alpha})
+    doc["grid"] = {"nx": 33, "ny": 33, "domain": [0.0, 1.0, 0.0, 1.0], "bc": "dirichlet-ghost"}
+    doc["run"] = {"command": "scaling", "h_list": [0.1, 1e-2, 1e-3], "n_t": 3, "state": state}
+    return doc
+
+
+@pytest.mark.parametrize("regime", list(EXPLICIT_STATES))
+def test_run_scaling_takes_an_explicit_state(tmp_path, regime):
+    path = write_config(tmp_path, explicit_state_config(*EXPLICIT_STATES[regime]))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["outputs"]["scaling"]["regime"] == regime
+    rows = summary["outputs"]["rows"]
+    assert len(rows) == 3
+    for row in rows:
+        assert all(math.isfinite(x) for x in row.values())
+        assert 0.5 < row["ratio"] < 2.0
+
+
+STATE_ERRORS = {
+    "w not a pair": (1.0, {"v": [[0.5, 2, 0]], "w": W_TERMS[:1]}, "run.state.w must be a pair"),
+    "constrained without vtilde": (0.5, {"v": [[0.3, 2, 0]], "w": W_TERMS}, "run.state: vtilde"),
+    "vtilde outside the constrained regime": (
+        1.0, {"v": [[0.5, 2, 0]], "w": W_TERMS, "vtilde": [[0.2, 1, 1]]}, "run.state: vtilde"
+    ),
+    "v samples overflow": (1.0, {"v": [[1e308, 0, 0], [1e308, 1, 0]], "w": W_TERMS}, "run.state.v: field samples"),
+    "w samples overflow": (1.0, {"v": [], "w": [[], [[1e308, 0, 0], [1e308, 1, 0]]]}, "run.state.w[1]: field samples"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no overflow warning ahead of the config error
+@pytest.mark.parametrize("case", list(STATE_ERRORS))
+def test_explicit_state_errors_are_config_errors(tmp_path, capsys, case):
+    # a vtilde outside the constrained regime was dropped without a word
+    alpha, state, message = STATE_ERRORS[case]
+    path = write_config(tmp_path, explicit_state_config(alpha, state))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+# json writes math.inf as Infinity, which Python's json reads back
+NON_FINITE = {
+    "infinite domain end": {"grid": {"nx": 17, "ny": 17, "domain": [0.0, math.inf, 0.0, 1.0], "bc": "dirichlet-ghost"}},
+    "domain extent 1e-320": {"grid": {"nx": 17, "ny": 17, "domain": [0.0, 1e-320, 0.0, 1.0], "bc": "dirichlet-ghost"}},
+    "growth entry": {"growth": {"kappa.1.1": [[1e308, 0, 0], [1e308, 1, 0]]}},
+    "v0 polynomial": {"geometry": {"v0": [[1e308, 0, 0], [1e308, 1, 0]]}},
+    "kappa_compatible amplitude": {"growth": {"preset": "kappa_compatible", "amplitude": 1e307}},
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no overflow warning ahead of the config error
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_non_finite_samples_and_domains_are_config_errors(tmp_path, capsys, case, command):
+    # finite-looking configs whose grid steps or samples overflow: each took a
+    # ValueError traceback (exit 1)
+    doc = base_config(geometry={"v0": "paraboloid"})
+    doc["grid"] = {"nx": 17, "ny": 17, "domain": [0.0, 1.0, 0.0, 1.0], "bc": "dirichlet-ghost"}
+    doc["run"] = {"command": "scaling", "h_list": [0.1], "n_t": 3}
+    doc.update(NON_FINITE[case])
+    argv = [command, "--config", str(write_config(tmp_path, doc))]
+    assert cli.main(argv + (["--out", str(tmp_path / "out")] if command == "run" else [])) == 2
+    assert capsys.readouterr().err.startswith("config error")
 
 
 SCALING = {"command": "scaling", "h_list": [0.1, 0.05], "n_t": 3}

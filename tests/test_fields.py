@@ -53,6 +53,39 @@ def test_field_validation(square33):
         airy_bracket(ScalarField.zeros(square33), ScalarField.zeros(other))
 
 
+@pytest.mark.parametrize("domain", [(0.0, np.inf, 0.0, 1.0), (0.0, 1.0, -np.inf, 1.0), (0.0, np.nan, 0.0, 1.0),
+                                    (0.0, 1e-320, 0.0, 1.0), (-1e308, 1e308, 0.0, 1.0)])
+def test_grid_rejects_a_domain_whose_stencils_overflow(domain):
+    # an infinite end, a step whose 1/dx^2 overflows, or an extent that does
+    for bc in (PERIODIC, DIRICHLET):
+        with pytest.raises(ValueError, match="degenerate domain"):
+            Grid2D(16, 16, domain, bc=bc)
+
+
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+def test_scalar_field_planes_are_its_stencil_derivatives_formed_once(bc, rng, monkeypatch):
+    grid = Grid2D(16, 18, (0.0, 1.0, 0.0, 2.0), bc=bc)
+    f = ScalarField(grid, rng.standard_normal((grid.nx, grid.ny)))
+    grad, hess = grad_values(grid, f.data), hessian_values(grid, f.data)
+    calls = []
+    for name in ("d1", "d2"):
+        orig = getattr(Grid2D, name)
+        monkeypatch.setattr(Grid2D, name, lambda self, a, axis, _o=orig: calls.append(1) or _o(self, a, axis))
+    planes = f.planes
+    assert len(calls) == 5
+    for _ in range(3):
+        assert f.planes is planes
+    assert len(calls) == 5
+    want = (grad[..., 0], grad[..., 1], hess[..., 0, 0], hess[..., 1, 1], hess[..., 0, 1])
+    for got, ref in zip(planes, want):
+        assert np.array_equal(got, ref)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        f.planes = want
+
+
 def test_derivative_of_constant_is_zero(square33, torus64):
     for grid in (square33, torus64):
         f = ScalarField.sample(grid, lambda x, y: 0 * x + 3.7).data

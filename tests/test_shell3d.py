@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vkshell import energy as en
+from vkshell import fields, growth, solver
 from vkshell import shell3d as sh
 from vkshell.fields import (
     DIRICHLET,
@@ -721,6 +722,83 @@ def test_screen_sends_few_points_to_the_exact_distance(grid48, monkeypatch):
     sh.energy_3d(u, g, m)
     assert len(exact) == cfg.n_t
     assert sum(exact) < 0.05 * u.grad_y.size // 9
+
+
+@pytest.mark.parametrize("regime", sh.REGIMES)
+def test_recovery_template_e2d_is_the_limit_functional(square33, regime):
+    # the template's one integrand pass gives the bits of the regime's limit
+    # functional (penalty 0), here evaluated on fresh fields with their own planes
+    m = en.Material(1.3, 0.7)
+    g = sine_growth(square33)
+    _, v0, st = sweep_case(square33, regime)
+    template = sh.RecoveryTemplate(st.v, st.w, g, v0, regime, m, st.vtilde)
+    _, v0, st = sweep_case(square33, regime)
+    want = {
+        sh.FLAT: lambda: en.energy_i40(st, g, m),
+        sh.DMV: lambda: en.energy_i41(st, g, m, v0),
+        sh.CONSTRAINED: lambda: en.energy_i4inf(st, g, m, v0, 0.0)[0],
+    }[regime]()
+    assert template.e2d > 0.0 and template.e2d == want
+
+
+# the stack helpers of fields and the energies, counted at every import site
+COUNTED = ("grad_values", "hessian_values", "sym_grad_values", "sym_values", "cof2_values", "det2_values",
+             "airy_bracket", "total_energy", "grad_energy", "energy_i40", "energy_i41", "energy_i4inf", "q2")
+
+
+def test_scaling_study_applies_twelve_stencils_per_row_and_nothing_else(square33, monkeypatch):
+    # v0's planes, the state's and E2d are formed once per sweep, so a row
+    # applies only build_recovery's 12 stencils (grad Y, grad nu); the sweep
+    # calls no stack helper and no energy
+    m = en.Material(1.0, 1.0)
+    g = sine_growth(square33)
+    calls = {}
+
+    def counted(kind, fn):
+        def call(*args, **kwargs):
+            calls[kind] = calls.get(kind, 0) + 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("d1", "d2", "d1_t", "d2_t", "lap", "bilap"):
+        monkeypatch.setattr(Grid2D, name, counted("stencil", vars(Grid2D)[name]))
+    for mod in (fields, en, growth, sh, solver):
+        for name in COUNTED:
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, counted(name, vars(mod)[name]))
+
+    def sweep(h_list):
+        calls.clear()
+        alpha, v0, st = sweep_case(square33, sh.DMV)  # fresh fields: no planes formed yet
+        sh.scaling_study(alpha, h_list, g, v0, st, m, n_t=3)
+        return dict(calls)
+
+    one, three = sweep([1e-1]), sweep([1e-1, 1e-2, 1e-3])
+    assert set(one) == {"stencil"}
+    assert three == {"stencil": one["stencil"] + 2 * 12}
+
+
+def test_constrained_template_holds_few_planes_more_than_the_dmv_one():
+    # the compensator's strain -sym(grad v x grad v0) dies before the warping
+    # gradients are allocated; held through them with grad v and grad v0, it
+    # put the constrained template 12 planes above the DMV one
+    grid = Grid2D(129, 129, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
+    m = en.Material(1.0, 1.0)
+    g = sine_growth(grid)
+
+    def peak(regime):
+        _, v0, st = sweep_case(grid, regime)
+        sh.RecoveryTemplate(st.v, st.w, g, v0, regime, m, st.vtilde)  # caches and lazy imports
+        _, v0, st = sweep_case(grid, regime)  # fresh fields: their planes are formed inside
+        tracemalloc.start()
+        try:
+            sh.RecoveryTemplate(st.v, st.w, g, v0, regime, m, st.vtilde)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    plane = grid.nx * grid.ny * 8
+    assert peak(sh.CONSTRAINED) - peak(sh.DMV) <= 5 * plane
 
 
 def test_recovery_template_supplies_the_state():
