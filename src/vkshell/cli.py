@@ -154,15 +154,19 @@ def _parse_growth(block: dict, grid: Grid2D) -> tuple[GrowthFields, dict]:
         spec = GrowthSpec.from_config(block)
     except ValueError as exc:
         raise ConfigError(f"growth: {exc}") from exc
-    if grid.periodic:
-        for name, entries in (("eps", spec.eps_entries), ("kappa", spec.kappa_entries)):
-            for (i, j), terms in entries.items():
-                if any(p + q > 0 for _, p, q in terms):
-                    raise ConfigError(
-                        f"growth: {name}[{i},{j}] is a non-constant polynomial, which jumps at the "
-                        "seam of a periodic grid; use a preset or constant terms there"
-                    )
+    for name, entries in (("eps", spec.eps_entries), ("kappa", spec.kappa_entries)):
+        for (i, j), terms in entries.items():
+            periodic = all(p + q == 0 for _, p, q in terms)
+            _check_seam(grid, periodic, f"growth: {name}[{i},{j}]", "a preset or constant terms")
     return _sampled("growth", eval_growth, spec, grid), {"spec_keys": sorted(block)}
+
+
+def _check_seam(grid: Grid2D, periodic: bool, what: str, hint: str) -> None:
+    """A non-periodic field, such as a non-constant polynomial, jumps at the seam of a periodic grid."""
+    if grid.periodic and not periodic:
+        raise ConfigError(
+            f"{what} is a non-constant polynomial, which jumps at the seam of a periodic grid; use {hint} there"
+        )
 
 
 def _poly_terms(terms, where: str) -> list:
@@ -174,7 +178,9 @@ def _poly_terms(terms, where: str) -> list:
 
 
 def _parse_poly_field(grid: Grid2D, terms, where: str) -> ScalarField:
-    return _sampled(where, ScalarField, grid, eval_poly(_poly_terms(terms, where), grid.X1, grid.X2))
+    terms = _poly_terms(terms, where)
+    _check_seam(grid, all(p + q == 0 for _, p, q in terms), where, "constant terms")
+    return _sampled(where, ScalarField, grid, eval_poly(terms, grid.X1, grid.X2))
 
 
 def _sample_v0(grid: Grid2D, kind, scale: float) -> ScalarField:
@@ -187,11 +193,7 @@ def _sample_v0(grid: Grid2D, kind, scale: float) -> ScalarField:
         raise ConfigError(f"geometry.v0: unknown preset {kind!r}; choose from {V0_PRESETS}")
     else:
         raise ConfigError("geometry.v0 must be a preset name or a [[coef, p, q], ...] list")
-    if grid.periodic and not periodic:
-        raise ConfigError(
-            f"geometry.v0: {kind!r} is a non-constant polynomial, which jumps at the "
-            "seam of a periodic grid; use 'zero' or 'sine' there"
-        )
+    _check_seam(grid, periodic, f"geometry.v0: {kind!r}", "'zero' or 'sine'")
     x, y = grid.X1, grid.X2
     if isinstance(kind, list):
         data = eval_poly(terms, x, y)

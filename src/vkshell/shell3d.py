@@ -92,10 +92,9 @@ from .fields import (
     VectorField2,
     VectorField3,
     component_major as _component_major,
-    sym_stack,
 )
 from .growth import GrowthFields, GrowthSpecError, effective_growth, incompatibility
-from .solver import reconstruct_displacement
+from .solver import solve_sym_grad
 
 FLAT = "flat"  # alpha > 1, or v0 identically zero: limit I40
 DMV = "dmv"  # alpha = 1 (blooming): limit I41
@@ -582,9 +581,10 @@ def _grad3(grid: Grid2D, comps: np.ndarray) -> np.ndarray:
 class RecoveryTemplate:
     """The thickness-independent part of a recovery, built once per sweep.
 
-    Holds the regime, the plate state v, w (and in the constrained regime
-    vtilde and the compensator wtilde, reconstructed by line integration when
-    not supplied), and the warping vectors d0 = l(eps_g) + 2 c_s and
+    Holds the regime, the plate state v, w (and in the constrained regime,
+    and only there, vtilde and the compensator wtilde: as given, or else the
+    least-squares solve of sym grad_h wtilde = -sym(grad v x grad v0) by
+    solver.solve_sym_grad), and the warping vectors d0 = l(eps_g) + 2 c_s and
     d1 = l(kappa_g) - 2 c_k (c_s, c_k the Q2 completions of the regime's
     integrands S and K, from their traces by energy.completion) with their
     in-plane gradients, and e2d, the limit functional at the state (penalty
@@ -610,17 +610,20 @@ class RecoveryTemplate:
         self.v0, self.regime, self.v, self.w = v0, regime, v, w
         # the state checks that vtilde comes exactly with the constrained regime
         state = en.PlateState(limit_functional_name(regime), w, v, vtilde)
+        if wtilde is not None:
+            if regime != CONSTRAINED:
+                raise ValueError(f"{regime} templates carry no wtilde")
+            grid.require_same(wtilde.grid, "state and shell")
+        elif regime == CONSTRAINED:
+            # sym grad wtilde = -sym(grad v x grad v0), solved before the
+            # integrand pass: the solve's workspace dies before the pass's planes
+            (v_1, v_2), (p_1, p_2) = v.planes[:2], v0.planes[:2]
+            wtilde = VectorField2(grid, solve_sym_grad(
+                grid, -(v_1 * p_1), -(v_2 * p_2), -(0.5 * (v_1 * p_2 + v_2 * p_1))))
+        self.vtilde, self.wtilde = vtilde, wtilde
         # the one integrand pass, the limit functional's value path: E2d is its
         # energy (penalty 0), and c(S) and c(K) read only the traces of S and K
         self.e2d, _, (tr_s, tr_k) = en._energy(state.variant, state, g, m, v0, 0.0)
-        if regime == CONSTRAINED:
-            if wtilde is None:
-                # sym grad wtilde = -sym(grad v x grad v0), a temporary formed from the pass's planes
-                (v_1, v_2), (p_1, p_2) = v.planes[:2], v0.planes[:2]
-                wtilde = VectorField2(grid, reconstruct_displacement(
-                    sym_stack(-(v_1 * p_1), -(v_2 * p_2), -(0.5 * (v_1 * p_2 + v_2 * p_1))), grid))
-            grid.require_same(wtilde.grid, "state and shell")
-        self.vtilde, self.wtilde = vtilde, wtilde
         self.d0 = en.warping_l(g.eps_g.data)
         self.d0[..., 2] += 2.0 * en.completion(tr_s, m)
         self.d1 = en.warping_l(g.kappa_g.data)

@@ -8,12 +8,13 @@ Contents:
 * solve_biharmonic -- periodic discrete bilaplacian solve: the real FFT
                     diagonalizes the stencil, so one symbol inversion and one
                     residual correction solve it directly,
+* solve_sym_grad -- the least-squares inverse of the discrete symmetric
+                    gradient: CG preconditioned by H0's w blocks (_w_blocks),
 * solve_mystery  -- the mixed-type Dirichlet problem
                     cof(hess v0) : hess v = -curl^T curl B, whose matrix is
                     the interior block of fields.bracket_matrix (the
-                    energy's constraint operator), plus line-integration
-                    reconstruction of the in-plane displacement that
-                    realizes the remaining strain,
+                    energy's constraint operator), plus the in-plane
+                    displacement that realizes the remaining strain,
 * minimize       -- limited-memory BFGS with Armijo backtracking on the
                     discrete plate energies, started from the exact inverse
                     of the flat plate's block-diagonal quadratic part, with
@@ -60,9 +61,8 @@ from .fields import (
     curl_t_curl,
     det2_values,
     hessian_values,
-    grad_values,
+    sym_planes,
     sym_stack,
-    sym_values,
 )
 from .growth import GrowthFields, lambda_g, omega_g
 
@@ -230,37 +230,48 @@ def solve_biharmonic(rhs: ScalarField) -> ScalarField:
     return ScalarField(grid, u)
 
 
-# -- line-integration reconstruction ------------------------------------------
+# -- the least-squares inverse of the discrete symmetric gradient ---------------
 
-def _cumtrapz(a: np.ndarray, h: float, axis: int) -> np.ndarray:
-    a = np.moveaxis(a, axis, 0)
-    out = np.zeros_like(a)
-    out[1:] = np.cumsum(0.5 * (a[1:] + a[:-1]), axis=0) * h
-    return np.moveaxis(out, 0, axis)
-
-
-def integrate_gradient(p1: np.ndarray, p2: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """Potential of (p1, p2), anchored at the corner node, path x1 then x2."""
-    f = _cumtrapz(p2, grid.dy, axis=1)
-    f += _cumtrapz(p1[:, :1], grid.dx, axis=0)
-    return f
+# CG stops at this relative residual, which a compatible strain reaches in 2-3
+# iterations and an incompatible one in under 50 (33^2 to 257^2), or raises
+# SolverError at the iteration cap
+_SYM_GRAD_RTOL = 1e-14
+_SYM_GRAD_MAX_ITER = 200
 
 
-def reconstruct_displacement(e: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """Recover w with sym(grad w) = e for a (discretely) curl-curl-free e.
+def solve_sym_grad(grid: Grid2D, xx: np.ndarray, yy: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """The w, sampled as (nx, ny, 2), that minimizes the quadrature of
+    |S w - e|^2 for the symmetric field e with planes (xx, yy, xy).
 
-    Classic rotation-field construction: integrate the rotation r from the
-    derivatives of e, then integrate grad w row by row.  Path independence
-    holds up to the curl^T curl residual of e; the domain is simply
-    connected by construction.
+    S = sym grad_h on the grid's own D1 stencils (fields.sym_grad_values), so
+    a discretely compatible e is matched to roundoff.  scipy's CG solves
+    S* S w = S* e from w = 0, preconditioned by _w_blocks with symbols
+    lx + ly/2 and lx/2 + ly; w is fixed up to the discrete rigid motions.
     """
-    p1 = grid.d1(e[..., 0, 1], 0) - grid.d1(e[..., 0, 0], 1)
-    p2 = grid.d1(e[..., 1, 1], 0) - grid.d1(e[..., 0, 1], 1)
-    r = integrate_gradient(p1, p2, grid)
-    w = np.empty(e.shape[:2] + (2,))
-    w[..., 0] = integrate_gradient(e[..., 0, 0], e[..., 0, 1] - r, grid)
-    w[..., 1] = integrate_gradient(e[..., 0, 1] + r, e[..., 1, 1], grid)
-    return w
+    q, shape, n = grid.quad_weights, (grid.nx, grid.ny, 2), 2 * grid.nx * grid.ny
+    inv_w = _w_blocks(grid, 1.0, 0.5)
+
+    def adjoint(qxx, qyy, qxy) -> np.ndarray:  # S* of the field whose planes times q are these
+        out = np.empty(shape)
+        out[..., 0] = grid.d1_t(qxx, 0)
+        out[..., 0] += grid.d1_t(qxy, 1)
+        out[..., 1] = grid.d1_t(qyy, 1)
+        out[..., 1] += grid.d1_t(qxy, 0)
+        return out.ravel()
+
+    def normal(x: np.ndarray) -> np.ndarray:
+        w = x.reshape(shape)
+        qxy = (0.5 * q) * (grid.d1(w[..., 0], 1) + grid.d1(w[..., 1], 0))
+        return adjoint(q * grid.d1(w[..., 0], 0), q * grid.d1(w[..., 1], 1), qxy)
+
+    b = adjoint(q * xx, q * yy, q * xy)
+    op = spla.LinearOperator((n, n), normal, dtype=float)
+    pre = spla.LinearOperator((n, n), lambda r: inv_w(r.reshape(shape), np.empty(shape)).ravel(), dtype=float)
+    w, info = spla.cg(op, b, rtol=_SYM_GRAD_RTOL, maxiter=_SYM_GRAD_MAX_ITER, M=pre)
+    if info != 0:
+        resid = float(np.linalg.norm(b - normal(w)) / np.linalg.norm(b))
+        raise SolverError(f"symmetric-gradient CG did not converge: relative residual {resid:.3e}", residual=resid)
+    return w.reshape(shape)
 
 
 # -- the mixed-type Dirichlet problem -------------------------------------------
@@ -269,7 +280,7 @@ def solve_mystery(v0: ScalarField, B: MatrixField2) -> tuple[ScalarField, Vector
     """Constructive strain decomposition on an elliptic reference v0.
 
     Solves cof(hess v0) : hess v = -curl^T curl B with v = 0 on the
-    boundary, then reconstructs w so that B = sym grad w +
+    boundary, then takes w from solve_sym_grad, so that B = sym grad w +
     sym(grad v x grad v0) up to the stencil-order curl^T curl residual.
     """
     v0.grid.require_same(B.grid, "v0 and B")
@@ -298,10 +309,9 @@ def solve_mystery(v0: ScalarField, B: MatrixField2) -> tuple[ScalarField, Vector
     vdata[1:-1, 1:-1] = u.reshape(nx - 2, ny - 2)
     v = ScalarField(grid, vdata)
 
-    dv = grad_values(grid, vdata)
-    dv0 = np.stack([p_1, p_2], axis=-1)
-    e = B.data - sym_values(dv[..., :, None] * dv0[..., None, :])
-    w = reconstruct_displacement(e, grid)
+    v_1, v_2 = grid.d1(vdata, 0), grid.d1(vdata, 1)
+    bxx, byy, bxy = sym_planes(B.data)
+    w = solve_sym_grad(grid, bxx - v_1 * p_1, byy - v_2 * p_2, bxy - 0.5 * (v_1 * p_2 + v_2 * p_1))
     return v, VectorField2(grid, w)
 
 
@@ -353,13 +363,28 @@ def _kernel_filled(sym: np.ndarray) -> np.ndarray:
     return np.where(sym > 0.0, sym, sym[sym > 0.0].min())
 
 
+def _w_blocks(grid: Grid2D, a: float, b: float):
+    """apply(gw, out) writes into out the inverse of the w blocks, symbols
+    a lx + b ly (w1) and b lx + a ly (w2) with kernels filled, on the (nx, ny, 2)
+    array gw: fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185)."""
+    (lx, vx), (ly, vy) = grid.eigenbasis(0, 1), grid.eigenbasis(1, 1)
+    syms = [_kernel_filled(s * lx[:, None] + t * ly[None, :]) for s, t in ((a, b), (b, a))]
+
+    def apply(gw: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for k in range(2):
+            out[..., k] = _tensor_solve(vx, vy, syms[k], gw[..., k])
+        return out
+
+    return apply
+
+
 def _flat_hessian_inverse(functional: str, grid: Grid2D, m: en.Material, v0, penalty: float):
     """H0 = P^-1 for L-BFGS: P is the block-diagonal quadratic part of the
     energy at the flat state, inverted exactly in the tensor-product
     eigenbases of Grid2D.eigenbasis (fast diagonalization).
 
     With a = 2 mu + lam_plane and c = 4 mu the block symbols are
-      w1: a lx1 + (c/4) ly1,   w2: (c/4) lx1 + a ly1,
+      w1: a lx1 + (c/4) ly1,   w2: (c/4) lx1 + a ly1   (_w_blocks),
       v:  (a/12 + 2 penalty pbar) (sqrt lx2 + sqrt ly2)^2, pbar the mean of
           |cof hess v0|^2 / 2 (I4INF only),
       vtilde: a/2 mean|grad v0|^2 (lx1 + ly1), with 1 for the mean if v0 = 0.
@@ -374,8 +399,7 @@ def _flat_hessian_inverse(functional: str, grid: Grid2D, m: en.Material, v0, pen
     (lx2, vx2), (ly2, vy2) = grid.eigenbasis(0, 2), grid.eigenbasis(1, 2)
     a = 2.0 * m.mu + m.lam_plane
     c = 4.0 * m.mu
-    lx1, ly1 = lx1[:, None], ly1[None, :]
-    sym_w = (_kernel_filled(a * lx1 + 0.25 * c * ly1), _kernel_filled(0.25 * c * lx1 + a * ly1))
+    inv_w = _w_blocks(grid, a, 0.25 * c)
 
     constrained = functional == en.I4INF
     hv0 = None
@@ -398,17 +422,14 @@ def _flat_hessian_inverse(functional: str, grid: Grid2D, m: en.Material, v0, pen
     if constrained:
         p_1, p_2 = v0.planes[:2]
         gbar = grid.integrate_values(p_1 * p_1 + p_2 * p_2) / grid.area
-        sym_vt = _kernel_filled(0.5 * a * (gbar if gbar > 0.0 else 1.0) * (lx1 + ly1))
+        sym_vt = _kernel_filled(0.5 * a * (gbar if gbar > 0.0 else 1.0) * (lx1[:, None] + ly1[None, :]))
 
     nx, ny = grid.nx, grid.ny
     n = nx * ny
 
     def apply(g: np.ndarray) -> np.ndarray:
         out = np.empty_like(g)
-        gw = g[: 2 * n].reshape(nx, ny, 2)
-        ow = out[: 2 * n].reshape(nx, ny, 2)
-        for k in range(2):
-            ow[..., k] = _tensor_solve(vx1, vy1, sym_w[k], gw[..., k])
+        inv_w(g[: 2 * n].reshape(nx, ny, 2), out[: 2 * n].reshape(nx, ny, 2))
         out[2 * n : 3 * n] = _tensor_solve(vx2, vy2, sym_v, g[2 * n : 3 * n].reshape(nx, ny)).ravel()
         if constrained:
             out[3 * n :] = _tensor_solve(vx1, vy1, sym_vt, g[3 * n :].reshape(nx, ny)).ravel()

@@ -331,6 +331,26 @@ def test_periodic_grid_rejects_a_non_periodic_growth_entry(tmp_path, capsys, com
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field", ["v", "w", "vtilde"])
+def test_periodic_grid_rejects_a_non_periodic_state_field(tmp_path, capsys, field):
+    # an explicit run.state skipped the seam check: with v = 0.1 x the 32^2
+    # torus exited 0 with ratios 0.2485 and 0.2500
+    alpha = 0.5 if field == "vtilde" else 1.0
+    doc = base_config(geometry={"v0": "sine", "v0_scale": 0.1, "alpha": alpha})
+    doc["grid"]["nx"] = doc["grid"]["ny"] = 32
+    state = {"v": [[0.1, 0, 0]], "w": [[[0.1, 0, 0]], []]}
+    if field == "vtilde":
+        state["vtilde"] = [[0.2, 1, 1]]
+    elif field == "w":
+        state["w"] = [[], [[0.1, 0, 1]]]
+    else:
+        state["v"] = [[0.1, 1, 0]]
+    doc["run"] = {"command": "scaling", "h_list": [0.1, 0.05], "n_t": 3, "state": state}
+    assert cli.main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: run.state.") and "seam of a periodic grid" in err
+
+
 def test_periodic_grid_accepts_constant_growth_entries():
     doc = base_config(growth={"eps.1.1": [[0.3, 0, 0], [0.2, 0, 0]], "kappa.2.2": [[-0.1, 0, 0]]})
     cfg = cli.parse_config(doc)
@@ -519,3 +539,22 @@ def test_run_rejects_bad_thread_counts(tmp_path, capsys, monkeypatch, threads):
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_constrained_ratio_falls_with_h_on_every_grid(tmp_path):
+    # the compensator wtilde inverts the grid's own symmetric gradient, so the
+    # order-h^(1+alpha) strain vanishes and the ratio tends to 1 at the
+    # regime's rate; line-integrated, it drifted to -2.4e-2 at h = 1e-4 on 33^2
+    h_list = [1e-2, 1e-3, 1e-4, 1e-5]
+    devs = {}
+    for n in (33, 65):
+        doc = base_config(growth={"preset": "kappa_sine"}, geometry={"v0": "paraboloid", "alpha": 0.5})
+        doc["grid"] = {"nx": n, "ny": n, "domain": [0.0, 1.0, 0.0, 1.0], "bc": "dirichlet-ghost"}
+        doc["run"] = {"command": "scaling", "h_list": h_list, "state": "auto"}
+        out = tmp_path / f"out{n}"
+        assert cli.main(["run", "--config", str(write_config(tmp_path, doc, f"c{n}.json")), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["outputs"]["scaling"]["regime"] == "constrained"
+        devs[n] = [row["ratio"] - 1.0 for row in summary["outputs"]["rows"]]
+        assert all(0.0 < b < a for a, b in zip(devs[n], devs[n][1:])), devs[n]
+    assert np.max(np.abs(np.subtract(devs[33], devs[65]))) < 1e-5

@@ -801,6 +801,20 @@ def test_constrained_template_holds_few_planes_more_than_the_dmv_one():
     assert peak(sh.CONSTRAINED) - peak(sh.DMV) <= 5 * plane
 
 
+def test_a_wtilde_outside_the_constrained_regime_is_an_error(square33):
+    # the DMV and flat templates never read a wtilde; they kept one, even from
+    # another grid, and scaling_study dropped it the same way
+    m = en.Material(1.0, 1.0)
+    g = sine_growth(square33)
+    wt = VectorField2.zeros(Grid2D(17, 17, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET))
+    for regime in (sh.DMV, sh.FLAT):
+        alpha, v0, st = sweep_case(square33, regime)
+        with pytest.raises(ValueError, match="carry no wtilde"):
+            sh.RecoveryTemplate(st.v, st.w, g, v0, regime, m, wtilde=wt)
+        with pytest.raises(ValueError, match="carry no wtilde"):
+            sh.scaling_study(alpha, [1e-1], g, v0, st, m, wtilde=wt)
+
+
 def test_recovery_template_supplies_the_state():
     grid = Grid2D(17, 17, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
     m = en.Material(1.0, 1.0)
