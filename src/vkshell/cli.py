@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -519,7 +520,19 @@ def _scaling_state(cfg: ExperimentConfig, regime: str) -> en.PlateState:
     return en.PlateState(en.I40, w, v)
 
 
-def _run_minimize(cfg: ExperimentConfig, outdir: Path) -> dict:
+def _save_fields(outdir: Path, **fields) -> None:
+    """fields/<name>.csv under outdir for each field given; None is skipped."""
+    fields_dir = outdir / "fields"
+    fields_dir.mkdir(exist_ok=True)
+    for name, f in fields.items():
+        if f is not None:
+            save_csv(f, fields_dir / f"{name}.csv")
+
+
+# Each command runner returns (the summary's outputs, write): write(outdir)
+# writes the command's own files, once the run has ended.
+
+def _run_minimize(cfg: ExperimentConfig) -> tuple[dict, Callable[[Path], None]]:
     functional = cfg.run.get("functional", en.I40)
     if functional not in en.VARIANTS:
         raise ConfigError(f"run.functional: unknown functional {functional!r}")
@@ -544,17 +557,15 @@ def _run_minimize(cfg: ExperimentConfig, outdir: Path) -> dict:
     except ValueError as exc:  # a tol < 0 or a penalty_init <= 0
         raise ConfigError(f"run: {exc}") from exc
     state, report = so.minimize(functional, init, cfg.growth, cfg.material, cfg.v0, opts)
-    fields_dir = outdir / "fields"
-    fields_dir.mkdir(exist_ok=True)
-    save_csv(state.v, fields_dir / "v.csv")
-    save_csv(state.w, fields_dir / "w.csv")
-    if state.vtilde is not None:
-        save_csv(state.vtilde, fields_dir / "vtilde.csv")
-    _write_report(outdir, report)
-    return {"solve": report.to_json_dict(include_wall_time=False), "functional": functional}
+
+    def write(outdir: Path) -> None:
+        _save_fields(outdir, v=state.v, w=state.w, vtilde=state.vtilde)
+        _write_report(outdir, report)
+
+    return {"solve": report.to_json_dict(include_wall_time=False), "functional": functional}, write
 
 
-def _run_solve_vk(cfg: ExperimentConfig, outdir: Path) -> dict:
+def _run_solve_vk(cfg: ExperimentConfig) -> tuple[dict, Callable[[Path], None]]:
     if not cfg.grid.periodic:
         raise ConfigError("solve-vk runs on the periodic torus; set grid.bc = 'periodic'")
     model = cfg.run.get("model", "old")
@@ -568,11 +579,11 @@ def _run_solve_vk(cfg: ExperimentConfig, outdir: Path) -> dict:
     except ValueError as exc:  # a tol < 0 or a relaxation <= 0
         raise ConfigError(f"run: {exc}") from exc
     state, report = so.solve_vk(model, cfg.growth, cfg.material, cfg.v0, opts)
-    fields_dir = outdir / "fields"
-    fields_dir.mkdir(exist_ok=True)
-    save_csv(state.v, fields_dir / "v.csv")
-    save_csv(state.phi, fields_dir / "phi.csv")
-    _write_report(outdir, report)
+
+    def write(outdir: Path) -> None:
+        _save_fields(outdir, v=state.v, phi=state.phi)
+        _write_report(outdir, report)
+
     out = {
         "solve": report.to_json_dict(include_wall_time=False),
         "model": model,
@@ -582,10 +593,10 @@ def _run_solve_vk(cfg: ExperimentConfig, outdir: Path) -> dict:
         ref = omega_sine_reference(cfg.grid, cfg.growth_info["amplitude"])
         err = float(np.max(np.abs(state.v.data - (ref.data - ref.data.mean()))))
         out["reference_error_inf"] = err
-    return out
+    return out, write
 
 
-def _run_scaling(cfg: ExperimentConfig, outdir: Path, threads: int) -> dict:
+def _run_scaling(cfg: ExperimentConfig, threads: int) -> tuple[dict, Callable[[Path], None]]:
     run = cfg.run
     h_list = run.get("h_list", [1e-1, 6e-2, 3e-2, 2e-2, 1.5e-2, 1e-2])
     if not isinstance(h_list, list) or not h_list:
@@ -604,14 +615,21 @@ def _run_scaling(cfg: ExperimentConfig, outdir: Path, threads: int) -> dict:
         )
     except ValueError as exc:  # a shell of the sweep, or q^h singular at some thickness
         raise ConfigError(f"run: {exc}") from exc
-    (outdir / "scaling.csv").write_text("\n".join(study.csv_lines()) + "\n", encoding="utf-8")
-    return {"scaling": study.metadata(), "rows": [r.columns() for r in study.rows]}
+    table = "\n".join(study.csv_lines()) + "\n"
+
+    def write(outdir: Path) -> None:
+        (outdir / "scaling.csv").write_text(table, encoding="utf-8")
+
+    return {"scaling": study.metadata(), "rows": [r.columns() for r in study.rows]}, write
 
 
 def cmd_run(cfg: ExperimentConfig, outdir, threads: int = 1) -> tuple[int, dict]:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "config.resolved.json", cfg.resolved)
+    """Run the config's command, then write its files under outdir.
+
+    Nothing is written until the command has run (exit 0) or its solver has
+    failed (exit 1, with the solver's report.json when it has one); a config
+    error (ConfigError, exit 2) leaves outdir as it was.
+    """
     command = cfg.run.get("command")
     if command not in RUN_COMMANDS:
         raise ConfigError(f"run.command must be one of {RUN_COMMANDS}, got {command!r}")
@@ -626,22 +644,30 @@ def cmd_run(cfg: ExperimentConfig, outdir, threads: int = 1) -> tuple[int, dict]
         },
         "incomplete": False,
     }
+    code = 0
     try:
         if command == "minimize":
-            summary["outputs"] = _run_minimize(cfg, outdir)
+            summary["outputs"], write = _run_minimize(cfg)
         elif command == "solve-vk":
-            summary["outputs"] = _run_solve_vk(cfg, outdir)
+            summary["outputs"], write = _run_solve_vk(cfg)
         else:
-            summary["outputs"] = _run_scaling(cfg, outdir, threads)
+            summary["outputs"], write = _run_scaling(cfg, threads)
     except (so.SolverError, AssertionError) as exc:
+        code = 1
         summary["incomplete"] = True
         summary["error"] = str(exc)
-        if isinstance(exc, so.SolverError) and exc.report is not None:
-            _write_report(outdir, exc.report)
-        _write_json(outdir / "summary.json", summary)
-        return 1, summary
+        report = exc.report if isinstance(exc, so.SolverError) else None
+
+        def write(outdir: Path) -> None:
+            if report is not None:
+                _write_report(outdir, report)
+
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_json(outdir / "config.resolved.json", cfg.resolved)
+    write(outdir)
     _write_json(outdir / "summary.json", summary)
-    return 0, summary
+    return code, summary
 
 
 # -- entry point -------------------------------------------------------------------

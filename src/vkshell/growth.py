@@ -9,8 +9,7 @@ The in-plane stretching tensor eps_g and the bending tensor kappa_g are
   through the graph parametrization (eps picks up 1/2 grad(v0) x grad(v0),
   kappa loses hess(v0)),
 * the incompatibility field curl (sym kappa_g)_tan whose non-vanishing
-  drives the h^4 energy scaling,
-* the tangential pullback of an ambient bilinear form along the graph map.
+  drives the h^4 energy scaling.
 
 Polynomial entry specifications keep every derived quantity testable
 against exact analytic oracles; trigonometric presets cover the periodic
@@ -40,7 +39,6 @@ import numpy as np
 
 from .fields import (
     Grid2D,
-    MatrixField2,
     MatrixField3,
     ScalarField,
     VectorField2,
@@ -223,23 +221,6 @@ def incompatibility(g: GrowthFields) -> tuple[VectorField2, float]:
     c[..., 1] = grid.d1(yy, 0) - grid.d1(xy, 1)
     norm = math.sqrt(max(grid.integrate_values(c[..., 0] ** 2 + c[..., 1] ** 2), 0.0))
     return VectorField2(grid, c), norm
-
-
-def strain_pullback(sigma: MatrixField3, v0: ScalarField, gamma: float) -> MatrixField2:
-    """Tangential pullback of an ambient bilinear form along x -> (x, gamma v0).
-
-    out_ij = d_i phi . sigma d_j phi with d_i phi = (e_i, gamma d_i v0).
-    """
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
-    sigma.grid.require_same(v0.grid, "form and v0")
-    grid = sigma.grid
-    tang = np.zeros((grid.nx, grid.ny, 3, 2))  # columns d_1 phi, d_2 phi
-    tang[..., 0, 0] = 1.0
-    tang[..., 1, 1] = 1.0
-    tang[..., 2, :] = gamma * np.stack(v0.planes[:2], axis=-1)
-    out = np.einsum("...ai,...ab,...bj->...ij", tang, sigma.data, tang)
-    return MatrixField2(grid, out)
 
 
 # -- trigonometric presets for the periodic test arena ------------------------

@@ -90,7 +90,6 @@ from .fields import (
     Grid2D,
     ScalarField,
     VectorField2,
-    VectorField3,
     component_major as _component_major,
 )
 from .growth import GrowthFields, GrowthSpecError, effective_growth, incompatibility
@@ -186,10 +185,6 @@ class Immersion:
         self._dn = dn
         self._gamma = g
 
-    @property
-    def normal(self) -> VectorField3:
-        return VectorField3(self.grid, self._normal)
-
     def phi_tilde(self, x3: float) -> np.ndarray:
         """Chart points (nx, ny, 3) at thickness offset x3."""
         grid = self.grid
@@ -208,11 +203,6 @@ class Immersion:
             out[..., 2, j] += self._gamma * self.cfg.v0.planes[j]
         out[..., 2] = self._normal
         return out
-
-    def tangent_normal_defect(self) -> float:
-        """max |d_i phi . n| at the mid-surface; zero by construction."""
-        nv, dv0 = self._normal, self.cfg.v0.planes
-        return max(float(np.max(np.abs(nv[..., j] + self._gamma * dv0[j] * nv[..., 2]))) for j in range(2))
 
 
 class GrowthEvaluator:
@@ -479,15 +469,6 @@ class Deformation3D:
         return grad
 
 
-def identity_deformation(cfg: ShellConfig) -> Deformation3D:
-    """u = id on the shell: grad y coincides with the chart Jacobian."""
-    imm = Immersion(cfg)
-    grad = _component_major((cfg.n_t, cfg.grid.nx, cfg.grid.ny, 3, 3))
-    for k, t in enumerate(cfg.gauss_rule()[0]):
-        grad[k] = imm.grad_phi_tilde(t)
-    return Deformation3D(cfg, grad)
-
-
 def _same_field(a: ScalarField, b: ScalarField) -> bool:
     """The same field object, or equal grids and values."""
     return a is b or (a.grid == b.grid and np.array_equal(a.data, b.data))
@@ -581,49 +562,32 @@ def _grad3(grid: Grid2D, comps: np.ndarray) -> np.ndarray:
 class RecoveryTemplate:
     """The thickness-independent part of a recovery, built once per sweep.
 
-    Holds the regime, the plate state v, w (and in the constrained regime,
-    and only there, vtilde and the compensator wtilde: as given, or else the
-    least-squares solve of sym grad_h wtilde = -sym(grad v x grad v0) by
-    solver.solve_sym_grad), and the warping vectors d0 = l(eps_g) + 2 c_s and
-    d1 = l(kappa_g) - 2 c_k (c_s, c_k the Q2 completions of the regime's
-    integrands S and K, from their traces by energy.completion) with their
-    in-plane gradients, and e2d, the limit functional at the state (penalty
-    0), from the same integrand pass.  scaling_study builds one before its
-    rows and hands it to each row's build_recovery.
+    Holds the regime, the plate state (vtilde comes with the constrained
+    regime and only there, as the limit functional's argument check demands),
+    the constrained regime's compensator wtilde, the least-squares solve of
+    sym grad_h wtilde = -sym(grad v x grad v0) by solver.solve_sym_grad, and
+    the warping vectors d0 = l(eps_g) + 2 c_s and d1 = l(kappa_g) - 2 c_k
+    (c_s, c_k the Q2 completions of the regime's integrands S and K, from
+    their traces by energy.completion) with their in-plane gradients, and
+    e2d, the limit functional at the state (penalty 0), from the same
+    integrand pass.  scaling_study builds one before its rows and hands it to
+    each row's build_recovery.
     """
 
-    def __init__(
-        self,
-        v: ScalarField,
-        w: VectorField2,
-        g: GrowthFields,
-        v0: ScalarField,
-        regime: str,
-        m: en.Material,
-        vtilde: ScalarField | None = None,
-        wtilde: VectorField2 | None = None,
-    ):
+    def __init__(self, state: en.PlateState, g: GrowthFields, v0: ScalarField, regime: str, m: en.Material):
         grid = v0.grid
-        grid.require_same(v.grid, "state and shell")
-        grid.require_same(w.grid, "state and shell")
+        grid.require_same(state.grid, "state and shell")
         grid.require_same(g.grid, "growth and shell")
-        self.v0, self.regime, self.v, self.w = v0, regime, v, w
-        # the state checks that vtilde comes exactly with the constrained regime
-        state = en.PlateState(limit_functional_name(regime), w, v, vtilde)
-        if wtilde is not None:
-            if regime != CONSTRAINED:
-                raise ValueError(f"{regime} templates carry no wtilde")
-            grid.require_same(wtilde.grid, "state and shell")
-        elif regime == CONSTRAINED:
+        self.v0, self.regime, self.state, self.wtilde = v0, regime, state, None
+        if regime == CONSTRAINED:
             # sym grad wtilde = -sym(grad v x grad v0), solved before the
             # integrand pass: the solve's workspace dies before the pass's planes
-            (v_1, v_2), (p_1, p_2) = v.planes[:2], v0.planes[:2]
-            wtilde = VectorField2(grid, solve_sym_grad(
+            (v_1, v_2), (p_1, p_2) = state.v.planes[:2], v0.planes[:2]
+            self.wtilde = VectorField2(grid, solve_sym_grad(
                 grid, -(v_1 * p_1), -(v_2 * p_2), -(0.5 * (v_1 * p_2 + v_2 * p_1))))
-        self.vtilde, self.wtilde = vtilde, wtilde
         # the one integrand pass, the limit functional's value path: E2d is its
         # energy (penalty 0), and c(S) and c(K) read only the traces of S and K
-        self.e2d, _, (tr_s, tr_k) = en._energy(state.variant, state, g, m, v0, 0.0)
+        self.e2d, _, (tr_s, tr_k) = en._energy(limit_functional_name(regime), state, g, m, v0, 0.0)
         self.d0 = en.warping_l(g.eps_g.data)
         self.d0[..., 2] += 2.0 * en.completion(tr_s, m)
         self.d1 = en.warping_l(g.kappa_g.data)
@@ -645,10 +609,12 @@ def build_recovery(template: RecoveryTemplate, cfg: ShellConfig) -> Deformation3
 
     with the exact unit normal of Y as the fiber direction and the limit
     warping d0 = l(eps_g) + 2 c(S), d1 = l(kappa_g) - 2 c(K) built from the
-    regime's stretching/bending integrands.  In the constrained regime the
-    in-plane compensator wtilde (sym grad wtilde = -sym(grad v x grad v0),
-    which exists when the linearized isometry constraint holds) is the
-    template's.  The template holds everything that does not depend on h.
+    regime's stretching/bending integrands.  The state (w, v and vtilde) is
+    the template's, and so is the constrained regime's in-plane compensator
+    wtilde, solved on the grid's own stencils (sym grad_h wtilde =
+    -sym(grad v x grad v0), exactly solvable when the linearized isometry
+    constraint holds).  The template holds everything that does not depend
+    on h.
 
     No stack of grad y is formed here: the deformation returned keeps the
     node-independent planes grad Y, grad nu and nu + h^2 d0 (15 planes, 5/3
@@ -662,13 +628,14 @@ def build_recovery(template: RecoveryTemplate, cfg: ShellConfig) -> Deformation3
     h = cfg.h
     gamma = cfg.gamma
 
-    disp12 = h * h * template.w.data
+    st = template.state
+    disp12 = h * h * st.w.data
     if regime == FLAT:
-        y3 = gamma * cfg.v0.data + h * template.v.data
+        y3 = gamma * cfg.v0.data + h * st.v.data
     elif regime == DMV:
-        y3 = h * template.v.data
+        y3 = h * st.v.data
     else:
-        y3 = gamma * cfg.v0.data + h * template.v.data + h ** (2.0 - cfg.alpha) * template.vtilde.data
+        y3 = gamma * cfg.v0.data + h * st.v.data + h ** (2.0 - cfg.alpha) * st.vtilde.data
         disp12 = disp12 + h ** (1.0 + cfg.alpha) * template.wtilde.data
 
     # Jacobian of Y: differentiate the displacement, not the raw coordinates
@@ -804,15 +771,15 @@ def scaling_study(
     state: en.PlateState,
     m: en.Material,
     n_t: int = 5,
-    wtilde: VectorField2 | None = None,
     workers: int = 1,
 ) -> ScalingStudy:
     """Recovery-sequence energy sweep h -> h^-4 I^3d against the 2d limit.
 
     Rows are ordered by the given (decreasing) h list; every row's shell is
-    built, and so checked, before the first row runs.  The template supplies
-    E2d, the regime-matched limit functional; the incompatibility norm of the
-    growth rides along as metadata; all three are computed once per sweep.  With
+    built, and so checked, before the first row runs.  The template, built
+    once per sweep from the state, supplies E2d, the regime-matched limit
+    functional, and in the constrained regime the compensator wtilde; the
+    incompatibility norm of the growth rides along as metadata.  With
     workers > 1 the rows are computed on that many threads, each row whole
     on one thread, so the table is bitwise the serial one.
     """
@@ -822,7 +789,7 @@ def scaling_study(
     shells = [ShellConfig(v0, alpha=alpha, h=h, n_t=n_t) for h in h_list]
     _, inorm = incompatibility(g)
     regime = resolve_regime(v0, alpha)
-    template = RecoveryTemplate(state.v, state.w, g, v0, regime, m, state.vtilde, wtilde)
+    template = RecoveryTemplate(state, g, v0, regime, m)
 
     def row(cfg: ShellConfig) -> ScalingRow:
         e3, _ = energy_3d(build_recovery(template, cfg), g, m)

@@ -252,24 +252,19 @@ def _gamma_limit_case(grid, m, g, alpha):
         v0 = ScalarField(grid, 0.5 * (x * x + y * y))
         a = 0.3
         v = ScalarField(grid, a * (x * x - y * y))
-        vt = ScalarField(grid, 0.2 * x * y)
-        wt = VectorField2(grid, np.stack([-2 * a * x**3 / 3, 2 * a * y**3 / 3], axis=-1))
-        st = en.PlateState(en.I4INF, w, v, vt)
+        st = en.PlateState(en.I4INF, w, v, ScalarField(grid, 0.2 * x * y))
         e2d = en.energy_i4inf(st, g, m, v0, 0.0)[0]
-        template = sh.RecoveryTemplate(v, w, g, v0, sh.CONSTRAINED, m, vt, wt)
     elif alpha == 1.0:
         v0 = ScalarField(grid, 0.25 * (x * x + y * y))
         v = ScalarField(grid, v0.data + 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y))
         st = en.PlateState(en.I41, w, v)
         e2d = en.energy_i41(st, g, m, v0)
-        template = sh.RecoveryTemplate(v, w, g, v0, sh.DMV, m)
     else:
         v0 = ScalarField(grid, 0.25 * (x * x + y * y))
         v = ScalarField(grid, 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y))
         st = en.PlateState(en.I40, w, v)
         e2d = en.energy_i40(st, g, m)
-        template = sh.RecoveryTemplate(v, w, g, v0, sh.FLAT, m)
-    return v0, template, e2d
+    return v0, sh.RecoveryTemplate(st, g, v0, sh.resolve_regime(v0, alpha), m), e2d
 
 
 def test_criterion_09_gamma_limit_consistency():
@@ -287,15 +282,20 @@ def test_criterion_09_gamma_limit_consistency():
     g = GrowthFields.from_arrays(grid, eps, kap)
     ok = True
     details = []
-    for alpha in (0.5, 1.0, 2.0):
+    # the constrained recovery's compensator inverts the grid's own symmetric
+    # gradient, so its deviation falls strictly into the thin rows; alpha = 1
+    # and 2 level off at an O(dx^2) offset (-6.7e-4) below h = 1e-2
+    h_lists = {0.5: (1e-1, 3e-2, 1e-2, 1e-3, 1e-4, 1e-5), 1.0: (1e-1, 3e-2, 1e-2), 2.0: (1e-1, 3e-2, 1e-2)}
+    for alpha, h_list in h_lists.items():
         v0, template, e2d = _gamma_limit_case(grid, m, g, alpha)
         devs = []
-        for h in (1e-1, 3e-2, 1e-2):
+        for h in h_list:
             cfg = sh.ShellConfig(v0, alpha=alpha, h=h, n_t=5)
             e3, _ = sh.energy_3d(sh.build_recovery(template, cfg), g, m)
             devs.append(abs(e3 / h**4 - e2d) / e2d)
-        ok &= devs[-1] <= 0.05 and devs[0] >= devs[1] >= devs[2]
-        details.append(f"a={alpha}: dev@1e-2={devs[-1]:.4f}")
+        falls = all(b < a for a, b in zip(devs, devs[1:])) if alpha < 1.0 else devs[0] >= devs[1] >= devs[2]
+        ok &= devs[2] <= 0.05 and falls
+        details.append(f"a={alpha}: devs " + " / ".join(f"{d:.2e}" for d in devs))
     assert _line(9, "Gamma-limit consistency (5%)", ok, "; ".join(details))
 
 

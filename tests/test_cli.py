@@ -503,16 +503,18 @@ SCALING = {"command": "scaling", "h_list": [0.1, 0.05], "n_t": 3}
         {"command": "minimize", "tol": -1e-8},
         {"command": "minimize", "functional": "I4INF", "penalty": {"initial": -1}},
         {"command": "minimize", "functional": "I4INF", "penalty": {"initial": 0}},
+        {"seed": 0},  # no run.command
     ],
 )
 def test_run_rejects_bad_run_values(tmp_path, capsys, run):
     doc = base_config(run=run)
-    if run["command"] == "scaling":
+    if run.get("command") == "scaling":
         doc["grid"] = {"nx": 32, "ny": 32, "domain": [0.0, 1.0, 0.0, 1.0], "bc": "dirichlet-ghost"}
         doc["geometry"] = {"v0": "paraboloid", "alpha": 1.0}
     path = write_config(tmp_path, doc)
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # nothing is written before the run ends
 
 
 def test_run_scaling_singular_growth_is_a_config_error(tmp_path, capsys):
@@ -525,6 +527,7 @@ def test_run_scaling_singular_growth_is_a_config_error(tmp_path, capsys):
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "not invertible" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-3", "two"])

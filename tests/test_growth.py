@@ -24,7 +24,6 @@ from vkshell.growth import (
     incompatibility,
     lambda_g,
     omega_g,
-    strain_pullback,
 )
 
 
@@ -173,31 +172,6 @@ def test_incompatibility(square33, torus64):
     assert np.allclose(c.data[..., 1], 1.0, atol=1e-10)
     assert np.max(np.abs(c.data[..., 0])) < 1e-12
     assert norm == pytest.approx(1.0, rel=1e-10)  # sqrt of the unit-square area
-
-
-def test_strain_pullback(square33, rng):
-    grid = square33
-    # gamma = 0 projects to the principal minor
-    msamp = rng.standard_normal((grid.nx, grid.ny, 3, 3))
-    m3 = MatrixField3(grid, msamp)
-    v0 = ScalarField.sample(grid, lambda x, y: 0.2 * x * x + y)
-    flat = strain_pullback(m3, v0, 0.0)
-    assert np.array_equal(flat.data, msamp[..., :2, :2])
-    # lifted shear: sym grad of w = (0, 0, x1) against v0 = x2
-    lift = np.zeros((grid.nx, grid.ny, 3, 3))
-    lift[..., 2, 0] = 0.5
-    lift[..., 0, 2] = 0.5
-    out = strain_pullback(MatrixField3(grid, lift), ScalarField.sample(grid, lambda x, y: y + 0 * x), 1.0)
-    assert np.allclose(out.data[..., 0, 1], 0.5, atol=1e-12)
-    assert np.allclose(out.data[..., 0, 0], 0.0, atol=1e-12)
-    assert np.allclose(out.data[..., 1, 1], 0.0, atol=1e-12)
-    # identity form: Id2 + gamma^2 grad v0 x grad v0
-    eye = MatrixField3(grid, np.tile(np.eye(3), (grid.nx, grid.ny, 1, 1)))
-    gamma = 0.7
-    out2 = strain_pullback(eye, v0, gamma)
-    dv = np.stack([grid.d1(v0.data, 0), grid.d1(v0.data, 1)], axis=-1)
-    expected = np.tile(np.eye(2), (grid.nx, grid.ny, 1, 1)) + gamma**2 * dv[..., :, None] * dv[..., None, :]
-    assert np.max(np.abs(out2.data - expected)) < 1e-13
 
 
 def test_effective_growth_metric_consistency(square33):

@@ -35,10 +35,10 @@ def grid48():
     return Grid2D(48, 48, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
 
 
-def recovery(v, w, g, cfg, m, vtilde=None, wtilde=None):
+def recovery(state, g, cfg, m):
     """The recovery of one shell, from a template built for it alone."""
     regime = sh.resolve_regime(cfg.v0, cfg.alpha)
-    return sh.build_recovery(sh.RecoveryTemplate(v, w, g, cfg.v0, regime, m, vtilde, wtilde), cfg)
+    return sh.build_recovery(sh.RecoveryTemplate(state, g, cfg.v0, regime, m), cfg)
 
 
 def sine_growth(grid, a_eps=0.2, a_kap=0.3):
@@ -75,22 +75,24 @@ def test_shell_config_validation(grid48):
 def test_immersion_flat_and_tilted(grid48):
     z = ScalarField.zeros(grid48)
     imm = sh.Immersion(sh.ShellConfig(z, alpha=1.0, h=0.05))
-    assert np.allclose(imm.normal.data[..., 2], 1.0)
+    assert np.allclose(imm.grad_phi_tilde(0.0)[..., 2, 2], 1.0)
     pts = imm.phi_tilde(0.02)
     assert np.allclose(pts[..., 2], 0.02)
     # v0 = x1, gamma = 1: normal is (-1, 0, 1)/sqrt(2) everywhere
     v0 = ScalarField.sample(grid48, lambda x, y: x + 0 * y)
     imm2 = sh.Immersion(sh.ShellConfig(v0, alpha=0.0, h=0.05))
     expect = np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0)
-    assert np.max(np.abs(imm2.normal.data - expect)) < 1e-12
+    assert np.max(np.abs(imm2.grad_phi_tilde(0.0)[..., 2] - expect)) < 1e-12
 
 
 def test_immersion_unit_normal_and_orthogonality(grid48):
     v0 = ScalarField.sample(grid48, lambda x, y: 0.4 * x * y + 0.2 * x * x)
     imm = sh.Immersion(sh.ShellConfig(v0, alpha=0.5, h=0.05))
-    norms = np.linalg.norm(imm.normal.data, axis=-1)
-    assert np.max(np.abs(norms - 1.0)) < 1e-14
-    assert imm.tangent_normal_defect() < 1e-14
+    frame = imm.grad_phi_tilde(0.0)  # columns: the tangents d1 phi, d2 phi and the normal
+    normal = frame[..., 2]
+    assert np.max(np.abs(np.linalg.norm(normal, axis=-1) - 1.0)) < 1e-14
+    for j in range(2):
+        assert np.max(np.abs(np.sum(frame[..., j] * normal, axis=-1))) < 1e-14
 
 
 def test_growth_qh(grid48):
@@ -171,12 +173,13 @@ def test_energy_3d_identity_and_rigid(grid48, rng):
     v0 = ScalarField.sample(grid48, lambda x, y: 0.3 * x * y)
     cfg = sh.ShellConfig(v0, alpha=1.0, h=0.05)
     g0 = GrowthFields.zeros(grid48)
-    u_id = sh.identity_deformation(cfg)
-    assert sh.energy_3d(u_id, g0, m)[0] < 1e-26
+    # u = id on the shell: grad y is the chart Jacobian at each Gauss node
+    imm = sh.Immersion(cfg)
+    grad_id = np.stack([imm.grad_phi_tilde(t) for t in cfg.gauss_rule()[0]])
+    assert sh.energy_3d(sh.Deformation3D(cfg, grad_id), g0, m)[0] < 1e-26
     # rigid post-motion: u = R phi_tilde + c
     r = random_rotation(rng)
-    grad = np.einsum("ab,k...bc->k...ac", r, u_id.grad_y)
-    u_rot = sh.Deformation3D(cfg, grad)
+    u_rot = sh.Deformation3D(cfg, np.einsum("ab,k...bc->k...ac", r, grad_id))
     assert sh.energy_3d(u_rot, g0, m)[0] < 1e-25
 
 
@@ -187,7 +190,7 @@ def test_energy_3d_frame_indifference(grid48, rng):
     cfg = sh.ShellConfig(v0, alpha=1.0, h=0.05)
     v = ScalarField(grid48, 0.2 * np.sin(np.pi * grid48.X1) * np.sin(np.pi * grid48.X2))
     w = VectorField2(grid48, np.stack([0.05 * grid48.X1**2, -0.04 * grid48.X2], axis=-1))
-    u = recovery(v, w, g, cfg, m)
+    u = recovery(en.PlateState(en.I40, w, v), g, cfg, m)
     e0, _ = sh.energy_3d(u, g, m)
     r = random_rotation(rng)
     u_rot = sh.Deformation3D(cfg, np.einsum("ab,k...bc->k...ac", r, u.grad_y))
@@ -220,7 +223,7 @@ def test_recovery_trivial_flat(grid48):
     z = ScalarField.zeros(grid48)
     cfg = sh.ShellConfig(z, alpha=2.0, h=0.05)
     g0 = GrowthFields.zeros(grid48)
-    u = recovery(z, VectorField2.zeros(grid48), g0, cfg, m)
+    u = recovery(en.PlateState.zeros(grid48), g0, cfg, m)
     assert sh.energy_3d(u, g0, m)[0] < 1e-28
     # gradient is exactly the identity
     assert np.max(np.abs(u.grad_y - np.eye(3))) < 1e-14
@@ -245,7 +248,7 @@ def test_recovery_exact_compatibility_drives_energy_down(grid48):
     vals = []
     for h in (1e-1, 3e-2, 1e-2):
         cfg = sh.ShellConfig(z, alpha=2.0, h=h)
-        u = recovery(st.v, st.w, g, cfg, m)
+        u = recovery(st, g, cfg, m)
         vals.append(sh.energy_3d(u, g, m)[0] / h**4)
     assert vals[0] > vals[1] > vals[2]
     # decade sweep drops by an order of magnitude before the dx^2 floor bites
@@ -264,23 +267,20 @@ def test_recovery_gamma_limit(grid48, alpha, regime):
         a = 0.3
         v = ScalarField(grid, a * (x * x - y * y))
         vt = ScalarField(grid, 0.2 * x * y)
-        wt = VectorField2(grid, np.stack([-2 * a * x**3 / 3, 2 * a * y**3 / 3], axis=-1))
         st = en.PlateState(en.I4INF, w, v, vt)
         e2d = en.energy_i4inf(st, g, m, v0, 0.0)[0]
-        template = sh.RecoveryTemplate(v, w, g, v0, regime, m, vt, wt)
     elif regime == sh.DMV:
         v0 = ScalarField(grid, 0.25 * (x * x + y * y))
         v = ScalarField(grid, v0.data + 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y))
         st = en.PlateState(en.I41, w, v)
         e2d = en.energy_i41(st, g, m, v0)
-        template = sh.RecoveryTemplate(v, w, g, v0, regime, m)
     else:
         v0 = ScalarField(grid, 0.25 * (x * x + y * y))
         v = ScalarField(grid, 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y))
         st = en.PlateState(en.I40, w, v)
         e2d = en.energy_i40(st, g, m)
-        template = sh.RecoveryTemplate(v, w, g, v0, regime, m)
     assert sh.resolve_regime(v0, alpha) == regime
+    template = sh.RecoveryTemplate(st, g, v0, regime, m)
     devs = []
     for h in (1e-1, 3e-2, 1e-2):
         cfg = sh.ShellConfig(v0, alpha=alpha, h=h, n_t=5)
@@ -290,22 +290,24 @@ def test_recovery_gamma_limit(grid48, alpha, regime):
     assert devs[0] > devs[-1]
 
 
-def test_recovery_reconstructed_compensator_matches_analytic(grid48):
-    grid = grid48
+def test_recovery_reconstructed_compensator_matches_analytic():
+    # the template's wtilde inverts the grid's own symmetric gradient to
+    # roundoff; the analytic compensator of the continuum problem meets the
+    # discrete constraint only to O(dx^2)
     m = en.Material(1.0, 1.0)
-    g = sine_growth(grid, 0.1, 0.2)
-    x, y = grid.X1, grid.X2
-    v0 = ScalarField(grid, 0.5 * (x * x + y * y))
     a = 0.3
-    v = ScalarField(grid, a * (x * x - y * y))
-    vt = ScalarField(grid, 0.2 * x * y)
-    w = VectorField2(grid, np.stack([0.1 * x * x * y, -0.05 * y * y], axis=-1))
-    wt = VectorField2(grid, np.stack([-2 * a * x**3 / 3, 2 * a * y**3 / 3], axis=-1))
-    h = 1e-2
-    cfg = sh.ShellConfig(v0, alpha=0.5, h=h, n_t=5)
-    e_analytic, _ = sh.energy_3d(recovery(v, w, g, cfg, m, vtilde=vt, wtilde=wt), g, m)
-    e_reconstr, _ = sh.energy_3d(recovery(v, w, g, cfg, m, vtilde=vt), g, m)
-    assert e_reconstr == pytest.approx(e_analytic, rel=2e-2)
+    for n in (33, 48, 65):
+        grid = Grid2D(n, n, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
+        x, y = grid.X1, grid.X2
+        v0 = ScalarField(grid, 0.5 * (x * x + y * y))
+        v = ScalarField(grid, a * (x * x - y * y))
+        st = en.PlateState(en.I4INF, VectorField2.zeros(grid), v, ScalarField(grid, 0.2 * x * y))
+        wt = sh.RecoveryTemplate(st, sine_growth(grid, 0.1, 0.2), v0, sh.CONSTRAINED, m).wtilde.data
+        dv, dv0 = grad_values(grid, v.data), grad_values(grid, v0.data)
+        e = -0.5 * (dv[..., :, None] * dv0[..., None, :] + dv0[..., :, None] * dv[..., None, :])
+        assert np.max(np.abs(sym_grad_values(grid, wt) - e)) <= 1e-12 * np.max(np.abs(e)), n
+        wt_analytic = np.stack([-2 * a * x**3 / 3, 2 * a * y**3 / 3], axis=-1)
+        assert np.max(np.abs(sym_grad_values(grid, wt - wt_analytic))) <= 0.25 * grid.dx**2, n
 
 
 def test_scaling_study_table(grid48):
@@ -468,7 +470,7 @@ def test_energy_3d_matches_linalg_reference(square33, h):
     v = ScalarField(grid, v0.data + 0.3 * np.sin(np.pi * grid.X1) * np.sin(np.pi * grid.X2))
     w = VectorField2(grid, np.stack([0.1 * grid.X1**2 * grid.X2, -0.05 * grid.X2**2], axis=-1))
     cfg = sh.ShellConfig(v0, alpha=1.0, h=h, n_t=5)
-    u = recovery(v, w, g, cfg, m)
+    u = recovery(en.PlateState(en.I40, w, v), g, cfg, m)
     total, diag = sh.energy_3d(u, g, m)
     ref, min_det, max_dist = energy_3d_linalg(u, g, m)
     assert total == pytest.approx(ref, rel=1e-10, abs=0)
@@ -501,7 +503,7 @@ def test_energy_3d_reflected_deformation(square33):
     v0 = ScalarField(grid, 0.25 * (grid.X1**2 + grid.X2**2))
     v = ScalarField(grid, v0.data + 0.3 * np.sin(np.pi * grid.X1) * np.sin(np.pi * grid.X2))
     cfg = sh.ShellConfig(v0, alpha=1.0, h=1e-2, n_t=3)
-    u = recovery(v, VectorField2.zeros(grid), g, cfg, m)
+    u = recovery(en.PlateState(en.I40, VectorField2.zeros(grid), v), g, cfg, m)
     refl = sh.Deformation3D(cfg, np.diag([1.0, 1.0, -1.0]) @ u.grad_y)
     with pytest.warns(UserWarning):
         total, diag = sh.energy_3d(refl, g, m)
@@ -569,7 +571,7 @@ def test_energy_3d_is_bitwise_layout_independent(square33):
     v = ScalarField(grid, v0.data + 0.3 * np.sin(np.pi * grid.X1) * np.sin(np.pi * grid.X2))
     w = VectorField2(grid, np.stack([0.1 * grid.X1**2 * grid.X2, -0.05 * grid.X2**2], axis=-1))
     cfg = sh.ShellConfig(v0, alpha=1.0, h=1e-2, n_t=5)
-    u = recovery(v, w, g, cfg, m)
+    u = recovery(en.PlateState(en.I40, w, v), g, cfg, m)
     c_ordered = sh.Deformation3D(cfg, np.ascontiguousarray(u.grad_y))
     assert sh.energy_3d(u, g, m) == sh.energy_3d(c_ordered, g, m)
 
@@ -580,7 +582,7 @@ def test_point_stacks_are_component_major(grid48):
     v0 = ScalarField(grid48, 0.25 * (grid48.X1**2 + grid48.X2**2))
     v = ScalarField(grid48, v0.data + 0.2 * np.sin(np.pi * grid48.X1) * np.sin(np.pi * grid48.X2))
     cfg = sh.ShellConfig(v0, alpha=1.0, h=1e-2, n_t=3)
-    u = recovery(v, VectorField2.zeros(grid48), g, cfg, m)
+    u = recovery(en.PlateState(en.I40, VectorField2.zeros(grid48), v), g, cfg, m)
     imm = sh.Immersion(cfg)
     qh = sh.GrowthEvaluator(g, cfg)
     x3 = cfg.gauss_rule()[0][0]
@@ -621,7 +623,7 @@ def test_scaling_study_template_matches_per_row_builds(square33, regime, workers
     assert study.regime == regime
     for h, row in zip(h_list, study.rows):
         cfg = sh.ShellConfig(v0, alpha=alpha, h=h, n_t=3)
-        e3, _ = sh.energy_3d(recovery(st.v, st.w, g, cfg, m, vtilde=st.vtilde), g, m)
+        e3, _ = sh.energy_3d(recovery(st, g, cfg, m), g, m)
         assert row.e3d == e3 and row.e3d_over_h4 == e3 / h**4
 
 
@@ -690,7 +692,7 @@ def test_screened_distance_diagnostics_match_the_full_kernel(square33, rng):
     g = sine_growth(square33)
     alpha, v0, st = sweep_case(square33, sh.DMV)
     cfg = sh.ShellConfig(v0, alpha=alpha, h=0.1, n_t=5)
-    cases = {"recovery": (recovery(st.v, st.w, g, cfg, m), g)}
+    cases = {"recovery": (recovery(st, g, cfg, m), g)}
     grid16 = Grid2D(16, 16, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
     for name, stacks in screen_cases(rng).items():
         cases[name] = (flat_deformation(grid16, stacks), GrowthFields.zeros(grid16))
@@ -710,7 +712,7 @@ def test_screen_sends_few_points_to_the_exact_distance(grid48, monkeypatch):
     g = sine_growth(grid48)
     alpha, v0, st = sweep_case(grid48, sh.DMV)
     cfg = sh.ShellConfig(v0, alpha=alpha, h=0.1, n_t=5)
-    u = recovery(st.v, st.w, g, cfg, m)
+    u = recovery(st, g, cfg, m)
     exact = []
     kernel = sh._dist_from_strain
 
@@ -731,7 +733,7 @@ def test_recovery_template_e2d_is_the_limit_functional(square33, regime):
     m = en.Material(1.3, 0.7)
     g = sine_growth(square33)
     _, v0, st = sweep_case(square33, regime)
-    template = sh.RecoveryTemplate(st.v, st.w, g, v0, regime, m, st.vtilde)
+    template = sh.RecoveryTemplate(st, g, v0, regime, m)
     _, v0, st = sweep_case(square33, regime)
     want = {
         sh.FLAT: lambda: en.energy_i40(st, g, m),
@@ -788,11 +790,11 @@ def test_constrained_template_holds_few_planes_more_than_the_dmv_one():
 
     def peak(regime):
         _, v0, st = sweep_case(grid, regime)
-        sh.RecoveryTemplate(st.v, st.w, g, v0, regime, m, st.vtilde)  # caches and lazy imports
+        sh.RecoveryTemplate(st, g, v0, regime, m)  # caches and lazy imports
         _, v0, st = sweep_case(grid, regime)  # fresh fields: their planes are formed inside
         tracemalloc.start()
         try:
-            sh.RecoveryTemplate(st.v, st.w, g, v0, regime, m, st.vtilde)
+            sh.RecoveryTemplate(st, g, v0, regime, m)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -801,33 +803,25 @@ def test_constrained_template_holds_few_planes_more_than_the_dmv_one():
     assert peak(sh.CONSTRAINED) - peak(sh.DMV) <= 5 * plane
 
 
-def test_a_wtilde_outside_the_constrained_regime_is_an_error(square33):
-    # the DMV and flat templates never read a wtilde; they kept one, even from
-    # another grid, and scaling_study dropped it the same way
-    m = en.Material(1.0, 1.0)
-    g = sine_growth(square33)
-    wt = VectorField2.zeros(Grid2D(17, 17, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET))
-    for regime in (sh.DMV, sh.FLAT):
-        alpha, v0, st = sweep_case(square33, regime)
-        with pytest.raises(ValueError, match="carry no wtilde"):
-            sh.RecoveryTemplate(st.v, st.w, g, v0, regime, m, wtilde=wt)
-        with pytest.raises(ValueError, match="carry no wtilde"):
-            sh.scaling_study(alpha, [1e-1], g, v0, st, m, wtilde=wt)
-
-
 def test_recovery_template_supplies_the_state():
     grid = Grid2D(17, 17, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
     m = en.Material(1.0, 1.0)
     g = sine_growth(grid)
     alpha, v0, st = sweep_case(grid, sh.DMV)
     cfg = sh.ShellConfig(v0, alpha=alpha, h=0.01)
-    template = sh.RecoveryTemplate(st.v, st.w, g, v0, sh.DMV, m)
+    template = sh.RecoveryTemplate(st, g, v0, sh.DMV, m)
     assert sh.build_recovery(template, cfg).cfg is cfg
     saddle = sh.ShellConfig(ScalarField(grid, 0.5 * (grid.X1**2 - grid.X2**2)), alpha=alpha, h=0.01)
     flat = sh.ShellConfig(v0, alpha=2.0, h=0.01)
     for other in (saddle, flat):
         with pytest.raises(ValueError, match="another v0 or regime"):
             sh.build_recovery(template, other)
+    # the state must fit the regime's limit functional: vtilde comes with the
+    # constrained regime, and only there
+    _, v0_c, st_c = sweep_case(grid, sh.CONSTRAINED)
+    for state, v0_r, regime in ((st_c, v0, sh.DMV), (st_c, v0, sh.FLAT), (st, v0_c, sh.CONSTRAINED)):
+        with pytest.raises(ValueError, match="does not fit"):
+            sh.RecoveryTemplate(state, g, v0_r, regime, m)
 
 
 @pytest.mark.parametrize("regime", sh.REGIMES)
@@ -837,7 +831,7 @@ def test_recovery_template_warping_is_the_q2_completion_of_the_integrands(square
     m = en.Material(1.3, 0.7)
     g = sine_growth(square33)
     _, v0, st = sweep_case(square33, regime)
-    template = sh.RecoveryTemplate(st.v, st.w, g, v0, regime, m, st.vtilde)
+    template = sh.RecoveryTemplate(st, g, v0, regime, m)
     functional = st.variant
     stretch, bend, _ = en._integrands(functional, *en._stencil_planes(st), g, en._v0_planes(functional, v0))
     c_s, c_k = (en.q2(sym_stack(*f), m)[1] for f in (stretch, bend))
@@ -859,7 +853,7 @@ def test_recovery_and_its_explicit_stack_give_the_same_energy(square33, regime, 
     h_list = [1e-1, 1e-3, 1e-5]
     for h in h_list:
         cfg = sh.ShellConfig(v0, alpha=alpha, h=h, n_t=5)
-        u = recovery(st.v, st.w, g, cfg, m, vtilde=st.vtilde)
+        u = recovery(st, g, cfg, m)
         stack = u.grad_y
         assert stack is not u.grad_y and np.array_equal(stack, u.grad_y)
         explicit = sh.Deformation3D(cfg, stack)
@@ -883,7 +877,7 @@ def test_one_row_holds_few_point_stacks():
     m = en.Material(1.0, 1.0)
     g = sine_growth(grid)
     alpha, v0, st = sweep_case(grid, sh.DMV)
-    template = sh.RecoveryTemplate(st.v, st.w, g, v0, sh.DMV, m)
+    template = sh.RecoveryTemplate(st, g, v0, sh.DMV, m)
     cfg = sh.ShellConfig(v0, alpha=alpha, h=1e-2, n_t=5)
     sh.energy_3d(sh.build_recovery(template, cfg), g, m)  # caches and lazy imports outside the measurement
     stack = grid.nx * grid.ny * 9 * 8
