@@ -579,6 +579,7 @@ class RecoveryTemplate:
         grid.require_same(state.grid, "state and shell")
         grid.require_same(g.grid, "growth and shell")
         self.v0, self.regime, self.state, self.wtilde = v0, regime, state, None
+        en._check(limit_functional_name(regime), state, g, v0, 0.0)  # a state that does not fit costs no solve
         if regime == CONSTRAINED:
             # sym grad wtilde = -sym(grad v x grad v0), solved before the
             # integrand pass: the solve's workspace dies before the pass's planes

@@ -9,7 +9,7 @@ Contents:
                     diagonalizes the stencil, so one symbol inversion and one
                     residual correction solve it directly,
 * solve_sym_grad -- the least-squares inverse of the discrete symmetric
-                    gradient: CG preconditioned by H0's w blocks (_w_blocks),
+                    gradient: own CG preconditioned by H0's w blocks (_w_blocks),
 * solve_mystery  -- the mixed-type Dirichlet problem
                     cof(hess v0) : hess v = -curl^T curl B, whose matrix is
                     the interior block of fields.bracket_matrix (the
@@ -47,7 +47,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import energy as en
 from .fields import (
@@ -244,9 +243,9 @@ def solve_sym_grad(grid: Grid2D, xx: np.ndarray, yy: np.ndarray, xy: np.ndarray)
     |S w - e|^2 for the symmetric field e with planes (xx, yy, xy).
 
     S = sym grad_h on the grid's own D1 stencils (fields.sym_grad_values), so
-    a discretely compatible e is matched to roundoff.  scipy's CG solves
-    S* S w = S* e from w = 0, preconditioned by _w_blocks with symbols
-    lx + ly/2 and lx/2 + ly; w is fixed up to the discrete rigid motions.
+    a discretely compatible e is matched to roundoff.  CG, in scipy.sparse.linalg.cg's
+    order of operations (so with its bits), solves S* S w = S* e from w = 0, preconditioned
+    by _w_blocks with symbols lx + ly/2 and lx/2 + ly; w is fixed up to the discrete rigid motions.
     """
     q, shape, n = grid.quad_weights, (grid.nx, grid.ny, 2), 2 * grid.nx * grid.ny
     inv_w = _w_blocks(grid, 1.0, 0.5)
@@ -265,13 +264,21 @@ def solve_sym_grad(grid: Grid2D, xx: np.ndarray, yy: np.ndarray, xy: np.ndarray)
         return adjoint(q * grid.d1(w[..., 0], 0), q * grid.d1(w[..., 1], 1), qxy)
 
     b = adjoint(q * xx, q * yy, q * xy)
-    op = spla.LinearOperator((n, n), normal, dtype=float)
-    pre = spla.LinearOperator((n, n), lambda r: inv_w(r.reshape(shape), np.empty(shape)).ravel(), dtype=float)
-    w, info = spla.cg(op, b, rtol=_SYM_GRAD_RTOL, maxiter=_SYM_GRAD_MAX_ITER, M=pre)
-    if info != 0:
-        resid = float(np.linalg.norm(b - normal(w)) / np.linalg.norm(b))
-        raise SolverError(f"symmetric-gradient CG did not converge: relative residual {resid:.3e}", residual=resid)
-    return w.reshape(shape)
+    w, r, rho, bnorm = np.zeros(n), b.copy(), None, np.linalg.norm(b)
+    if bnorm == 0.0:  # S* e = 0 is solved by w = 0; the first step would divide 0 by 0
+        return w.reshape(shape)
+    for it in range(_SYM_GRAD_MAX_ITER):
+        if np.linalg.norm(r) < _SYM_GRAD_RTOL * bnorm:
+            return w.reshape(shape)
+        z = inv_w(r.reshape(shape), np.empty(shape)).ravel()
+        rho_prev, rho = rho, np.dot(r, z)
+        p = z if it == 0 else p * (rho / rho_prev) + z
+        ap = normal(p)
+        alpha = rho / np.dot(p, ap)
+        w += alpha * p
+        r -= alpha * ap
+    resid = float(np.linalg.norm(b - normal(w)) / bnorm)
+    raise SolverError(f"symmetric-gradient CG did not converge: relative residual {resid:.3e}", residual=resid)
 
 
 # -- the mixed-type Dirichlet problem -------------------------------------------
@@ -298,8 +305,10 @@ def solve_mystery(v0: ScalarField, B: MatrixField2) -> tuple[ScalarField, Vector
     nx, ny = grid.nx, grid.ny
     inner = np.arange(nx * ny).reshape(nx, ny)[1:-1, 1:-1].ravel()
     mat = bracket_matrix(grid, sym_stack(p_11, p_22, p_12))[inner][:, inner]
+    from scipy.sparse.linalg import spsolve  # not at module level: its import costs every process ~10 MB
+
     try:
-        u = spla.spsolve(mat, f[1:-1, 1:-1].ravel())
+        u = spsolve(mat, f[1:-1, 1:-1].ravel())
     except Exception as exc:  # pragma: no cover - singular systems are input errors
         raise SolverError(f"mixed-type linear solve failed: {exc}") from exc
     if not np.all(np.isfinite(u)):

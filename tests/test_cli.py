@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -561,3 +565,35 @@ def test_constrained_ratio_falls_with_h_on_every_grid(tmp_path):
         devs[n] = [row["ratio"] - 1.0 for row in summary["outputs"]["rows"]]
         assert all(0.0 < b < a for a, b in zip(devs[n], devs[n][1:])), devs[n]
     assert np.max(np.abs(np.subtract(devs[33], devs[65]))) < 1e-5
+
+
+FOOTPRINT_CHILD = """
+import json, sys
+from vkshell import cli
+codes = [cli.main(["run", "--config", c, "--out", o]) for c, o in zip(sys.argv[1::2], sys.argv[2::2])]
+print(json.dumps([codes, sorted(m for m in ("scipy.sparse.linalg", "scipy.linalg") if m in sys.modules)]))
+"""
+
+
+def test_runs_do_not_import_scipy_solvers(tmp_path):
+    # scipy.sparse.linalg (which imports scipy.linalg) adds ~10 MB to every
+    # process; neither a minimize nor a constrained sweep, which runs the
+    # compensator's CG, may load it.  The runs start from a fresh interpreter,
+    # as the CLI does
+    minimize = base_config(growth={"preset": "kappa_sine", "amplitude": 0.02}, geometry={"v0": "zero"})
+    minimize["grid"] = {"nx": 17, "ny": 17, "domain": [0.0, 1.0, 0.0, 1.0], "bc": "dirichlet-ghost"}
+    minimize["run"] = {"command": "minimize", "functional": "I40", "init": "random", "seed": 1}
+    sweep = base_config(growth={"preset": "kappa_sine"}, geometry={"v0": "paraboloid", "alpha": 0.5})
+    sweep["grid"] = dict(minimize["grid"])
+    sweep["run"] = {"command": "scaling", "h_list": [1e-2, 1e-3], "state": "auto"}
+    args = []
+    for name, doc in (("minimize", minimize), ("sweep", sweep)):
+        args += [str(write_config(tmp_path, doc, f"{name}.json")), str(tmp_path / name)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD, *args], capture_output=True, text=True, env=env)
+    assert child.returncode == 0, child.stderr
+    codes, loaded = json.loads(child.stdout.strip().splitlines()[-1])
+    assert codes == [0, 0]
+    assert json.loads((tmp_path / "sweep" / "summary.json").read_text())["outputs"]["scaling"]["regime"] == "constrained"
+    assert loaded == []

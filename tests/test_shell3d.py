@@ -803,7 +803,7 @@ def test_constrained_template_holds_few_planes_more_than_the_dmv_one():
     assert peak(sh.CONSTRAINED) - peak(sh.DMV) <= 5 * plane
 
 
-def test_recovery_template_supplies_the_state():
+def test_recovery_template_supplies_the_state(monkeypatch):
     grid = Grid2D(17, 17, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
     m = en.Material(1.0, 1.0)
     g = sine_growth(grid)
@@ -817,11 +817,15 @@ def test_recovery_template_supplies_the_state():
         with pytest.raises(ValueError, match="another v0 or regime"):
             sh.build_recovery(template, other)
     # the state must fit the regime's limit functional: vtilde comes with the
-    # constrained regime, and only there
+    # constrained regime, and only there.  It is checked before the
+    # constrained regime's wtilde solve, so a state that does not fit costs none
+    solves = []
+    monkeypatch.setattr(sh, "solve_sym_grad", lambda *args: solves.append(args))
     _, v0_c, st_c = sweep_case(grid, sh.CONSTRAINED)
     for state, v0_r, regime in ((st_c, v0, sh.DMV), (st_c, v0, sh.FLAT), (st, v0_c, sh.CONSTRAINED)):
         with pytest.raises(ValueError, match="does not fit"):
             sh.RecoveryTemplate(state, g, v0_r, regime, m)
+    assert not solves
 
 
 @pytest.mark.parametrize("regime", sh.REGIMES)

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -237,14 +239,40 @@ def test_solve_sym_grad_of_zero_is_zero(square33):
 
 
 def test_solve_sym_grad_raises_when_cg_does_not_converge(square33, rng, monkeypatch):
-    def short_cg(a, b, **kwargs):
-        return np.zeros_like(b), 1
-
-    monkeypatch.setattr(so.spla, "cg", short_cg)
+    # an incompatible e needs more than one step: at a cap of 1 the CG stops
+    # short and reports the true residual of its one step
+    monkeypatch.setattr(so, "_SYM_GRAD_MAX_ITER", 1)
     e = rng.standard_normal((3, 33, 33))
     with pytest.raises(so.SolverError, match="did not converge") as info:
         so.solve_sym_grad(square33, *e)
-    assert info.value.residual == pytest.approx(1.0)
+    assert 0.0 < info.value.residual < 1.0
+
+
+@pytest.mark.parametrize("case", ["ghost 33x29", "torus 32x32"])
+def test_solve_sym_grad_matches_scipy_cg(case, rng):
+    # the solver's own CG against scipy's on the same normal operator S* q S
+    # and the same _w_blocks preconditioner, for an incompatible e
+    nx, ny, domain, bc = SYM_GRAD_GRIDS[case]
+    grid = Grid2D(nx, ny, domain, bc=bc)
+    q, shape, n = grid.quad_weights, (nx, ny, 2), 2 * nx * ny
+    inv_w = so._w_blocks(grid, 1.0, 0.5)
+
+    def adjoint(qxx, qyy, qxy):
+        return np.stack([grid.d1_t(qxx, 0) + grid.d1_t(qxy, 1), grid.d1_t(qyy, 1) + grid.d1_t(qxy, 0)], axis=-1).ravel()
+
+    def normal(x):
+        s = sym_grad_values(grid, x.reshape(shape))
+        return adjoint(q * s[..., 0, 0], q * s[..., 1, 1], q * s[..., 0, 1])
+
+    xx, yy, xy = rng.standard_normal((3, nx, ny))
+    op = spla.LinearOperator((n, n), normal, dtype=float)
+    pre = spla.LinearOperator((n, n), lambda r: inv_w(r.reshape(shape), np.empty(shape)).ravel(), dtype=float)
+    # scipy < 1.12 names the relative tolerance `tol`
+    rtol = {"rtol" if "rtol" in inspect.signature(spla.cg).parameters else "tol": so._SYM_GRAD_RTOL}
+    ref, info = spla.cg(op, adjoint(q * xx, q * yy, q * xy), atol=0.0, maxiter=so._SYM_GRAD_MAX_ITER, M=pre, **rtol)
+    assert info == 0
+    w = so.solve_sym_grad(grid, xx, yy, xy)
+    assert np.max(np.abs(w.ravel() - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # -- minimize ----------------------------------------------------------------------
