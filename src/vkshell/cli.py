@@ -207,7 +207,8 @@ def _sample_v0(grid: Grid2D, kind, scale: float) -> ScalarField:
     else:
         k1, k2 = wavenumbers(grid)
         data = np.sin(k1 * (x - grid.domain[0])) * np.sin(k2 * (y - grid.domain[2]))
-    return _sampled("geometry.v0", ScalarField, grid, scale * data)
+    data *= scale  # every branch above built data afresh
+    return _sampled("geometry.v0", ScalarField, grid, data)
 
 
 def _sampled(where: str, sample, *args):
@@ -385,8 +386,8 @@ def identity_suite(cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
 
     # collapse of the three functionals at flat reference
     zero_v0 = ScalarField.zeros(grid)
-    st = en.PlateState.random(grid, en.I4INF, rng, 0.5)
-    st40 = en.PlateState(en.I40, st.w, st.v)
+    st = en.PlateState.random(grid, rng, 0.5, vtilde=True)
+    st40 = en.PlateState(st.w, st.v)
     e40 = en.energy_i40(st40, cfg.growth, m)
     e41 = en.energy_i41(st40, cfg.growth, m, zero_v0)
     einf, _ = en.energy_i4inf(st, cfg.growth, m, zero_v0, 1.0)
@@ -497,10 +498,10 @@ def _scaling_state(cfg: ExperimentConfig, regime: str) -> en.PlateState:
                 )
             v = ScalarField(grid, 0.3 * (grid.X1**2 - grid.X2**2))
             vt = ScalarField(grid, 0.2 * grid.X1 * grid.X2)
-            return en.PlateState(en.I4INF, w, v, vt)
+            return en.PlateState(w, v, vt)
         bump = 0.3 * np.sin(math.pi * xi1) * np.sin(math.pi * xi2)
         v = ScalarField(grid, cfg.v0.data + bump) if regime == sh.DMV else ScalarField(grid, bump)
-        return en.PlateState(en.I40, w, v)
+        return en.PlateState(w, v)
     _require_keys(spec, "run.state", ("v", "w"), ("vtilde",))
     v = _parse_poly_field(grid, spec["v"], "run.state.v")
     wlist = spec["w"]
@@ -516,8 +517,8 @@ def _scaling_state(cfg: ExperimentConfig, regime: str) -> en.PlateState:
         raise ConfigError(f"run.state: vtilde is needed in the constrained regime and only there (regime {regime!r})")
     if regime == sh.CONSTRAINED:
         vt = _parse_poly_field(grid, spec["vtilde"], "run.state.vtilde")
-        return en.PlateState(en.I4INF, w, v, vt)
-    return en.PlateState(en.I40, w, v)
+        return en.PlateState(w, v, vt)
+    return en.PlateState(w, v)
 
 
 def _save_fields(outdir: Path, **fields) -> None:
@@ -534,15 +535,14 @@ def _save_fields(outdir: Path, **fields) -> None:
 
 def _run_minimize(cfg: ExperimentConfig) -> tuple[dict, Callable[[Path], None]]:
     functional = cfg.run.get("functional", en.I40)
-    if functional not in en.VARIANTS:
+    if functional not in en.FUNCTIONALS:
         raise ConfigError(f"run.functional: unknown functional {functional!r}")
-    variant = en.I4INF if functional == en.I4INF else en.I40
     seed = _integer(cfg.run, "seed", "run", 0, 0)
     init_kind = cfg.run.get("init", "zero")
     if init_kind == "zero":
-        init = en.PlateState.zeros(cfg.grid, variant)
+        init = en.PlateState.zeros(cfg.grid, vtilde=functional == en.I4INF)
     elif init_kind == "random":
-        init = en.PlateState.random(cfg.grid, variant, np.random.default_rng(seed), 0.1)
+        init = en.PlateState.random(cfg.grid, np.random.default_rng(seed), 0.1, vtilde=functional == en.I4INF)
     else:
         raise ConfigError(f"run.init: expected 'zero' or 'random', got {init_kind!r}")
     pen = cfg.run.get("penalty", {})

@@ -23,6 +23,9 @@ and returns the gradient through one product by its transpose.  Every row
 of that operator is bitwise the per-axis stencil, so both paths see the same
 planes and the same quadrature.
 
+States.  A PlateState holds vtilde for I4INF alone, so that fact is its kind:
+the energies check it, and unflatten reads it from the length (3 n or 4 n).
+
 Energies are plain quadrature sums over the grid; gradients differentiate
 that sum exactly (adjoint stencils), so finite-difference checks of the
 gradient hold to solver precision, not just to discretization order.
@@ -49,7 +52,7 @@ from .growth import GrowthFields
 I40 = "I40"
 I41 = "I41"
 I4INF = "I4INF"
-VARIANTS = (I40, I41, I4INF)
+FUNCTIONALS = (I40, I41, I4INF)
 
 
 @dataclass(frozen=True)
@@ -155,58 +158,54 @@ class PlateState:
     """Unknowns of the 2d theories.
 
     I40 / I41 use (w, v); I4INF adds vtilde, which generates the finite
-    strain B = sym grad w + sym(grad vtilde x grad v0).
+    strain B = sym grad w + sym(grad vtilde x grad v0).  A state with vtilde
+    fits I4INF and only I4INF.
     """
 
-    variant: str
     w: VectorField2
     v: ScalarField
     vtilde: ScalarField | None = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
         self.w.grid.require_same(self.v.grid, "state fields")
-        if self.variant == I4INF:
-            if self.vtilde is None:
-                raise ValueError("I4INF states need vtilde")
+        if self.vtilde is not None:
             self.w.grid.require_same(self.vtilde.grid, "state fields")
-        elif self.vtilde is not None:
-            raise ValueError(f"{self.variant} states carry no vtilde")
 
     @property
     def grid(self) -> Grid2D:
         return self.w.grid
 
     @classmethod
-    def zeros(cls, grid: Grid2D, variant: str = I40) -> "PlateState":
-        vt = ScalarField.zeros(grid) if variant == I4INF else None
-        return cls(variant, VectorField2.zeros(grid), ScalarField.zeros(grid), vt)
+    def zeros(cls, grid: Grid2D, vtilde: bool = False) -> "PlateState":
+        vt = ScalarField.zeros(grid) if vtilde else None
+        return cls(VectorField2.zeros(grid), ScalarField.zeros(grid), vt)
 
     @classmethod
-    def random(cls, grid: Grid2D, variant: str, rng: np.random.Generator, amplitude: float = 1.0) -> "PlateState":
-        w = VectorField2(grid, amplitude * rng.standard_normal((grid.nx, grid.ny, 2)))
-        v = ScalarField(grid, amplitude * rng.standard_normal((grid.nx, grid.ny)))
-        vt = None
-        if variant == I4INF:
-            vt = ScalarField(grid, amplitude * rng.standard_normal((grid.nx, grid.ny)))
-        return cls(variant, w, v, vt)
+    def random(
+        cls, grid: Grid2D, rng: np.random.Generator, amplitude: float = 1.0, vtilde: bool = False
+    ) -> "PlateState":
+        shape = (grid.nx, grid.ny)  # drawn in the order w, v, vtilde
+        w = VectorField2(grid, amplitude * rng.standard_normal(shape + (2,)))
+        v = ScalarField(grid, amplitude * rng.standard_normal(shape))
+        vt = ScalarField(grid, amplitude * rng.standard_normal(shape)) if vtilde else None
+        return cls(w, v, vt)
 
     def flatten(self) -> np.ndarray:
         parts = [self.w.data.ravel(), self.v.data.ravel()]
-        if self.variant == I4INF:
+        if self.vtilde is not None:
             parts.append(self.vtilde.data.ravel())
         return np.concatenate(parts)
 
     @classmethod
-    def unflatten(cls, x: np.ndarray, grid: Grid2D, variant: str) -> "PlateState":
+    def unflatten(cls, x: np.ndarray, grid: Grid2D) -> "PlateState":
+        """The inverse of flatten: 3 n values are (w, v), 4 n add vtilde."""
         n = grid.nx * grid.ny
+        if x.size not in (3 * n, 4 * n):
+            raise ValueError(f"a flat state on {grid.nx}x{grid.ny} nodes has {3 * n} or {4 * n} values, not {x.size}")
         w = VectorField2(grid, x[: 2 * n].reshape(grid.nx, grid.ny, 2))
         v = ScalarField(grid, x[2 * n : 3 * n].reshape(grid.nx, grid.ny))
-        vt = None
-        if variant == I4INF:
-            vt = ScalarField(grid, x[3 * n : 4 * n].reshape(grid.nx, grid.ny))
-        return cls(variant, w, v, vt)
+        vt = ScalarField(grid, x[3 * n :].reshape(grid.nx, grid.ny)) if x.size == 4 * n else None
+        return cls(w, v, vt)
 
 
 # -- the plane-form integrands --------------------------------------------------
@@ -278,12 +277,13 @@ def constraint_values(v: ScalarField, v0: ScalarField) -> np.ndarray:
 
 
 def _check(functional: str, s: PlateState, g: GrowthFields, v0: ScalarField | None, penalty: float):
-    """The one argument check of the energies.  I40 and I41 take states of
-    either of their two variants."""
-    if functional not in VARIANTS:
+    """The one argument check of the energies: a state holds vtilde for I4INF
+    and only there."""
+    if functional not in FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
-    if (s.variant == I4INF) != (functional == I4INF):
-        raise ValueError(f"state variant {s.variant} does not fit functional {functional}")
+    if (s.vtilde is not None) != (functional == I4INF):
+        kind = "with" if s.vtilde is not None else "without"
+        raise ValueError(f"a state {kind} vtilde does not fit functional {functional}")
     if penalty < 0.0:
         raise ValueError("penalty weight must be nonnegative")
     s.grid.require_same(g.grid, "state and growth")
@@ -400,4 +400,4 @@ def grad_energy(
             p[_V_22] += pr * p_11
             p_cross = p_cross - 2.0 * pr * p_12
     p[_V_2] += (dx_t @ p_cross.ravel()).reshape(shape)
-    return energy, PlateState.unflatten(lmat_t @ p.ravel(), grid, s.variant)
+    return energy, PlateState.unflatten(lmat_t @ p.ravel(), grid)

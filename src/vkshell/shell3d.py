@@ -43,9 +43,10 @@ scratch planes), and the other takes each inverse and then e.  The chart
 Jacobian and q^h are the only stacks formed per node, each dropped once
 inverted; the other per-call stacks are the GrowthEvaluator's Id + h^2 eps_g
 and the Immersion's normal and its gradient.  No stack of every node exists:
-a Deformation3D hands out one node's grad y on request (node_jacobian), and
-its grad_y, the stack of all n_t nodes, is built only when read (tests, and
-the benchmark's point count).
+build_recovery's Deformation3D, the one deformation type, keeps only a
+row's node-independent planes and forms one node's grad y on request
+(node_jacobian); its grad_y, the stack of all n_t nodes, is built only when
+read (tests, and the benchmark's point count).
 
 Recovery.  One Kirchhoff-Love-plus-warping ansatz covers all regimes:
 deformed mid-surface Y(x) (per-regime displacement scaling), exact unit
@@ -433,42 +434,6 @@ def dist_so3(F: np.ndarray) -> np.ndarray:
     return _dist_from_strain(_strain(F), F, _det3(F))
 
 
-class Deformation3D:
-    """Analytic deformation gradient grad y at the (node, Gauss) pairs of the
-    shell cfg, built in closed form (stencils in-plane, exact in x3), never by
-    differencing across the thin direction.
-
-    node_jacobian(k, out) writes the Jacobian of y(x, x3) at the k-th node of
-    cfg.gauss_rule() into out, a component-major (nx, ny, 3, 3) buffer of the
-    caller's; energy_3d reads the deformation through it alone.  Deformation3D
-    (cfg, grad_y) serves the nodes of an explicit (n_t, nx, ny, 3, 3) stack;
-    build_recovery's deformation holds only node-independent planes and forms
-    each node when asked.  The whole stack grad_y is derived: it is built,
-    component-major, each time it is read.
-    """
-
-    def __init__(self, cfg: ShellConfig, grad_y: np.ndarray):
-        want = (cfg.n_t, cfg.grid.nx, cfg.grid.ny, 3, 3)
-        if grad_y.shape != want:
-            raise ValueError(f"grad_y shape {grad_y.shape}, expected {want}")
-        self.cfg = cfg
-        self._grad_y = grad_y
-
-    def node_jacobian(self, k: int, out: np.ndarray) -> np.ndarray:
-        """grad y at the k-th thickness node, written into out and returned."""
-        out[...] = self._grad_y[k]
-        return out
-
-    @property
-    def grad_y(self) -> np.ndarray:
-        """(n_t, nx, ny, 3, 3), component-major: every node, freshly built."""
-        cfg = self.cfg
-        grad = _component_major((cfg.n_t, cfg.grid.nx, cfg.grid.ny, 3, 3))
-        for k in range(cfg.n_t):
-            self.node_jacobian(k, grad[k])
-        return grad
-
-
 def _same_field(a: ScalarField, b: ScalarField) -> bool:
     """The same field object, or equal grids and values."""
     return a is b or (a.grid == b.grid and np.array_equal(a.data, b.data))
@@ -659,20 +624,29 @@ def build_recovery(template: RecoveryTemplate, cfg: ShellConfig) -> Deformation3
     nu /= np.sqrt((nu[..., 0] * nu[..., 0] + nu[..., 1] * nu[..., 1]) + nu[..., 2] * nu[..., 2])[..., None]
     dnu = _grad3(grid, nu)
     nu += h * h * template.d0  # the normal column nu + h^2 d0, in nu's planes
-    return _Recovery(cfg, template, dy, dnu, nu)
+    return Deformation3D(cfg, template, dy, dnu, nu)
 
 
-class _Recovery(Deformation3D):
-    """build_recovery's deformation: the row's node-independent planes dy,
-    dnu and nu + h^2 d0, with the template's d1, grad d0 and grad d1; node k's
-    Jacobian is formed from them when asked."""
+class Deformation3D:
+    """build_recovery's deformation of the shell cfg: grad y at the (node,
+    Gauss) pairs in closed form (stencils in-plane, exact in x3), never by
+    differencing across the thin direction.
 
-    def __init__(self, cfg, template, dy, dnu, normal_col):
+    It keeps the row's node-independent planes dy = grad Y, dnu = grad nu and
+    normal_col = nu + h^2 d0, and reads d1, grad d0 and grad d1 from the
+    template.  node_jacobian(k, out) forms node k of cfg.gauss_rule() into
+    out, a component-major (nx, ny, 3, 3) buffer of the caller's; energy_3d
+    reads the deformation through it alone.  grad_y, the stack of every
+    node, is built component-major each time it is read.
+    """
+
+    def __init__(self, cfg: ShellConfig, template: RecoveryTemplate, dy, dnu, normal_col):
         self.cfg = cfg
         self._template = template
         self._dy, self._dnu, self._normal_col = dy, dnu, normal_col
 
     def node_jacobian(self, k: int, out: np.ndarray) -> np.ndarray:
+        """grad y at the k-th thickness node, written into out and returned."""
         # the tangent columns are written in place, one at a time, with the
         # normal column (written last) as scratch: exact addition commutes, so
         # t dnu + dy + ... has the bits of dy + t dnu + t h^2 dd0 + t^2 h / 2 dd1
@@ -689,6 +663,15 @@ class _Recovery(Deformation3D):
         np.multiply(t * h, tp.d1, out=term)
         term += self._normal_col
         return out
+
+    @property
+    def grad_y(self) -> np.ndarray:
+        """(n_t, nx, ny, 3, 3), component-major: every node, freshly built."""
+        cfg = self.cfg
+        grad = _component_major((cfg.n_t, cfg.grid.nx, cfg.grid.ny, 3, 3))
+        for k in range(cfg.n_t):
+            self.node_jacobian(k, grad[k])
+        return grad
 
 
 # -- metric pullback consistency ---------------------------------------------------
@@ -747,7 +730,6 @@ class ScalingRow:
 class ScalingStudy:
     rows: tuple
     regime: str
-    limit_name: str
     incompatibility_norm: float
 
     def csv_lines(self) -> list[str]:
@@ -759,7 +741,7 @@ class ScalingStudy:
     def metadata(self) -> dict:
         return {
             "regime": self.regime,
-            "limit_functional": self.limit_name,
+            "limit_functional": limit_functional_name(self.regime),
             "incompatibility_norm": self.incompatibility_norm,
         }
 
@@ -803,4 +785,4 @@ def scaling_study(
             rows = tuple(pool.map(row, shells))
     else:
         rows = tuple(map(row, shells))
-    return ScalingStudy(rows, regime, limit_functional_name(regime), inorm)
+    return ScalingStudy(rows, regime, inorm)

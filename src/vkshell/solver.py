@@ -160,10 +160,8 @@ def gauge_fix(s: en.PlateState) -> en.PlateState:
         w[..., 1] -= alpha * xt1
     v = v - v.mean()
     w = w - w.mean(axis=(0, 1))
-    vt = None
-    if s.vtilde is not None:
-        vt = ScalarField(grid, s.vtilde.data - s.vtilde.data.mean())
-    return en.PlateState(s.variant, VectorField2(grid, w), ScalarField(grid, v), vt)
+    vt = None if s.vtilde is None else ScalarField(grid, s.vtilde.data - s.vtilde.data.mean())
+    return en.PlateState(VectorField2(grid, w), ScalarField(grid, v), vt)
 
 
 # -- periodic biharmonic solve -------------------------------------------------
@@ -531,11 +529,10 @@ def minimize(
     if not math.isfinite(en.total_energy(functional, init, g, m, v0, 0.0)):
         raise SolverError("initial energy is not finite")
     state = gauge_fix(init)
-    variant = state.variant
 
     def make_fg(penalty):
         def fg(x):
-            s = en.PlateState.unflatten(x, grid, variant)
+            s = en.PlateState.unflatten(x, grid)
             val, gr = en.grad_energy(functional, s, g, m, v0, penalty)
             return val, gr.flatten()
 
@@ -561,7 +558,7 @@ def minimize(
             status = stage_status
         row = {"penalty": wgt, **stats, "precond_s": precond_s}
         if functional == en.I4INF:
-            stage_state = en.PlateState.unflatten(x, grid, variant)
+            stage_state = en.PlateState.unflatten(x, grid)
             _, resid = en.energy_i4inf(stage_state, g, m, v0, 0.0)
             if stage_rows and resid > stage_rows[-1]["constraint_residual"] + 1e-10 * (1.0 + resid):
                 raise AssertionError(
@@ -570,7 +567,7 @@ def minimize(
             row["constraint_residual"] = resid
         stage_rows.append(row)
 
-    final = gauge_fix(en.PlateState.unflatten(x, grid, variant))
+    final = gauge_fix(en.PlateState.unflatten(x, grid))
     resid = 0.0
     if functional == en.I4INF:
         final_energy, resid = en.energy_i4inf(final, g, m, v0, 0.0)

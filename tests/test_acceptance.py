@@ -143,7 +143,6 @@ def test_criterion_04_gradient_checks():
     worst = 0.0
     t = 1e-5
     for functional in (en.I40, en.I41, en.I4INF):
-        variant = en.I4INF if functional == en.I4INF else en.I40
         for k in range(20):
             bc = DIRICHLET if k % 2 == 0 else PERIODIC
             domain = (0, 1, 0, 1) if bc == DIRICHLET else (0, TWO_PI, 0, TWO_PI)
@@ -153,14 +152,14 @@ def test_criterion_04_gradient_checks():
             kap = 0.2 * rng.standard_normal((16, 16, 3, 3))
             g = GrowthFields.from_arrays(grid, eps, kap)
             v0 = ScalarField(grid, 0.4 * np.sin(grid.X1) * np.sin(grid.X2))
-            s = so.gauge_fix(en.PlateState.random(grid, variant, rng, 0.5))
-            d = en.PlateState.random(grid, variant, rng, 1.0)
+            s = so.gauge_fix(en.PlateState.random(grid, rng, 0.5, vtilde=functional == en.I4INF))
+            d = en.PlateState.random(grid, rng, 1.0, vtilde=functional == en.I4INF)
             x, dd = s.flatten(), d.flatten()
             grad = en.grad_energy(functional, s, g, m, v0, penalty=1.0)[1].flatten()
 
             def e_at(xx):
                 return en.total_energy(
-                    functional, en.PlateState.unflatten(xx, grid, variant), g, m, v0, 1.0
+                    functional, en.PlateState.unflatten(xx, grid), g, m, v0, 1.0
                 )
 
             fd = (e_at(x + t * dd) - e_at(x - t * dd)) / (2 * t)
@@ -181,8 +180,8 @@ def test_criterion_05_collapse_at_flat_reference():
         kap = 0.3 * rng.standard_normal((24, 24, 3, 3))
         g = GrowthFields.from_arrays(grid, eps, kap)
         for _ in range(5):
-            s = en.PlateState.random(grid, en.I4INF, rng, 0.8)
-            s40 = en.PlateState(en.I40, s.w, s.v)
+            s = en.PlateState.random(grid, rng, 0.8, vtilde=True)
+            s40 = en.PlateState(s.w, s.v)
             e40 = en.energy_i40(s40, g, m)
             e41 = en.energy_i41(s40, g, m, z)
             einf, resid = en.energy_i4inf(s, g, m, z, 3.0)
@@ -217,7 +216,7 @@ def test_criterion_07_el_material_consistency():
     st_vk, rep_vk = so.solve_vk("old", g, m)
     st_min, rep_min = so.minimize(
         en.I40,
-        en.PlateState.zeros(grid, en.I40),
+        en.PlateState.zeros(grid),
         g,
         m,
         opts=so.MinimizeOptions(tol=1e-10, max_iter=3000),
@@ -252,17 +251,17 @@ def _gamma_limit_case(grid, m, g, alpha):
         v0 = ScalarField(grid, 0.5 * (x * x + y * y))
         a = 0.3
         v = ScalarField(grid, a * (x * x - y * y))
-        st = en.PlateState(en.I4INF, w, v, ScalarField(grid, 0.2 * x * y))
+        st = en.PlateState(w, v, ScalarField(grid, 0.2 * x * y))
         e2d = en.energy_i4inf(st, g, m, v0, 0.0)[0]
     elif alpha == 1.0:
         v0 = ScalarField(grid, 0.25 * (x * x + y * y))
         v = ScalarField(grid, v0.data + 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y))
-        st = en.PlateState(en.I41, w, v)
+        st = en.PlateState(w, v)
         e2d = en.energy_i41(st, g, m, v0)
     else:
         v0 = ScalarField(grid, 0.25 * (x * x + y * y))
         v = ScalarField(grid, 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y))
-        st = en.PlateState(en.I40, w, v)
+        st = en.PlateState(w, v)
         e2d = en.energy_i40(st, g, m)
     return v0, sh.RecoveryTemplate(st, g, v0, sh.resolve_regime(v0, alpha), m), e2d
 
@@ -310,7 +309,7 @@ def test_criterion_10_energy_scaling_law():
     kap[..., 0, 0] = 0.5 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
     g_inc = GrowthFields.from_arrays(grid, np.zeros_like(kap), kap)
     _, inorm = incompatibility(g_inc)
-    st0 = en.PlateState.zeros(grid, en.I40)
+    st0 = en.PlateState.zeros(grid)
     study = sh.scaling_study(2.0, h_list, g_inc, v0, st0, m)
     vals = [r.e3d_over_h4 for r in study.rows]
     ref = vals[-1]
@@ -324,7 +323,7 @@ def test_criterion_10_energy_scaling_law():
     eps_c[..., :2, :2] = sym_grad_values(grid, wc) + 0.5 * dv[..., :, None] * dv[..., None, :]
     kap_c[..., :2, :2] = -hessian_values(grid, vc)
     g_comp = GrowthFields.from_arrays(grid, eps_c, kap_c)
-    st_c = en.PlateState(en.I40, VectorField2(grid, wc), ScalarField(grid, vc))
+    st_c = en.PlateState(VectorField2(grid, wc), ScalarField(grid, vc))
     study_c = sh.scaling_study(2.0, h_list, g_comp, v0, st_c, m)
     vals_c = [r.e3d_over_h4 for r in study_c.rows]
     drop = vals_c[0] / vals_c[-1]

@@ -123,7 +123,7 @@ def test_energy_i40_hand_values(unit_square):
     grid = unit_square
     m0 = en.Material(1.0, 0.0)
     g0 = GrowthFields.zeros(grid)
-    s0 = en.PlateState.zeros(grid, en.I40)
+    s0 = en.PlateState.zeros(grid)
     assert en.energy_i40(s0, g0, m0) == 0.0
     # constant bending growth kappa_tan = Id2: (1/24) Q2(Id2) = 1/6
     gk = kappa_only(grid, np.tile(np.eye(2), (grid.nx, grid.ny, 1, 1)))
@@ -131,7 +131,7 @@ def test_energy_i40_hand_values(unit_square):
     # stretching cancels, bending = 1/12
     v = ScalarField.sample(grid, lambda x, y: x * x / 2)
     w = VectorField2(grid, np.stack([-grid.X1**3 / 6, np.zeros_like(grid.X1)], axis=-1))
-    val = en.energy_i40(en.PlateState(en.I40, w, v), g0, m0)
+    val = en.energy_i40(en.PlateState(w, v), g0, m0)
     assert val == pytest.approx(1.0 / 12.0, rel=5.0 * grid.dx**2)
 
 
@@ -141,13 +141,13 @@ def test_energy_i41(unit_square, rng):
     g0 = GrowthFields.zeros(grid)
     v0 = ScalarField.sample(grid, lambda x, y: x * y)
     # rest state of the blooming model
-    rest = en.PlateState(en.I41, VectorField2.zeros(grid), v0)
+    rest = en.PlateState(VectorField2.zeros(grid), v0)
     assert en.energy_i41(rest, g0, m0, v0) == pytest.approx(0.0, abs=1e-20)
     # bit-for-bit collapse at v0 = 0
-    s = en.PlateState.random(grid, en.I40, rng, 0.7)
+    s = en.PlateState.random(grid, rng, 0.7)
     assert en.energy_i41(s, g0, m0, ScalarField.zeros(grid)) == en.energy_i40(s, g0, m0)
     # hand quadrature: v = w = 0, v0 = x1 x2
-    zero = en.PlateState.zeros(grid, en.I40)
+    zero = en.PlateState.zeros(grid)
     # stretching: 1/2 int Q2(-1/2 grad v0 x grad v0) = 1/4 int (x1^2+x2^2)^2 / 2
     stretch = 0.25 * (1.0 / 5.0 + 2.0 / 9.0 + 1.0 / 5.0)
     bend = 4.0 / 24.0
@@ -160,18 +160,18 @@ def test_energy_i4inf(unit_square, rng):
     m0 = en.Material(1.0, 0.0)
     g0 = GrowthFields.zeros(grid)
     z = ScalarField.zeros(grid)
-    s0 = en.PlateState.zeros(grid, en.I4INF)
+    s0 = en.PlateState.zeros(grid, vtilde=True)
     assert en.energy_i4inf(s0, g0, m0, z, 1.0) == (0.0, 0.0)
     # collapse: v0 = vtilde = 0
-    s = en.PlateState.random(grid, en.I4INF, rng, 0.4)
+    s = en.PlateState.random(grid, rng, 0.4, vtilde=True)
     e_inf, resid = en.energy_i4inf(s, g0, m0, z, 7.0)
-    s40 = en.PlateState(en.I40, s.w, s.v)
+    s40 = en.PlateState(s.w, s.v)
     assert e_inf == en.energy_i40(s40, g0, m0)
     assert resid == 0.0
     # harmonic deflection on the paraboloid: stretching 1/4, residual ~ 0
     v0 = ScalarField.sample(grid, lambda x, y: (x * x + y * y) / 2)
     vx = ScalarField.sample(grid, lambda x, y: x + 0 * y)
-    sh = en.PlateState(en.I4INF, VectorField2.zeros(grid), vx, ScalarField.zeros(grid))
+    sh = en.PlateState(VectorField2.zeros(grid), vx, ScalarField.zeros(grid))
     e, r = en.energy_i4inf(sh, g0, m0, v0, 100.0)
     assert e == pytest.approx(0.25, rel=1e-10)
     assert r < 1e-10
@@ -181,10 +181,9 @@ def test_translation_invariance(unit_square, rng):
     grid = unit_square
     m = en.Material(1.4, 0.6)
     g0 = GrowthFields.zeros(grid)
-    s = en.PlateState.random(grid, en.I4INF, rng, 0.5)
+    s = en.PlateState.random(grid, rng, 0.5, vtilde=True)
     v0 = ScalarField.sample(grid, lambda x, y: 0.3 * x * y)
     shifted = en.PlateState(
-        en.I4INF,
         VectorField2(grid, s.w.data + np.array([0.7, -1.2])),
         ScalarField(grid, s.v.data + 2.5),
         ScalarField(grid, s.vtilde.data - 0.4),
@@ -194,8 +193,8 @@ def test_translation_invariance(unit_square, rng):
             a = en.energy_i4inf(s, g0, m, v0arg, 3.0)[0]
             b = en.energy_i4inf(shifted, g0, m, v0arg, 3.0)[0]
         else:
-            s2 = en.PlateState(en.I40, s.w, s.v)
-            sh2 = en.PlateState(en.I40, shifted.w, shifted.v)
+            s2 = en.PlateState(s.w, s.v)
+            sh2 = en.PlateState(shifted.w, shifted.v)
             a = en.total_energy(functional, s2, g0, m, v0arg)
             b = en.total_energy(functional, sh2, g0, m, v0arg)
         assert b == pytest.approx(a, rel=1e-11)
@@ -207,15 +206,13 @@ def test_vk_gauge_invariance_exact_on_ghost_grid(unit_square, rng):
     grid = unit_square
     m = en.Material(1.0, 1.0)
     g0 = GrowthFields.zeros(grid)
-    s = en.PlateState.random(grid, en.I40, rng, 0.5)
+    s = en.PlateState.random(grid, rng, 0.5)
     b = np.array([0.3, -0.8])
     bx = b[0] * grid.X1 + b[1] * grid.X2
     w2 = s.w.data.copy()
     for i in range(2):
         w2[..., i] -= s.v.data * b[i] + 0.5 * bx * b[i]
-    gauged = en.PlateState(
-        en.I40, VectorField2(grid, w2), ScalarField(grid, s.v.data + bx)
-    )
+    gauged = en.PlateState(VectorField2(grid, w2), ScalarField(grid, s.v.data + bx))
     assert en.energy_i40(gauged, g0, m) == pytest.approx(en.energy_i40(s, g0, m), rel=1e-12)
 
 
@@ -227,9 +224,9 @@ def test_nonnegativity(rng, unit_square):
     g = GrowthFields.from_arrays(grid, eps, kap)
     v0 = ScalarField.sample(grid, lambda x, y: 0.5 * (x * x - y * y))
     for _ in range(5):
-        s = en.PlateState.random(grid, en.I4INF, rng, 1.0)
+        s = en.PlateState.random(grid, rng, 1.0, vtilde=True)
         assert en.energy_i4inf(s, g, m, v0, 2.0)[0] >= 0.0
-        s40 = en.PlateState(en.I40, s.w, s.v)
+        s40 = en.PlateState(s.w, s.v)
         assert en.energy_i40(s40, g, m) >= 0.0
         assert en.energy_i41(s40, g, m, v0) >= 0.0
 
@@ -244,9 +241,8 @@ def test_gradient_matches_finite_differences(bc, functional, rng):
     kap = 0.1 * rng.standard_normal((grid.nx, grid.ny, 3, 3))
     g = GrowthFields.from_arrays(grid, eps, kap)
     v0 = ScalarField(grid, 0.4 * np.sin(grid.X1) * np.sin(grid.X2))
-    variant = en.I4INF if functional == en.I4INF else en.I40
-    s = en.PlateState.random(grid, variant, rng, 0.5)
-    d = en.PlateState.random(grid, variant, rng, 1.0)
+    s = en.PlateState.random(grid, rng, 0.5, vtilde=functional == en.I4INF)
+    d = en.PlateState.random(grid, rng, 1.0, vtilde=functional == en.I4INF)
     x, dd = s.flatten(), d.flatten()
     energy, grad = en.grad_energy(functional, s, g, m, v0, penalty=1.5)
     # one pass, one quadrature: the energy is total_energy's to the last bit
@@ -255,7 +251,7 @@ def test_gradient_matches_finite_differences(bc, functional, rng):
     t = 1e-5
 
     def e_at(xx):
-        return en.total_energy(functional, en.PlateState.unflatten(xx, grid, variant), g, m, v0, 1.5)
+        return en.total_energy(functional, en.PlateState.unflatten(xx, grid), g, m, v0, 1.5)
 
     fd = (e_at(x + t * dd) - e_at(x - t * dd)) / (2 * t)
     assert abs(float(np.dot(grad, dd)) - fd) / abs(fd) < 1e-6
@@ -304,7 +300,7 @@ def test_plane_integrands_match_the_stack_formulas(bc, functional, rng):
     kap = 0.1 * rng.standard_normal((grid.nx, grid.ny, 3, 3))
     g = GrowthFields.from_arrays(grid, eps, kap)
     v0 = ScalarField(grid, 0.4 * np.sin(grid.X1) * np.sin(grid.X2))
-    s = en.PlateState.random(grid, functional, rng, 0.5)
+    s = en.PlateState.random(grid, rng, 0.5, vtilde=functional == en.I4INF)
     stretch, bend, r = _stack_integrands(functional, s, g, v0)
     penalty = 1.5 if functional == en.I4INF else 0.0
     ref = grid.integrate_values(0.5 * _stack_q2(stretch, m) + _stack_q2(bend, m) / 24.0)
@@ -326,7 +322,7 @@ def test_grad_energy_applies_no_per_axis_stencil(square33, rng, monkeypatch):
     grid = square33
     g = growth_preset("kappa_sine", grid, 1.0)
     m = en.Material(1.0, 1.0)
-    s = en.PlateState.random(grid, en.I40, rng, 0.1)
+    s = en.PlateState.random(grid, rng, 0.1)
     calls = {"stencil": 0, "build": 0}
     for name in ("d1", "d2", "d1_t", "d2_t"):
         orig = getattr(Grid2D, name)
@@ -356,36 +352,61 @@ def test_gradient_orthogonal_to_gauge_modes(unit_square, rng):
     grid = unit_square
     m = en.Material(1.1, 0.9)
     g0 = GrowthFields.zeros(grid)
-    s = gauge_fix(en.PlateState.random(grid, en.I40, rng, 0.5))
+    s = gauge_fix(en.PlateState.random(grid, rng, 0.5))
     _, grad = en.grad_energy(en.I40, s, g0, m)
     scale = float(np.linalg.norm(grad.flatten())) + 1.0
-    ones_v = en.PlateState(
-        en.I40, VectorField2.zeros(grid), ScalarField.sample(grid, lambda x, y: 1.0 + 0 * x)
-    )
-    ones_w = en.PlateState(
-        en.I40, VectorField2(grid, np.ones((grid.nx, grid.ny, 2))), ScalarField.zeros(grid)
-    )
+    ones_v = en.PlateState(VectorField2.zeros(grid), ScalarField.sample(grid, lambda x, y: 1.0 + 0 * x))
+    ones_w = en.PlateState(VectorField2(grid, np.ones((grid.nx, grid.ny, 2))), ScalarField.zeros(grid))
     for a in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
         ax = a[0] * grid.X1 + a[1] * grid.X2
         dw = np.empty((grid.nx, grid.ny, 2))
         for i in range(2):
             dw[..., i] = -s.v.data * a[i]
-        affine = en.PlateState(en.I40, VectorField2(grid, dw), ScalarField(grid, ax))
+        affine = en.PlateState(VectorField2(grid, dw), ScalarField(grid, ax))
         assert abs(np.dot(grad.flatten(), affine.flatten())) / scale < 1e-10
     for mode in (ones_v, ones_w):
         assert abs(np.dot(grad.flatten(), mode.flatten())) / scale < 1e-10
 
 
 def test_zero_state_zero_growth_gradient(unit_square):
-    s = en.PlateState.zeros(unit_square, en.I40)
+    s = en.PlateState.zeros(unit_square)
     _, g = en.grad_energy(en.I40, s, GrowthFields.zeros(unit_square), en.Material(1.0, 1.0))
     assert np.max(np.abs(g.flatten())) == 0.0
 
 
 def test_variant_mismatch_errors(unit_square):
-    s = en.PlateState.zeros(unit_square, en.I40)
+    s = en.PlateState.zeros(unit_square, vtilde=False)
     with pytest.raises(ValueError):
         en.energy_i4inf(s, GrowthFields.zeros(unit_square), en.Material(1, 1), ScalarField.zeros(unit_square))
-    sf = en.PlateState.zeros(unit_square, en.I4INF)
+    sf = en.PlateState.zeros(unit_square, vtilde=True)
     with pytest.raises(ValueError):
         en.energy_i40(sf, GrowthFields.zeros(unit_square), en.Material(1, 1))
+
+
+def test_unflatten_reads_the_kind_from_the_length(unit_square, rng):
+    grid = unit_square
+    n = grid.nx * grid.ny
+    for vtilde in (False, True):
+        s = en.PlateState.random(grid, rng, 0.5, vtilde=vtilde)
+        back = en.PlateState.unflatten(s.flatten(), grid)
+        assert (back.vtilde is not None) == vtilde
+        assert np.array_equal(back.flatten(), s.flatten())
+    # any other length is an error, not a state built from a prefix
+    for size in (2 * n, 3 * n + 1, 5 * n):
+        with pytest.raises(ValueError, match=f"{3 * n} or {4 * n} values"):
+            en.PlateState.unflatten(np.zeros(size), grid)
+
+
+@pytest.mark.parametrize("vtilde", [False, True])
+def test_random_state_keeps_its_seeded_draws(vtilde):
+    # seeded `init: random` runs rest on this: amplitude times the generator's
+    # standard normal draws, taken in the order w, v, vtilde
+    grid = Grid2D(9, 8, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
+    a = 0.3
+    s = en.PlateState.random(grid, np.random.default_rng(4), a, vtilde=vtilde)
+    ref = np.random.default_rng(4)
+    draws = [ref.standard_normal((9, 8, 2)), ref.standard_normal((9, 8))]
+    if vtilde:
+        draws.append(ref.standard_normal((9, 8)))
+    assert (s.vtilde is not None) == vtilde
+    assert np.array_equal(s.flatten(), np.concatenate([a * d.ravel() for d in draws]))
