@@ -195,11 +195,11 @@ def _sample_v0(grid: Grid2D, kind, scale: float) -> ScalarField:
     else:
         raise ConfigError("geometry.v0 must be a preset name or a [[coef, p, q], ...] list")
     _check_seam(grid, periodic, f"geometry.v0: {kind!r}", "'zero' or 'sine'")
+    if kind == "zero":
+        return ScalarField.zeros(grid)
     x, y = grid.X1, grid.X2
     if isinstance(kind, list):
         data = eval_poly(terms, x, y)
-    elif kind == "zero":
-        data = np.zeros_like(x)
     elif kind == "saddle":
         data = x * y
     elif kind == "paraboloid":

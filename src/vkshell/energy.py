@@ -17,14 +17,15 @@ and stress plane by plane; q2 and q2_stress on (..., 2, 2) stacks read the
 same two functions.  total_energy forms the derivative planes with the
 grid's per-axis stencils, v's and v0's as their ScalarField.planes, formed
 once per field; the 3-D recovery template runs the same pass for E2d.
-grad_energy forms the state's with one sparse product by the plate
+grad_energy forms the flat state's with one sparse product by the plate
 derivative operator (fields.plate_derivative_matrix, built once per grid)
-and returns the gradient through one product by its transpose.  Every row
-of that operator is bitwise the per-axis stencil, so both paths see the same
-planes and the same quadrature.
+and returns the flat gradient through one product by its transpose.  Every
+row of that operator is bitwise the per-axis stencil, so both paths see the
+same planes and the same quadrature.
 
 States.  A PlateState holds vtilde for I4INF alone, so that fact is its kind:
-the energies check it, and unflatten reads it from the length (3 n or 4 n).
+the energies check it, and a flat state (flatten order, as L-BFGS iterates
+it) shows it in its length, 3 n or 4 n.
 
 Energies are plain quadrature sums over the grid; gradients differentiate
 that sum exactly (adjoint stencils), so finite-difference checks of the
@@ -276,21 +277,21 @@ def constraint_values(v: ScalarField, v0: ScalarField) -> np.ndarray:
     return bracket_planes(v0.planes[2:], v.planes[2:])
 
 
-def _check(functional: str, s: PlateState, g: GrowthFields, v0: ScalarField | None, penalty: float):
-    """The one argument check of the energies: a state holds vtilde for I4INF
-    and only there."""
+def _check(functional: str, has_vtilde: bool, grid: Grid2D, g: GrowthFields, v0: ScalarField | None, penalty: float):
+    """The one argument check of the energies: a state on grid holds vtilde
+    for I4INF and only there."""
     if functional not in FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
-    if (s.vtilde is not None) != (functional == I4INF):
-        kind = "with" if s.vtilde is not None else "without"
+    if has_vtilde != (functional == I4INF):
+        kind = "with" if has_vtilde else "without"
         raise ValueError(f"a state {kind} vtilde does not fit functional {functional}")
     if penalty < 0.0:
         raise ValueError("penalty weight must be nonnegative")
-    s.grid.require_same(g.grid, "state and growth")
+    grid.require_same(g.grid, "state and growth")
     if functional != I40:
         if v0 is None:
             raise ValueError(f"{functional} needs v0")
-        s.grid.require_same(v0.grid, "state and v0")
+        grid.require_same(v0.grid, "state and v0")
 
 
 def _quadrature(grid: Grid2D, qs, qb, r, penalty: float) -> tuple[float, float]:
@@ -305,7 +306,7 @@ def _quadrature(grid: Grid2D, qs, qb, r, penalty: float) -> tuple[float, float]:
 
 def _energy(functional, s, g, m, v0, penalty) -> tuple:
     """(energy, constraint residual, (tr S, tr K)) of one functional at s."""
-    _check(functional, s, g, v0, penalty)
+    _check(functional, s.vtilde is not None, s.grid, g, v0, penalty)
     stretch, bend, r = _integrands(functional, *_stencil_planes(s), g, _v0_planes(functional, v0))
     (qs, tr_s), (qb, tr_k) = _q2_planes(*stretch, m), _q2_planes(*bend, m)
     return *_quadrature(s.grid, qs, qb, r, penalty), (tr_s, tr_k)
@@ -349,13 +350,13 @@ def total_energy(
 
 def grad_energy(
     functional: str,
-    s: PlateState,
+    x: np.ndarray,
     g: GrowthFields,
     m: Material,
     v0: ScalarField | None = None,
     penalty: float = 0.0,
-) -> tuple[float, PlateState]:
-    """The discrete energy and its exact gradient, shaped like the state.
+) -> tuple[float, np.ndarray]:
+    """The energy at the flat state x on g's grid and its flat exact gradient.
 
     Two sparse products by the grid's plate derivative operator L
     (Grid2D.plate_operator): L x gives the state's derivative planes and
@@ -367,11 +368,15 @@ def grad_energy(
     so central finite differences of the energy reproduce it to
     roundoff-limited accuracy.
     """
-    _check(functional, s, g, v0, penalty)
-    grid = s.grid
+    grid = g.grid
+    constrained = functional == I4INF
+    _check(functional, constrained, grid, g, v0, penalty)
+    size = (4 if constrained else 3) * grid.nx * grid.ny
+    if x.shape != (size,):
+        raise ValueError(f"a flat {functional} state on {grid.nx}x{grid.ny} nodes has {size} values, not {x.size}")
     shape = (grid.nx, grid.ny)
-    lmat, lmat_t, dx, dx_t = grid.plate_operator(functional == I4INF)
-    d = (lmat @ s.flatten()).reshape((-1,) + shape)
+    lmat, lmat_t, dx, dx_t = grid.plate_operator(constrained)
+    d = (lmat @ x).reshape((-1,) + shape)
     v_12 = (dx @ d[_V_2].ravel()).reshape(shape)
     p0 = _v0_planes(functional, v0)
     stretch, bend, r = _integrands(functional, d, v_12, g, p0)
@@ -390,7 +395,7 @@ def grad_energy(
     p[_V_2] = nxy * v_1 + nyy * v_2
     p[_V_11], p[_V_22] = mxx, myy
     p_cross = 2.0 * mxy
-    if functional == I4INF:
+    if constrained:
         p_1, p_2, p_11, p_22, p_12 = p0
         p[_VT_1] = nxx * p_1 + nxy * p_2
         p[_VT_2] = nxy * p_1 + nyy * p_2
@@ -400,4 +405,4 @@ def grad_energy(
             p[_V_22] += pr * p_11
             p_cross = p_cross - 2.0 * pr * p_12
     p[_V_2] += (dx_t @ p_cross.ravel()).reshape(shape)
-    return energy, PlateState.unflatten(lmat_t @ p.ravel(), grid)
+    return energy, lmat_t @ p.ravel()

@@ -125,13 +125,14 @@ class Grid2D:
         else:
             self.x1 = np.linspace(a1, b1, nx)
             self.x2 = np.linspace(a2, b2, ny)
-        self.X1, self.X2 = np.meshgrid(self.x1, self.x2, indexing="ij")
-        self.X1.setflags(write=False)
-        self.X2.setflags(write=False)
         self._mats: dict[tuple, sp.csr_matrix] = {}
         self._eigs: dict[tuple, tuple] = {}
         self._plate_ops: dict[bool, tuple] = {}
         self._quad: np.ndarray | None = None
+
+    # the node coordinates: read-only (nx, ny) views of the axes, no mesh built
+    X1 = property(lambda self: np.broadcast_to(self.x1[:, None], (self.nx, self.ny)))
+    X2 = property(lambda self: np.broadcast_to(self.x2[None, :], (self.nx, self.ny)))
 
     # -- identity ---------------------------------------------------------
 

@@ -542,9 +542,8 @@ class RecoveryTemplate:
     def __init__(self, state: en.PlateState, g: GrowthFields, v0: ScalarField, regime: str, m: en.Material):
         grid = v0.grid
         grid.require_same(state.grid, "state and shell")
-        grid.require_same(g.grid, "growth and shell")
         self.v0, self.regime, self.state, self.wtilde = v0, regime, state, None
-        en._check(limit_functional_name(regime), state, g, v0, 0.0)  # a state that does not fit costs no solve
+        en._check(limit_functional_name(regime), state.vtilde is not None, grid, g, v0, 0.0)  # a misfit costs no solve
         if regime == CONSTRAINED:
             # sym grad wtilde = -sym(grad v x grad v0), solved before the
             # integrand pass: the solve's workspace dies before the pass's planes

@@ -515,34 +515,26 @@ def minimize(
 ) -> tuple[en.PlateState, SolveReport]:
     """Minimize one of the plate functionals from the given state.
 
-    L-BFGS starts each stage from the inverse of the flat-state quadratic
-    part (_flat_hessian_inverse).  For the constrained functional the
-    quadratic penalty weight follows a doubling schedule; the constraint
-    residual is recorded per stage and must not increase along it.
-    extras["penalty_stages"] has one row per stage (a single penalty-0 stage
-    for I40 and I41) with its iterations, fg evaluations, backtracks,
-    preconditioner build time `precond_s` and (f, |grad|) history.
+    L-BFGS iterates the flat state (PlateState.flatten order), one
+    en.grad_energy call per fg evaluation, and starts each stage from the
+    inverse of the flat-state quadratic part (_flat_hessian_inverse).  For
+    the constrained functional the quadratic penalty weight follows a
+    doubling schedule; the constraint residual is recorded per stage and
+    must not increase along it.  extras["penalty_stages"] has one row per
+    stage (a single penalty-0 stage for I40 and I41) with its iterations,
+    fg evaluations, backtracks, preconditioner build time `precond_s` and
+    (f, |grad|) history.
     """
     opts = opts or MinimizeOptions()
     grid = init.grid
     t0 = time.perf_counter()
     if not math.isfinite(en.total_energy(functional, init, g, m, v0, 0.0)):
         raise SolverError("initial energy is not finite")
-    state = gauge_fix(init)
-
-    def make_fg(penalty):
-        def fg(x):
-            s = en.PlateState.unflatten(x, grid)
-            val, gr = en.grad_energy(functional, s, g, m, v0, penalty)
-            return val, gr.flatten()
-
-        return fg
-
     weights = [0.0]
     if functional == en.I4INF:
         weights = [opts.penalty_init * 2.0**k for k in range(opts.penalty_doublings + 1)]
 
-    x = state.flatten()
+    x = gauge_fix(init).flatten()
     total_iters = 0
     stage_rows = []
     status = CONVERGED
@@ -551,15 +543,17 @@ def minimize(
         t_build = time.perf_counter()
         h0 = _flat_hessian_inverse(functional, grid, m, v0, wgt)
         precond_s = time.perf_counter() - t_build
-        x, stage_status, stats = _lbfgs(make_fg(wgt), x, opts.tol, opts.max_iter, h0)
+        # each evaluation looks en.grad_energy up afresh: tracers patch it
+        x, stage_status, stats = _lbfgs(
+            lambda xk: en.grad_energy(functional, xk, g, m, v0, wgt), x, opts.tol, opts.max_iter, h0
+        )
         gnorm = stats["history"][-1][1]
         total_iters += stats["iterations"]
         if status != LINE_SEARCH_FAILED and stage_status != CONVERGED:
             status = stage_status
         row = {"penalty": wgt, **stats, "precond_s": precond_s}
         if functional == en.I4INF:
-            stage_state = en.PlateState.unflatten(x, grid)
-            _, resid = en.energy_i4inf(stage_state, g, m, v0, 0.0)
+            _, resid = en.energy_i4inf(en.PlateState.unflatten(x, grid), g, m, v0, 0.0)
             if stage_rows and resid > stage_rows[-1]["constraint_residual"] + 1e-10 * (1.0 + resid):
                 raise AssertionError(
                     "constraint residual increased along the penalty schedule"

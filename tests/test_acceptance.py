@@ -155,7 +155,7 @@ def test_criterion_04_gradient_checks():
             s = so.gauge_fix(en.PlateState.random(grid, rng, 0.5, vtilde=functional == en.I4INF))
             d = en.PlateState.random(grid, rng, 1.0, vtilde=functional == en.I4INF)
             x, dd = s.flatten(), d.flatten()
-            grad = en.grad_energy(functional, s, g, m, v0, penalty=1.0)[1].flatten()
+            grad = en.grad_energy(functional, x, g, m, v0, penalty=1.0)[1]
 
             def e_at(xx):
                 return en.total_energy(

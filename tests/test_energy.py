@@ -244,10 +244,10 @@ def test_gradient_matches_finite_differences(bc, functional, rng):
     s = en.PlateState.random(grid, rng, 0.5, vtilde=functional == en.I4INF)
     d = en.PlateState.random(grid, rng, 1.0, vtilde=functional == en.I4INF)
     x, dd = s.flatten(), d.flatten()
-    energy, grad = en.grad_energy(functional, s, g, m, v0, penalty=1.5)
+    energy, grad = en.grad_energy(functional, x, g, m, v0, penalty=1.5)
     # one pass, one quadrature: the energy is total_energy's to the last bit
     assert energy == en.total_energy(functional, s, g, m, v0, 1.5)
-    grad = grad.flatten()
+    assert grad.shape == x.shape
     t = 1e-5
 
     def e_at(xx):
@@ -307,7 +307,7 @@ def test_plane_integrands_match_the_stack_formulas(bc, functional, rng):
     if r is not None:
         ref += penalty * grid.integrate_values(r * r)
     assert abs(en.total_energy(functional, s, g, m, v0, penalty) - ref) <= 1e-14 * abs(ref)
-    assert abs(en.grad_energy(functional, s, g, m, v0, penalty)[0] - ref) <= 1e-14 * abs(ref)
+    assert abs(en.grad_energy(functional, s.flatten(), g, m, v0, penalty)[0] - ref) <= 1e-14 * abs(ref)
     got_s, got_k, got_r = en._integrands(functional, *en._stencil_planes(s), g, en._v0_planes(functional, v0))
     for got, want in ((fields.sym_stack(*got_s), stretch), (fields.sym_stack(*got_k), bend), (got_r, r)):
         if want is None:
@@ -322,7 +322,7 @@ def test_grad_energy_applies_no_per_axis_stencil(square33, rng, monkeypatch):
     grid = square33
     g = growth_preset("kappa_sine", grid, 1.0)
     m = en.Material(1.0, 1.0)
-    s = en.PlateState.random(grid, rng, 0.1)
+    x = en.PlateState.random(grid, rng, 0.1).flatten()
     calls = {"stencil": 0, "build": 0}
     for name in ("d1", "d2", "d1_t", "d2_t"):
         orig = getattr(Grid2D, name)
@@ -340,7 +340,7 @@ def test_grad_energy_applies_no_per_axis_stencil(square33, rng, monkeypatch):
 
     monkeypatch.setattr(fields, "plate_derivative_matrix", counted_build)
     for evals in (1, 2, 3):
-        en.grad_energy(en.I40, s, g, m)
+        en.grad_energy(en.I40, x, g, m)
         assert calls["stencil"] <= evals
         assert calls["build"] == 1
 
@@ -353,8 +353,8 @@ def test_gradient_orthogonal_to_gauge_modes(unit_square, rng):
     m = en.Material(1.1, 0.9)
     g0 = GrowthFields.zeros(grid)
     s = gauge_fix(en.PlateState.random(grid, rng, 0.5))
-    _, grad = en.grad_energy(en.I40, s, g0, m)
-    scale = float(np.linalg.norm(grad.flatten())) + 1.0
+    _, grad = en.grad_energy(en.I40, s.flatten(), g0, m)
+    scale = float(np.linalg.norm(grad)) + 1.0
     ones_v = en.PlateState(VectorField2.zeros(grid), ScalarField.sample(grid, lambda x, y: 1.0 + 0 * x))
     ones_w = en.PlateState(VectorField2(grid, np.ones((grid.nx, grid.ny, 2))), ScalarField.zeros(grid))
     for a in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
@@ -363,24 +363,31 @@ def test_gradient_orthogonal_to_gauge_modes(unit_square, rng):
         for i in range(2):
             dw[..., i] = -s.v.data * a[i]
         affine = en.PlateState(VectorField2(grid, dw), ScalarField(grid, ax))
-        assert abs(np.dot(grad.flatten(), affine.flatten())) / scale < 1e-10
+        assert abs(np.dot(grad, affine.flatten())) / scale < 1e-10
     for mode in (ones_v, ones_w):
-        assert abs(np.dot(grad.flatten(), mode.flatten())) / scale < 1e-10
+        assert abs(np.dot(grad, mode.flatten())) / scale < 1e-10
 
 
 def test_zero_state_zero_growth_gradient(unit_square):
-    s = en.PlateState.zeros(unit_square)
-    _, g = en.grad_energy(en.I40, s, GrowthFields.zeros(unit_square), en.Material(1.0, 1.0))
-    assert np.max(np.abs(g.flatten())) == 0.0
+    x = en.PlateState.zeros(unit_square).flatten()
+    _, g = en.grad_energy(en.I40, x, GrowthFields.zeros(unit_square), en.Material(1.0, 1.0))
+    assert np.max(np.abs(g)) == 0.0
 
 
 def test_variant_mismatch_errors(unit_square):
+    g, m, v0 = GrowthFields.zeros(unit_square), en.Material(1, 1), ScalarField.zeros(unit_square)
     s = en.PlateState.zeros(unit_square, vtilde=False)
     with pytest.raises(ValueError):
-        en.energy_i4inf(s, GrowthFields.zeros(unit_square), en.Material(1, 1), ScalarField.zeros(unit_square))
+        en.energy_i4inf(s, g, m, v0)
     sf = en.PlateState.zeros(unit_square, vtilde=True)
     with pytest.raises(ValueError):
-        en.energy_i40(sf, GrowthFields.zeros(unit_square), en.Material(1, 1))
+        en.energy_i40(sf, g, m)
+    # a flat state must have its functional's length: 3 n, or 4 n for I4INF
+    n = unit_square.nx * unit_square.ny
+    for functional, size, want in ((en.I4INF, 3 * n, 4 * n), (en.I40, 4 * n, 3 * n),
+                                   (en.I40, 5 * n, 3 * n), (en.I4INF, 5 * n, 4 * n)):
+        with pytest.raises(ValueError, match=f"has {want} values, not {size}"):
+            en.grad_energy(functional, np.zeros(size), g, m, v0)
 
 
 def test_unflatten_reads_the_kind_from_the_length(unit_square, rng):

@@ -41,6 +41,16 @@ def test_grid_sizing_and_spacing():
     assert gp.x1[-1] == pytest.approx(1.0 - gp.dx)
 
 
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+def test_node_coordinates_are_the_read_only_mesh(bc):
+    grid = Grid2D(12, 9, (0.5, 2.0, -1.0, 1.5), bc=bc)
+    for got, want in zip((grid.X1, grid.X2), np.meshgrid(grid.x1, grid.x2, indexing="ij")):
+        assert got.shape == want.shape and np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 0.0
+
+
 def test_field_validation(square33):
     with pytest.raises(ValueError):
         ScalarField(square33, np.full((33, 33), np.nan))

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from vkshell import energy as en
+from vkshell import fields
 from vkshell import solver as so
 from vkshell.fields import (
     DIRICHLET,
@@ -426,6 +427,27 @@ def test_minimize_builds_the_integrands_once_per_evaluation(square33, rng, monke
     assert calls["integrands"] == calls["grad"] + calls["total"]
 
 
+@pytest.mark.parametrize("functional", [en.I40, en.I4INF])
+def test_minimize_builds_no_field_per_evaluation(functional, monkeypatch):
+    # the L-BFGS iterate stays a flat vector: fields are built for the start,
+    # each I4INF stage's residual and the final state, so more iterations
+    # build no more of them
+    grid = Grid2D(17, 17, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
+    g = growth_preset("kappa_sine", grid, 1.0)
+    v0 = ScalarField.sample(grid, lambda x, y: (x * x + y * y) / 2)
+    init = en.PlateState.random(grid, np.random.default_rng(1), 0.1, vtilde=functional == en.I4INF)
+    freeze = fields._freeze
+    counts = []
+    for max_iter in (2, 6):
+        calls = []
+        monkeypatch.setattr(fields, "_freeze", lambda *a, **k: calls.append(1) or freeze(*a, **k))
+        opts = so.MinimizeOptions(max_iter=max_iter, penalty_doublings=1)
+        _, rep = so.minimize(functional, init, g, en.Material(1.0, 1.0), v0=v0, opts=opts)
+        assert all(row["iterations"] == max_iter for row in rep.extras["penalty_stages"])
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_flat_hessian_inverse_inverts_the_membrane_blocks(square33, rng):
     # w1 alone feels a (D_x^T W D_x) + (c/4) (D_y^T W D_y) at zero growth, the
     # w1 block of P, which the tensor-product symbols invert exactly
@@ -442,7 +464,8 @@ def test_flat_hessian_inverse_inverts_the_membrane_blocks(square33, rng):
         w = np.zeros((grid.nx, grid.ny, 2))
         w[..., k] = x[: 2 * n].reshape(grid.nx, grid.ny, 2)[..., k]
         s = en.PlateState(VectorField2(grid, w), ScalarField.zeros(grid))
-        back = en.grad_energy(en.I40, s, GrowthFields.zeros(grid), m)[1].w.data[..., k]
+        back = en.grad_energy(en.I40, s.flatten(), GrowthFields.zeros(grid), m)[1][: 2 * n]
+        back = back.reshape(grid.nx, grid.ny, 2)[..., k]
         assert np.max(np.abs(back - gk)) < 1e-10 * np.max(np.abs(gk))
 
 
