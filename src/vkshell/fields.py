@@ -12,8 +12,11 @@ defined here.  The design is deliberately plain:
 * centered second-order stencils for first and second derivatives, with
   the mixed derivative as the 4-point centered cross,
 * the bilaplacian is the laplacian applied twice, never a separate stencil,
-* matrix forms (the linearized-isometry bracket, the plate derivative
-  operator) are Kronecker products of the same 1d stencil matrices,
+* each 1d stencil (Stencil: a 3-point band plus explicit boundary rows) is
+  applied by numpy slicing, bitwise its CSR product; the matrix forms (the
+  dense 1d matrix, the linearized-isometry bracket, the plate derivative
+  operator) are assembled on demand from the same rows, and only they
+  import scipy,
 * node quadrature matched to the boundary mode (rectangle rule when
   periodic, trapezoid otherwise).
 
@@ -32,7 +35,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet-ghost"
@@ -51,50 +53,181 @@ class GridMismatchError(ValueError):
     """Operands that must share a grid do not."""
 
 
-def _d1_matrix(n: int, h: float, bc: str) -> sp.csr_matrix:
+def _two_rows(i: int, j: int) -> slice:
+    """The basic slice that picks rows i and j (row i once when i == j)."""
+    if i == j:
+        return slice(i, i + 1)
+    stop = j + (j - i)
+    return slice(i, stop if stop >= 0 else None, j - i)
+
+
+def _band_row(band: tuple, i: int) -> tuple:
+    """Row i of the band (l, c, r) as (column, value) pairs."""
+    return tuple((i + off, val) for off, val in zip((-1, 0, 1), band) if val)
+
+
+class Stencil:
+    """A 1d stencil matrix, in the one form that every consumer reads.
+
+    Rows lo .. hi - 1 are the 3-point band (l, c, r) on columns i - 1, i,
+    i + 1: a first-order band has no center and l = -r, a second-order one
+    has l = r.  Every other row is listed in edges as (column, value) pairs
+    in ascending column order, the order in which a CSR product sums a row.
+    apply slices the band and sums the edge rows term by term; dense and csr
+    assemble the matrix from the same rows.
+    """
+
+    __slots__ = ("n", "band", "lo", "hi", "edges", "_edge_pairs")
+
+    def __init__(self, n: int, band: tuple, lo: int, hi: int, edges: dict):
+        self.n, self.band, self.lo, self.hi, self.edges = n, band, lo, hi, edges
+        # apply sums the k-th edge rows from either end together, term by
+        # term, on two-row slices: (rows, [(columns, values[:, None]), ...])
+        rows = sorted(edges)
+        half = len(rows) // 2
+        self._edge_pairs = [
+            (
+                _two_rows(i, j),
+                [(_two_rows(ci, cj), np.array([[vi], [vj]])) for (ci, vi), (cj, vj) in zip(edges[i], edges[j], strict=True)],
+            )
+            for i, j in zip(rows[:half], reversed(rows[half:]), strict=True)
+        ]
+
+    @property
+    def T(self) -> "Stencil":
+        """The transpose, in the same form."""
+        n, lo, hi = self.n, self.lo, self.hi
+        entries = {}  # column -> its (row, value) entries in the edge rows
+        for i, terms in self.edges.items():
+            for j, val in terms:
+                entries.setdefault(j, []).append((i, val))
+        band = self.band[::-1]
+        # row j of the transpose is a band row when rows j - 1, j and j + 1
+        # are band rows and no edge row has an entry in column j, or when it
+        # borders the band and has its pattern
+        t_lo = max([lo + 1] + [j + 1 for j in entries if j < n // 2])
+        t_hi = min([hi - 1] + [j for j in entries if j >= n // 2])
+        edges = {}
+        for j in (*range(t_lo), *range(t_hi, n)):
+            from_band = [(i, val) for i, val in zip((j + 1, j, j - 1), self.band) if val and lo <= i < hi]
+            edges[j] = tuple(sorted(entries.get(j, []) + from_band))
+        while t_lo > 1 and edges[t_lo - 1] == _band_row(band, t_lo - 1):
+            del edges[t_lo - 1]
+            t_lo -= 1
+        while t_hi < n - 1 and edges[t_hi] == _band_row(band, t_hi):
+            del edges[t_hi]
+            t_hi += 1
+        return Stencil(n, band, t_lo, t_hi, edges)
+
+    def apply(self, a: np.ndarray, axis: int) -> np.ndarray:
+        """The stencil along axis of a 2d array, bitwise the CSR product.
+
+        Axis 0 gives a C-ordered array and axis 1 an F-ordered one, the
+        layouts of D @ a and (D @ a.T).T.  Allocates its own scratch, so
+        threads may apply a stencil at once.
+        """
+        out = np.empty(a.shape, order="F" if axis else "C")
+        x, y = (a.T, out.T) if axis else (a, out)
+        lo, hi = self.lo, self.hi
+        l, c, r = self.band
+        band = y[lo:hi]
+        # r x on rows lo - 1 .. hi, C-ordered in the stencil's orientation,
+        # also gives l x: exactly, as l = r or l = -r
+        rx = np.multiply(x[lo - 1 : hi + 1], r)
+        if c:  # (l x_{i-1} + c x_i) + r x_{i+1}
+            np.multiply(x[lo:hi], c, out=band)
+            np.add(rx[:-2], band, out=band)
+            band += rx[2:]
+        else:  # l x_{i-1} + r x_{i+1} = r x_{i+1} - r x_{i-1}
+            np.subtract(rx[2:], rx[:-2], out=band)
+        for rows, ((cols, vals), *rest) in self._edge_pairs:
+            edge = y[rows]
+            np.multiply(x[cols], vals, out=edge)
+            for cols, vals in rest:
+                edge += x[cols] * vals
+        # a CSR row sum starts from +0.0, which turns a sum of -0.0 terms
+        # into +0.0 and leaves every other sum as it is
+        out += 0.0
+        return out
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(data, indices, indptr) of the CSR matrix."""
+        n, lo, hi = self.n, self.lo, self.hi
+        terms = _band_row(self.band, 0)
+        counts = np.full(n, len(terms), dtype=np.int32)
+        for i, row in self.edges.items():
+            counts[i] = len(row)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data = np.empty(indptr[-1])
+        band = slice(indptr[lo], indptr[hi])
+        indices[band] = (np.arange(lo, hi)[:, None] + [off for off, _ in terms]).ravel()
+        data[band] = np.tile([val for _, val in terms], hi - lo)
+        for i, row in self.edges.items():
+            indices[indptr[i] : indptr[i + 1]], data[indptr[i] : indptr[i + 1]] = zip(*row)
+        return data, indices, indptr
+
+    def dense(self) -> np.ndarray:
+        data, indices, indptr = self.csr()
+        d = np.zeros((self.n, self.n))
+        d[np.repeat(np.arange(self.n), np.diff(indptr)), indices] = data
+        return d
+
+
+def _d1_stencil(n: int, h: float, bc: str) -> Stencil:
     """1d centered first derivative; one-sided 2nd-order rows in ghost mode."""
-    rows, cols, vals = [], [], []
     c = 1.0 / (2.0 * h)
-    for i in range(1, n - 1):
-        rows += [i, i]
-        cols += [i - 1, i + 1]
-        vals += [-c, c]
     if bc == PERIODIC:
-        rows += [0, 0, n - 1, n - 1]
-        cols += [n - 1, 1, n - 2, 0]
-        vals += [-c, c, -c, c]
+        edges = {0: ((1, c), (n - 1, -c)), n - 1: ((0, c), (n - 2, -c))}
     else:
         # ghost g = 4 f0 - 6 f1 + 4 f2 - f3  =>  (f1 - g)/(2h)
-        rows += [0, 0, 0, 0]
-        cols += [0, 1, 2, 3]
-        vals += [-4.0 * c, 7.0 * c, -4.0 * c, c]
-        rows += [n - 1, n - 1, n - 1, n - 1]
-        cols += [n - 1, n - 2, n - 3, n - 4]
-        vals += [4.0 * c, -7.0 * c, 4.0 * c, -c]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        edges = {
+            0: ((0, -4.0 * c), (1, 7.0 * c), (2, -4.0 * c), (3, c)),
+            n - 1: ((n - 4, -c), (n - 3, 4.0 * c), (n - 2, -7.0 * c), (n - 1, 4.0 * c)),
+        }
+    return Stencil(n, (-c, 0.0, c), 1, n - 1, edges)
 
 
-def _d2_matrix(n: int, h: float, bc: str) -> sp.csr_matrix:
+def _d2_stencil(n: int, h: float, bc: str) -> Stencil:
     """1d centered second derivative; quadratic-ghost rows at the ends."""
-    rows, cols, vals = [], [], []
     c = 1.0 / (h * h)
-    for i in range(1, n - 1):
-        rows += [i, i, i]
-        cols += [i - 1, i, i + 1]
-        vals += [c, -2.0 * c, c]
     if bc == PERIODIC:
-        rows += [0, 0, 0, n - 1, n - 1, n - 1]
-        cols += [n - 1, 0, 1, n - 2, n - 1, 0]
-        vals += [c, -2.0 * c, c, c, -2.0 * c, c]
+        edges = {0: ((0, -2.0 * c), (1, c), (n - 1, c)), n - 1: ((0, c), (n - 2, c), (n - 1, -2.0 * c))}
     else:
         # ghost g = 4 f0 - 6 f1 + 4 f2 - f3  =>  (g - 2 f0 + f1)/h^2
-        rows += [0, 0, 0, 0]
-        cols += [0, 1, 2, 3]
-        vals += [2.0 * c, -5.0 * c, 4.0 * c, -c]
-        rows += [n - 1, n - 1, n - 1, n - 1]
-        cols += [n - 1, n - 2, n - 3, n - 4]
-        vals += [2.0 * c, -5.0 * c, 4.0 * c, -c]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        edges = {
+            0: ((0, 2.0 * c), (1, -5.0 * c), (2, 4.0 * c), (3, -c)),
+            n - 1: ((n - 4, -c), (n - 3, 4.0 * c), (n - 2, -5.0 * c), (n - 1, 2.0 * c)),
+        }
+    return Stencil(n, (c, -2.0 * c, c), 1, n - 1, edges)
+
+
+def _kron_rows(grid: "Grid2D", axis: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(counts, indices, data) of the CSR rows of D (x) I (axis 0) or I (x) D
+    (axis 1) on C-ordered node vectors, D the grid's 1d stencil: node (i, k)
+    takes row i (axis 0) or row k (axis 1) of D, columns ascending."""
+    data, indices, indptr = grid.stencil(axis, order).csr()
+    nodes = np.arange(grid.nx * grid.ny)
+    if axis == 0:
+        row, base, stride = nodes // grid.ny, nodes % grid.ny, grid.ny
+    else:
+        row, base, stride = nodes % grid.ny, nodes - nodes % grid.ny, 1
+    counts = np.diff(indptr)[row]
+    ends = np.cumsum(counts)
+    # the stencil entry behind each entry of the node rows
+    entry = np.repeat(indptr[row] - (ends - counts), counts) + np.arange(ends[-1])
+    return counts, indices[entry] * stride + np.repeat(base, counts), data[entry]
+
+
+def _stacked(groups, ncols: int):
+    """The CSR matrix of the (counts, indices, data) row groups, stacked in order."""
+    import scipy.sparse as sp  # not at module level: only the matrix forms need it
+
+    counts, indices, data = (np.concatenate(z) for z in zip(*groups))
+    indptr = np.zeros(counts.size + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    return sp.csr_matrix((data, indices, indptr), shape=(counts.size, ncols))
 
 
 class Grid2D:
@@ -125,7 +258,7 @@ class Grid2D:
         else:
             self.x1 = np.linspace(a1, b1, nx)
             self.x2 = np.linspace(a2, b2, ny)
-        self._mats: dict[tuple, sp.csr_matrix] = {}
+        self._stencils: dict[tuple, Stencil] = {}
         self._eigs: dict[tuple, tuple] = {}
         self._plate_ops: dict[bool, tuple] = {}
         self._quad: np.ndarray | None = None
@@ -163,28 +296,25 @@ class Grid2D:
 
     # -- stencil machinery --------------------------------------------------
 
-    def _mat(self, axis: int, order: int, adjoint: bool = False) -> sp.csr_matrix:
+    def stencil(self, axis: int, order: int, adjoint: bool = False) -> Stencil:
+        """The 1d stencil of the axis and derivative order (its transpose
+        when adjoint), built from its closed form on first use."""
         key = (axis, order, adjoint)
-        m = self._mats.get(key)
-        if m is None:
-            n = self.nx if axis == 0 else self.ny
-            h = self.dx if axis == 0 else self.dy
-            m = _d1_matrix(n, h, self.bc) if order == 1 else _d2_matrix(n, h, self.bc)
+        s = self._stencils.get(key)
+        if s is None:
             if adjoint:
-                m = m.T.tocsr()
-            self._mats[key] = m
-        return m
-
-    def _apply(self, m: sp.csr_matrix, a: np.ndarray, axis: int) -> np.ndarray:
-        if axis == 0:
-            return m @ a
-        return (m @ a.T).T
+                s = self.stencil(axis, order).T
+            else:
+                n, h = (self.nx, self.dx) if axis == 0 else (self.ny, self.dy)
+                s = (_d1_stencil if order == 1 else _d2_stencil)(n, h, self.bc)
+            self._stencils[key] = s
+        return s
 
     def d1(self, a: np.ndarray, axis: int) -> np.ndarray:
-        return self._apply(self._mat(axis, 1), a, axis)
+        return self.stencil(axis, 1).apply(a, axis)
 
     def d2(self, a: np.ndarray, axis: int) -> np.ndarray:
-        return self._apply(self._mat(axis, 2), a, axis)
+        return self.stencil(axis, 2).apply(a, axis)
 
     def dcross(self, a: np.ndarray) -> np.ndarray:
         """Mixed second derivative: the 4-point centered cross d1x(d1y(.))."""
@@ -199,12 +329,12 @@ class Grid2D:
     # exact transposes of the per-axis stencils
 
     def d1_t(self, a: np.ndarray, axis: int) -> np.ndarray:
-        return self._apply(self._mat(axis, 1, adjoint=True), a, axis)
+        return self.stencil(axis, 1, adjoint=True).apply(a, axis)
 
     def d2_t(self, a: np.ndarray, axis: int) -> np.ndarray:
-        return self._apply(self._mat(axis, 2, adjoint=True), a, axis)
+        return self.stencil(axis, 2, adjoint=True).apply(a, axis)
 
-    def plate_operator(self, vtilde: bool) -> tuple[sp.csr_matrix, ...]:
+    def plate_operator(self, vtilde: bool) -> tuple:
         """(L, L^T, Dx, Dx^T) for the plate states of this grid, all CSR.
 
         L is plate_derivative_matrix(self, vtilde) and Dx = D1x (x) I the
@@ -214,7 +344,7 @@ class Grid2D:
         ops = self._plate_ops.get(vtilde)
         if ops is None:
             lmat = plate_derivative_matrix(self, vtilde)
-            dx = sp.kron(self._mat(0, 1), sp.identity(self.ny), format="csr")
+            dx = _stacked([_kron_rows(self, 0, 1)], self.nx * self.ny)
             ops = self._plate_ops[vtilde] = (lmat, lmat.T.tocsr(), dx, dx.T.tocsr())
         return ops
 
@@ -235,7 +365,7 @@ class Grid2D:
             w1 = np.full(n, h)
             if not self.periodic:
                 w1[0] = w1[-1] = 0.5 * h
-            d = self._mat(axis, order).toarray()
+            d = self.stencil(axis, order).dense()
             r = 1.0 / np.sqrt(w1)
             lam, u = np.linalg.eigh(r[:, None] * (d.T @ (w1[:, None] * d)) * r[None, :])
             v = r[:, None] * u
@@ -298,6 +428,14 @@ def _freeze(
     return arr
 
 
+def _taken(cls, grid: Grid2D, data: np.ndarray):
+    """The field of class cls over data as it is: no copy and no check."""
+    f = object.__new__(cls)
+    object.__setattr__(f, "grid", grid)
+    object.__setattr__(f, "data", data)
+    return f
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """Node samples of a scalar field, with its derivative planes."""
@@ -325,7 +463,11 @@ class ScalarField:
 
     @classmethod
     def zeros(cls, grid: Grid2D) -> "ScalarField":
-        return cls(grid, np.zeros((grid.nx, grid.ny)))
+        """The zero field over a read-only np.zeros, taken without a copy or
+        a finiteness scan, so its pages stay untouched until read."""
+        data = np.zeros((grid.nx, grid.ny))
+        data.setflags(write=False)
+        return _taken(cls, grid, data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,10 +529,7 @@ class MatrixField3:
         (i, j) planes listed in planes and holds no other reference to: those
         planes are checked, and the array is made read-only in place, not
         copied, so its layout is kept and its untouched planes are not read."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "grid", grid)
-        object.__setattr__(f, "data", _freeze(data, (3, 3), grid, copy=False, planes=planes))
-        return f
+        return _taken(cls, grid, _freeze(data, (3, 3), grid, copy=False, planes=planes))
 
 
 def component_major(shape, zeros: bool = False) -> np.ndarray:
@@ -457,18 +596,24 @@ def bracket_values(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
     )
 
 
-def bracket_matrix(grid: Grid2D, ha: np.ndarray) -> sp.csr_matrix:
+def bracket_matrix(grid: Grid2D, ha: np.ndarray):
     """CSR matrix of v -> bracket_values(ha, hessian_values(grid, v)).
 
     Acts on C-ordered node vectors v.ravel(), assembled from the grid's own
     1d stencils: diag(ha_11) (D2x (x) I) + diag(ha_00) (I (x) D2y)
     - diag(2 ha_01) (D1x (x) D1y), boundary rows included.
     """
+    import scipy.sparse as sp  # not at module level: only the matrix forms need it
+
+    def mat(axis, order):
+        n = grid.nx if axis == 0 else grid.ny
+        return sp.csr_matrix(grid.stencil(axis, order).csr(), shape=(n, n))
+
     ix, iy = sp.identity(grid.nx, format="csr"), sp.identity(grid.ny, format="csr")
     return (
-        sp.diags(ha[..., 1, 1].ravel()) @ sp.kron(grid._mat(0, 2), iy)
-        + sp.diags(ha[..., 0, 0].ravel()) @ sp.kron(ix, grid._mat(1, 2))
-        - sp.diags(2.0 * ha[..., 0, 1].ravel()) @ sp.kron(grid._mat(0, 1), grid._mat(1, 1))
+        sp.diags(ha[..., 1, 1].ravel()) @ sp.kron(mat(0, 2), iy)
+        + sp.diags(ha[..., 0, 0].ravel()) @ sp.kron(ix, mat(1, 2))
+        - sp.diags(2.0 * ha[..., 0, 1].ravel()) @ sp.kron(mat(0, 1), mat(1, 1))
     ).tocsr()
 
 
@@ -476,34 +621,28 @@ def bracket_matrix(grid: Grid2D, ha: np.ndarray) -> sp.csr_matrix:
 PLATE_ROWS = ("w1_1", "w1_2", "w2_1", "w2_2", "v_1", "v_2", "v_11", "v_22", "vt_1", "vt_2")
 
 
-def plate_derivative_matrix(grid: Grid2D, vtilde: bool = False) -> sp.csr_matrix:
+def plate_derivative_matrix(grid: Grid2D, vtilde: bool = False):
     """CSR matrix of the derivative planes of a flat plate state.
 
     Acts on x = (w.ravel(), v.ravel()[, vtilde.ravel()]), w sampled as
     (nx, ny, 2), and returns the C-ordered planes PLATE_ROWS stacked (the
     last two with vtilde only): d_j w_i, d_j v, d11 v, d22 v [, d_j vtilde].
-    Assembled from the grid's own 1d stencils, D1x (x) I, I (x) D1y,
-    D2x (x) I and I (x) D2y, so every row is bitwise Grid2D.d1 / d2 of its
-    field.  d12 v is no row: a kron(D1x, D1y) row rounds differently from
-    Grid2D.dcross, which applies D1x to the d2 v plane (Grid2D.plate_operator
-    holds that D1x block).
+    Its rows are those of the grid's own 1d stencils, D1x (x) I, I (x) D1y,
+    D2x (x) I and I (x) D2y, assembled in one call, so every row is bitwise
+    Grid2D.d1 / d2 of its field.  d12 v is no row: a kron(D1x, D1y) row
+    rounds differently from Grid2D.dcross, which applies D1x to the d2 v
+    plane (Grid2D.plate_operator holds that D1x block).
     """
-    ix, iy = sp.identity(grid.nx), sp.identity(grid.ny)
-    first = sp.vstack([sp.kron(grid._mat(0, 1), iy), sp.kron(ix, grid._mat(1, 1))])
-    second = sp.vstack([sp.kron(grid._mat(0, 2), iy), sp.kron(ix, grid._mat(1, 2))])
-    blocks = [first, first, sp.vstack([first, second])]
-    if vtilde:
-        blocks.append(first)
-    out = sp.block_diag(blocks, format="csr")
-    # block_diag puts w_i on the plane of columns [i n, (i + 1) n); the state
-    # interleaves the node pairs, so node k's w_i is column 2 k + i
     n = grid.nx * grid.ny
-    cols = out.indices
-    on_w = cols < 2 * n
-    cols[on_w] = 2 * (cols[on_w] % n) + cols[on_w] // n
-    out.has_sorted_indices = False
-    out.sort_indices()
-    return out
+    first = [_kron_rows(grid, 0, 1), _kron_rows(grid, 1, 1)]
+    second = [_kron_rows(grid, 0, 2), _kron_rows(grid, 1, 2)]
+    # (row groups, column scale, column shift): the state interleaves the
+    # node pairs of w, so node k's w_i is column 2 k + i; v and vtilde follow
+    blocks = [(first, 2, 0), (first, 2, 1), (first + second, 1, 2 * n)]
+    if vtilde:
+        blocks.append((first, 1, 3 * n))
+    groups = [(c, scale * j + shift, v) for rows, scale, shift in blocks for c, j, v in rows]
+    return _stacked(groups, len(blocks) * n)
 
 
 def airy_bracket(v: ScalarField, phi: ScalarField) -> ScalarField:

@@ -122,6 +122,8 @@ class ShellConfig:
             raise ValueError(f"h and alpha must be finite, got h={self.h}, alpha={self.alpha}")
         if self.h <= 0.0:
             raise ValueError("thickness must be positive")
+        if self.h**4 == 0.0:  # the scaling study divides by h^4
+            raise ValueError(f"thickness {self.h} is too small: h^4 underflows to 0")
         if self.alpha < 0.0:
             raise ValueError("alpha must be nonnegative")
         if self.n_t < 3 or self.n_t % 2 == 0:

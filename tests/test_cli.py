@@ -570,30 +570,59 @@ def test_constrained_ratio_falls_with_h_on_every_grid(tmp_path):
 FOOTPRINT_CHILD = """
 import json, sys
 from vkshell import cli
-codes = [cli.main(["run", "--config", c, "--out", o]) for c, o in zip(sys.argv[1::2], sys.argv[2::2])]
-print(json.dumps([codes, sorted(m for m in ("scipy.sparse.linalg", "scipy.linalg") if m in sys.modules)]))
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+calls = json.loads(sys.argv[1])
+codes, seen = [], []
+for argv in calls:
+    codes.append(cli.main(argv))
+    seen.append(loaded())
+print(json.dumps([codes, seen]))
 """
 
 
 def test_runs_do_not_import_scipy_solvers(tmp_path):
-    # scipy.sparse.linalg (which imports scipy.linalg) adds ~10 MB to every
-    # process; neither a minimize nor a constrained sweep, which runs the
-    # compensator's CG, may load it.  The runs start from a fresh interpreter,
-    # as the CLI does
-    minimize = base_config(growth={"preset": "kappa_sine", "amplitude": 0.02}, geometry={"v0": "zero"})
-    minimize["grid"] = {"nx": 17, "ny": 17, "domain": [0.0, 1.0, 0.0, 1.0], "bc": "dirichlet-ghost"}
-    minimize["run"] = {"command": "minimize", "functional": "I40", "init": "random", "seed": 1}
-    sweep = base_config(growth={"preset": "kappa_sine"}, geometry={"v0": "paraboloid", "alpha": 0.5})
-    sweep["grid"] = dict(minimize["grid"])
+    # the stencils are applied by slicing, so a run that assembles no sparse
+    # matrix loads no scipy module: verify, solve-vk and the scaling sweeps,
+    # constrained ones included (their compensator runs its own CG).  A
+    # minimize assembles the plate operator, so it loads scipy.sparse, but
+    # not scipy.sparse.linalg or scipy.linalg (which add ~10 MB to every
+    # process).  The runs start from a fresh interpreter, as the CLI does
+    ghost17 = {"nx": 17, "ny": 17, "domain": [0.0, 1.0, 0.0, 1.0], "bc": "dirichlet-ghost"}
+    verify = base_config(geometry={"v0": "sine", "v0_scale": 0.5})
+    verify["grid"] = {"nx": 16, "ny": 16, "domain": [0.0, TWO_PI, 0.0, TWO_PI], "bc": "periodic"}
+    solve_vk = base_config(geometry={"v0": "zero"})
+    solve_vk["grid"] = dict(verify["grid"])
+    solve_vk["run"] = {"command": "solve-vk", "model": "old", "tol": 1e-10}
+    dmv = base_config(growth={"preset": "kappa_sine"}, geometry={"v0": "paraboloid", "alpha": 1.0}, grid=ghost17)
+    dmv["run"] = {"command": "scaling", "h_list": [1e-1, 1e-2], "n_t": 3}
+    sweep = base_config(growth={"preset": "kappa_sine"}, geometry={"v0": "paraboloid", "alpha": 0.5}, grid=ghost17)
     sweep["run"] = {"command": "scaling", "h_list": [1e-2, 1e-3], "state": "auto"}
-    args = []
-    for name, doc in (("minimize", minimize), ("sweep", sweep)):
-        args += [str(write_config(tmp_path, doc, f"{name}.json")), str(tmp_path / name)]
+    minimize = base_config(growth={"preset": "kappa_sine", "amplitude": 0.02}, geometry={"v0": "zero"}, grid=ghost17)
+    minimize["run"] = {"command": "minimize", "functional": "I40", "init": "random", "seed": 1}
+    calls = [["verify", "--config", str(write_config(tmp_path, verify, "verify.json"))]]
+    for name, doc in (("solve_vk", solve_vk), ("dmv", dmv), ("sweep", sweep), ("minimize", minimize)):
+        calls.append(["run", "--config", str(write_config(tmp_path, doc, f"{name}.json")), "--out", str(tmp_path / name)])
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD, *args], capture_output=True, text=True, env=env)
+    child = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD, json.dumps(calls)], capture_output=True, text=True, env=env)
     assert child.returncode == 0, child.stderr
-    codes, loaded = json.loads(child.stdout.strip().splitlines()[-1])
-    assert codes == [0, 0]
-    assert json.loads((tmp_path / "sweep" / "summary.json").read_text())["outputs"]["scaling"]["regime"] == "constrained"
-    assert loaded == []
+    codes, seen = json.loads(child.stdout.strip().splitlines()[-1])
+    assert codes == [0] * len(calls)
+    regimes = [json.loads((tmp_path / name / "summary.json").read_text())["outputs"]["scaling"]["regime"] for name in ("dmv", "sweep")]
+    assert regimes == ["dmv", "constrained"]
+    assert seen[:4] == [[]] * 4  # verify, solve-vk, the DMV and the constrained sweep
+    assert "scipy.sparse" in seen[4]
+    assert not {"scipy.sparse.linalg", "scipy.linalg"} & set(seen[4])
+
+
+def test_scaling_thickness_whose_h4_underflows_is_a_config_error(tmp_path, capsys):
+    # h = 1e-300 has h^4 == 0.0, and the sweep divides each row's energy by
+    # h^4: it ended in a ZeroDivisionError traceback
+    doc = base_config(geometry={"v0": "paraboloid", "alpha": 1.0})
+    doc["grid"] = {"nx": 9, "ny": 9, "domain": [0.0, 1.0, 0.0, 1.0], "bc": "dirichlet-ghost"}
+    doc["run"] = {"command": "scaling", "h_list": [0.1, 1e-300], "n_t": 3}
+    path = write_config(tmp_path, doc)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "h^4 underflows to 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

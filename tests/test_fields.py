@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vkshell import fields
 from vkshell.fields import (
     DIRICHLET,
     PERIODIC,
@@ -400,7 +401,7 @@ def test_eigenbasis_diagonalizes_the_weighted_stencil_form(grid):
         weights.append(w1)
         for order in (1, 2):
             lam, v = grid.eigenbasis(axis, order)
-            d = grid._mat(axis, order).toarray()
+            d = grid.stencil(axis, order).dense()
             gram = v.T @ (w1[:, None] * v)
             form = (d @ v).T @ (w1[:, None] * (d @ v))
             assert np.max(np.abs(gram - np.eye(n))) < 1e-12
@@ -417,3 +418,116 @@ def test_eigenbasis_diagonalizes_the_weighted_stencil_form(grid):
             assert grid.eigenbasis(axis, order) is grid.eigenbasis(axis, order)
     # the 1d weights are the ones behind quad_weights
     assert np.allclose(np.outer(*weights), grid.quad_weights, rtol=1e-15, atol=0.0)
+
+
+def _coo_stencil(n, h, bc, order):
+    """The 1d stencil matrix of the grid, assembled by scipy from its
+    (row, column, value) triplets, interior rows one by one."""
+    import scipy.sparse as sp
+
+    c = 1.0 / (2.0 * h) if order == 1 else 1.0 / (h * h)
+    band = ((-1, -c), (1, c)) if order == 1 else ((-1, c), (0, -2.0 * c), (1, c))
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        if 0 < i < n - 1 or bc == PERIODIC:
+            for off, val in band:
+                rows.append(i), cols.append((i + off) % n), vals.append(val)
+    if bc != PERIODIC:
+        ends = (-4.0 * c, 7.0 * c, -4.0 * c, c) if order == 1 else (2.0 * c, -5.0 * c, 4.0 * c, -c)
+        sign = -1.0 if order == 1 else 1.0
+        for k, val in enumerate(ends):
+            rows += [0, n - 1]
+            cols += [k, n - 1 - k]
+            vals += [val, sign * val]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+STENCIL_GRIDS = [(n, n, bc) for bc in (DIRICHLET, PERIODIC) for n in (8, 9, 17, 33)]
+STENCIL_GRIDS += [(17, 9, DIRICHLET), (12, 20, PERIODIC)]
+
+
+@pytest.mark.parametrize("nx,ny,bc", STENCIL_GRIDS, ids=[f"{bc[:5]}{nx}x{ny}" for nx, ny, bc in STENCIL_GRIDS])
+def test_stencils_are_bitwise_their_csr_products(nx, ny, bc, rng):
+    # the sliced stencils sum each row in the CSR product's order: equal
+    # values, equal signed zeros and the same layout as D @ a (C-ordered)
+    # and (D @ a.T).T (F-ordered), for C- and F-ordered inputs
+    grid = Grid2D(nx, ny, (0.0, 2.0, -1.0, 0.5), bc=bc)
+    a = rng.standard_normal((nx, ny))
+    z = rng.standard_normal((nx, ny)) * (rng.random((nx, ny)) < 0.5)
+    z[rng.random((nx, ny)) < 0.5] *= -1.0  # +0.0 and -0.0 side by side
+    for data in (a, z, np.asfortranarray(z), a[:, ::-1]):
+        for axis, (n, h) in enumerate(((nx, grid.dx), (ny, grid.dy))):
+            d = _coo_stencil(n, h, bc, 1), _coo_stencil(n, h, bc, 2)
+            ops = {"d1": d[0], "d2": d[1], "d1_t": d[0].T.tocsr(), "d2_t": d[1].T.tocsr()}
+            for name, m in ops.items():
+                got = getattr(grid, name)(data, axis)
+                want = m @ data if axis == 0 else (m @ data.T).T
+                assert np.array_equal(got, want), (name, axis)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (name, axis)
+                assert got.flags.c_contiguous if axis == 0 else got.flags.f_contiguous, (name, axis)
+                # every matrix form reads the same rows
+                s = grid.stencil(axis, int(name[1]), adjoint=name.endswith("_t"))
+                assert all(np.array_equal(p, q) for p, q in zip(s.csr(), (m.data, m.indices, m.indptr))), name
+                assert np.array_equal(s.dense(), m.toarray()), name
+
+
+def _kron_plate_operator(grid, vtilde):
+    """L and D1x (x) I of a grid, assembled from scipy Kronecker products."""
+    import scipy.sparse as sp
+
+    ix, iy = sp.identity(grid.nx), sp.identity(grid.ny)
+    d = {(axis, order): _coo_stencil(n, h, grid.bc, order)
+         for axis, (n, h) in enumerate(((grid.nx, grid.dx), (grid.ny, grid.dy))) for order in (1, 2)}
+    first = sp.vstack([sp.kron(d[0, 1], iy), sp.kron(ix, d[1, 1])])
+    second = sp.vstack([sp.kron(d[0, 2], iy), sp.kron(ix, d[1, 2])])
+    out = sp.block_diag([first, first, sp.vstack([first, second])] + [first] * vtilde, format="csr")
+    # node k's w_i is column 2 k + i of the state
+    n = grid.nx * grid.ny
+    on_w = out.indices < 2 * n
+    out.indices[on_w] = 2 * (out.indices[on_w] % n) + out.indices[on_w] // n
+    out.has_sorted_indices = False
+    out.sort_indices()
+    return out, sp.kron(d[0, 1], iy, format="csr")
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid2D(17, 17, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET),
+        Grid2D(9, 12, (0.0, 1.0, -1.0, 2.0), bc=DIRICHLET),
+        Grid2D(16, 16, (0.0, TWO_PI, 0.0, TWO_PI), bc=PERIODIC),
+    ],
+    ids=["ghost17", "ghost9x12", "torus16"],
+)
+@pytest.mark.parametrize("vtilde", [False, True])
+def test_plate_operator_is_the_kronecker_assembly(grid, vtilde):
+    # assembled in one call from the stencil rows, the plate operator and its
+    # D1x block hold the very arrays of the Kronecker-product assembly
+    lmat, _, dx, _ = grid.plate_operator(vtilde)
+    for got, want in zip((lmat, dx), _kron_plate_operator(grid, vtilde)):
+        assert got.shape == want.shape
+        for p, q in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
+            assert np.array_equal(p, q)
+
+
+def test_zero_scalar_field_takes_its_zeros_without_a_copy(square33, monkeypatch):
+    # the zero field is the read-only np.zeros itself: no copy, and no
+    # finiteness scan that would read every page
+    made = []
+
+    def zeros(*args, **kwargs):
+        made.append(np_zeros(*args, **kwargs))
+        return made[-1]
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a zero field needs no copy and no check")
+
+    np_zeros = np.zeros
+    monkeypatch.setattr(np, "zeros", zeros)
+    monkeypatch.setattr(fields, "_freeze", must_not_run)
+    f = ScalarField.zeros(square33)
+    monkeypatch.undo()
+    assert len(made) == 1 and f.data is made[0]
+    assert f.data.shape == (33, 33) and not f.data.flags.writeable
+    assert np.all(f.data == 0.0) and not np.any(np.signbit(f.data))
+    assert all(np.array_equal(p, f.data) for p in f.planes)
