@@ -169,6 +169,7 @@ class Stencil:
         return data, indices, indptr
 
     def dense(self) -> np.ndarray:
+        """The (n, n) matrix."""
         data, indices, indptr = self.csr()
         d = np.zeros((self.n, self.n))
         d[np.repeat(np.arange(self.n), np.diff(indptr)), indices] = data
