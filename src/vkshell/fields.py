@@ -15,8 +15,8 @@ defined here.  The design is deliberately plain:
 * each 1d stencil (Stencil: a 3-point band plus explicit boundary rows) is
   applied by numpy slicing, bitwise its CSR product; the matrix forms (the
   dense 1d matrix, the linearized-isometry bracket, the plate derivative
-  operator) are assembled on demand from the same rows, and only they
-  import scipy,
+  operator) are assembled on demand from the same rows, the 2d ones from
+  their Kronecker rows, and only they import scipy,
 * node quadrature matched to the boundary mode (rectangle rule when
   periodic, trapezoid otherwise).
 
@@ -53,14 +53,6 @@ class GridMismatchError(ValueError):
     """Operands that must share a grid do not."""
 
 
-def _two_rows(i: int, j: int) -> slice:
-    """The basic slice that picks rows i and j (row i once when i == j)."""
-    if i == j:
-        return slice(i, i + 1)
-    stop = j + (j - i)
-    return slice(i, stop if stop >= 0 else None, j - i)
-
-
 def _band_row(band: tuple, i: int) -> tuple:
     """Row i of the band (l, c, r) as (column, value) pairs."""
     return tuple((i + off, val) for off, val in zip((-1, 0, 1), band) if val)
@@ -73,25 +65,25 @@ class Stencil:
     i + 1: a first-order band has no center and l = -r, a second-order one
     has l = r.  Every other row is listed in edges as (column, value) pairs
     in ascending column order, the order in which a CSR product sums a row.
-    apply slices the band and sums the edge rows term by term; dense and csr
-    assemble the matrix from the same rows.
+    apply slices the band and gathers the terms of all edge rows at once;
+    dense and csr assemble the matrix from the same rows.
     """
 
-    __slots__ = ("n", "band", "lo", "hi", "edges", "_edge_pairs")
+    __slots__ = ("n", "band", "lo", "hi", "edges", "_gather")
 
     def __init__(self, n: int, band: tuple, lo: int, hi: int, edges: dict):
         self.n, self.band, self.lo, self.hi, self.edges = n, band, lo, hi, edges
-        # apply sums the k-th edge rows from either end together, term by
-        # term, on two-row slices: (rows, [(columns, values[:, None]), ...])
+        # term k of edge row rows[e] is vals[k, e] x[cols[k, e]]; a row with
+        # fewer terms is padded at the positions pad, whose x apply sets to +0.0
         rows = sorted(edges)
-        half = len(rows) // 2
-        self._edge_pairs = [
-            (
-                _two_rows(i, j),
-                [(_two_rows(ci, cj), np.array([[vi], [vj]])) for (ci, vi), (cj, vj) in zip(edges[i], edges[j], strict=True)],
-            )
-            for i, j in zip(rows[:half], reversed(rows[half:]), strict=True)
-        ]
+        width = max(map(len, edges.values()))
+        cols = np.zeros((width, len(rows)), dtype=np.intp)
+        vals = np.zeros((width, len(rows), 1))
+        for e, i in enumerate(rows):
+            for k, (j, val) in enumerate(edges[i]):
+                cols[k, e], vals[k, e, 0] = j, val
+        pad = np.nonzero([[k >= len(edges[i]) for i in rows] for k in range(width)])
+        self._gather = (np.array(rows), cols, vals, pad if pad[0].size else None)
 
     @property
     def T(self) -> "Stencil":
@@ -127,24 +119,36 @@ class Stencil:
         threads may apply a stencil at once.
         """
         out = np.empty(a.shape, order="F" if axis else "C")
+        # the stencil runs along the first axis of x into the C-ordered y; an
+        # x of another layout or dtype is first copied into y, so that every
+        # pass below streams contiguous float rows
         x, y = (a.T, out.T) if axis else (a, out)
+        if x.dtype != np.float64 or not x.flags.c_contiguous:
+            y[...] = x
+            x = y
         lo, hi = self.lo, self.hi
         l, c, r = self.band
-        band = y[lo:hi]
-        # r x on rows lo - 1 .. hi, C-ordered in the stencil's orientation,
-        # also gives l x: exactly, as l = r or l = -r
+        # the edge terms and r x are read before the band overwrites x in y
+        rows, cols, vals, pad = self._gather
+        terms = x.take(cols, axis=0)
+        # r x on rows lo - 1 .. hi also gives l x: exactly, as l = r or l = -r
         rx = np.multiply(x[lo - 1 : hi + 1], r)
+        band = y[lo:hi]
         if c:  # (l x_{i-1} + c x_i) + r x_{i+1}
             np.multiply(x[lo:hi], c, out=band)
             np.add(rx[:-2], band, out=band)
             band += rx[2:]
         else:  # l x_{i-1} + r x_{i+1} = r x_{i+1} - r x_{i-1}
             np.subtract(rx[2:], rx[:-2], out=band)
-        for rows, ((cols, vals), *rest) in self._edge_pairs:
-            edge = y[rows]
-            np.multiply(x[cols], vals, out=edge)
-            for cols, vals in rest:
-                edge += x[cols] * vals
+        # the edge rows, summed term by term in column order; a padded term
+        # adds +0.0, which changes no sum but a -0.0 one
+        if pad is not None:
+            terms[pad] = 0.0
+        terms *= vals
+        acc = terms[0]
+        for term in terms[1:]:
+            acc += term
+        y[rows] = acc
         # a CSR row sum starts from +0.0, which turns a sum of -0.0 terms
         # into +0.0 and leaves every other sum as it is
         out += 0.0
@@ -204,21 +208,29 @@ def _d2_stencil(n: int, h: float, bc: str) -> Stencil:
     return Stencil(n, (c, -2.0 * c, c), 1, n - 1, edges)
 
 
-def _kron_rows(grid: "Grid2D", axis: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(counts, indices, data) of the CSR rows of D (x) I (axis 0) or I (x) D
-    (axis 1) on C-ordered node vectors, D the grid's 1d stencil: node (i, k)
-    takes row i (axis 0) or row k (axis 1) of D, columns ascending."""
-    data, indices, indptr = grid.stencil(axis, order).csr()
-    nodes = np.arange(grid.nx * grid.ny)
-    if axis == 0:
-        row, base, stride = nodes // grid.ny, nodes % grid.ny, grid.ny
-    else:
-        row, base, stride = nodes % grid.ny, nodes - nodes % grid.ny, 1
-    counts = np.diff(indptr)[row]
+def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for each i, concatenated."""
     ends = np.cumsum(counts)
-    # the stencil entry behind each entry of the node rows
-    entry = np.repeat(indptr[row] - (ends - counts), counts) + np.arange(ends[-1])
-    return counts, indices[entry] * stride + np.repeat(base, counts), data[entry]
+    return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1])
+
+
+def _kron_rows(grid: "Grid2D", order_x: int, order_y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(counts, indices, data) of the CSR rows of Dx (x) Dy on C-ordered node
+    vectors, Dx and Dy the grid's 1d stencils of those derivative orders and
+    order 0 the identity: node (i, k) takes the products of row i of Dx and
+    row k of Dy, columns ascending, as scipy.sparse.kron forms them."""
+    (dx, jx, px), (dy, jy, py) = (
+        grid.stencil(axis, order).csr() if order else (np.ones(n), np.arange(n), np.arange(n + 1))
+        for axis, order, n in ((0, order_x, grid.nx), (1, order_y, grid.ny))
+    )
+    i, k = np.divmod(np.arange(grid.nx * grid.ny), grid.ny)
+    cx, cy = np.diff(px)[i], np.diff(py)
+    # an entry of row i of Dx for each (node, Dx entry) pair, then the entries
+    # of row k of Dy for each pair
+    ex, kx = _segments(px[i], cx), np.repeat(k, cx)
+    ey = _segments(py[kx], cy[kx])
+    ex = np.repeat(ex, cy[kx])
+    return cx * cy[k], jx[ex] * grid.ny + jy[ey], dx[ex] * dy[ey]
 
 
 def _stacked(groups, ncols: int):
@@ -345,7 +357,7 @@ class Grid2D:
         ops = self._plate_ops.get(vtilde)
         if ops is None:
             lmat = plate_derivative_matrix(self, vtilde)
-            dx = _stacked([_kron_rows(self, 0, 1)], self.nx * self.ny)
+            dx = _stacked([_kron_rows(self, 1, 0)], self.nx * self.ny)
             ops = self._plate_ops[vtilde] = (lmat, lmat.T.tocsr(), dx, dx.T.tocsr())
         return ops
 
@@ -600,21 +612,20 @@ def bracket_values(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
 def bracket_matrix(grid: Grid2D, ha: np.ndarray):
     """CSR matrix of v -> bracket_values(ha, hessian_values(grid, v)).
 
-    Acts on C-ordered node vectors v.ravel(), assembled from the grid's own
-    1d stencils: diag(ha_11) (D2x (x) I) + diag(ha_00) (I (x) D2y)
-    - diag(2 ha_01) (D1x (x) D1y), boundary rows included.
+    Acts on C-ordered node vectors v.ravel(), assembled from the Kronecker
+    rows of the grid's own 1d stencils: diag(ha_11) (D2x (x) I)
+    + diag(ha_00) (I (x) D2y) - diag(2 ha_01) (D1x (x) D1y), boundary rows
+    included.
     """
     import scipy.sparse as sp  # not at module level: only the matrix forms need it
 
-    def mat(axis, order):
-        n = grid.nx if axis == 0 else grid.ny
-        return sp.csr_matrix(grid.stencil(axis, order).csr(), shape=(n, n))
+    def kron(order_x, order_y):
+        return _stacked([_kron_rows(grid, order_x, order_y)], grid.nx * grid.ny)
 
-    ix, iy = sp.identity(grid.nx, format="csr"), sp.identity(grid.ny, format="csr")
     return (
-        sp.diags(ha[..., 1, 1].ravel()) @ sp.kron(mat(0, 2), iy)
-        + sp.diags(ha[..., 0, 0].ravel()) @ sp.kron(ix, mat(1, 2))
-        - sp.diags(2.0 * ha[..., 0, 1].ravel()) @ sp.kron(mat(0, 1), mat(1, 1))
+        sp.diags(ha[..., 1, 1].ravel()) @ kron(2, 0)
+        + sp.diags(ha[..., 0, 0].ravel()) @ kron(0, 2)
+        - sp.diags(2.0 * ha[..., 0, 1].ravel()) @ kron(1, 1)
     ).tocsr()
 
 
@@ -635,8 +646,8 @@ def plate_derivative_matrix(grid: Grid2D, vtilde: bool = False):
     plane (Grid2D.plate_operator holds that D1x block).
     """
     n = grid.nx * grid.ny
-    first = [_kron_rows(grid, 0, 1), _kron_rows(grid, 1, 1)]
-    second = [_kron_rows(grid, 0, 2), _kron_rows(grid, 1, 2)]
+    first = [_kron_rows(grid, 1, 0), _kron_rows(grid, 0, 1)]
+    second = [_kron_rows(grid, 2, 0), _kron_rows(grid, 0, 2)]
     # (row groups, column scale, column shift): the state interleaves the
     # node pairs of w, so node k's w_i is column 2 k + i; v and vtilde follow
     blocks = [(first, 2, 0), (first, 2, 1), (first + second, 1, 2 * n)]

@@ -258,6 +258,35 @@ def test_bracket_matrix_is_the_pointwise_bracket(grid, rng):
 @pytest.mark.parametrize(
     "grid",
     [
+        Grid2D(17, 23, (-0.5, 1.0, 0.0, 2.0), bc=DIRICHLET),
+        Grid2D(24, 16, (0.0, TWO_PI, -1.0, 1.0), bc=PERIODIC),
+    ],
+    ids=["ghost", "periodic"],
+)
+def test_bracket_matrix_is_the_kronecker_assembly(grid, rng):
+    # assembled from the stencil rows, the bracket holds the very arrays of
+    # the scipy Kronecker-product assembly
+    import scipy.sparse as sp
+
+    ha = rng.standard_normal((grid.nx, grid.ny, 2, 2))
+    ha[..., 1, 0] = ha[..., 0, 1]
+    d = {(axis, order): _coo_stencil(n, h, grid.bc, order)
+         for axis, (n, h) in enumerate(((grid.nx, grid.dx), (grid.ny, grid.dy))) for order in (1, 2)}
+    ix, iy = sp.identity(grid.nx, format="csr"), sp.identity(grid.ny, format="csr")
+    want = (
+        sp.diags(ha[..., 1, 1].ravel()) @ sp.kron(d[0, 2], iy)
+        + sp.diags(ha[..., 0, 0].ravel()) @ sp.kron(ix, d[1, 2])
+        - sp.diags(2.0 * ha[..., 0, 1].ravel()) @ sp.kron(d[0, 1], d[1, 1])
+    ).tocsr()
+    got = bracket_matrix(grid, ha)
+    assert got.shape == want.shape
+    for p, q in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
+        assert np.array_equal(p, q)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
         Grid2D(33, 37, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET),
         Grid2D(17, 17, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET),
         Grid2D(64, 64, (0.0, TWO_PI, 0.0, TWO_PI), bc=PERIODIC),
@@ -450,20 +479,26 @@ STENCIL_GRIDS += [(17, 9, DIRICHLET), (12, 20, PERIODIC)]
 def test_stencils_are_bitwise_their_csr_products(nx, ny, bc, rng):
     # the sliced stencils sum each row in the CSR product's order: equal
     # values, equal signed zeros and the same layout as D @ a (C-ordered)
-    # and (D @ a.T).T (F-ordered), for C- and F-ordered inputs
+    # and (D @ a.T).T (F-ordered), for C- and F-ordered and integer inputs;
+    # an inf or a nan reaches the rows with an entry in its column and no
+    # other row
     grid = Grid2D(nx, ny, (0.0, 2.0, -1.0, 0.5), bc=bc)
     a = rng.standard_normal((nx, ny))
     z = rng.standard_normal((nx, ny)) * (rng.random((nx, ny)) < 0.5)
     z[rng.random((nx, ny)) < 0.5] *= -1.0  # +0.0 and -0.0 side by side
-    for data in (a, z, np.asfortranarray(z), a[:, ::-1]):
+    w = a.copy()
+    w[0, -1], w[3, 2], w[-2, 0] = np.inf, np.nan, -np.inf
+    for data in (a, z, np.asfortranarray(z), a[:, ::-1], np.rint(4.0 * a).astype(np.int64), w):
         for axis, (n, h) in enumerate(((nx, grid.dx), (ny, grid.dy))):
             d = _coo_stencil(n, h, bc, 1), _coo_stencil(n, h, bc, 2)
             ops = {"d1": d[0], "d2": d[1], "d1_t": d[0].T.tocsr(), "d2_t": d[1].T.tocsr()}
             for name, m in ops.items():
                 got = getattr(grid, name)(data, axis)
                 want = m @ data if axis == 0 else (m @ data.T).T
-                assert np.array_equal(got, want), (name, axis)
-                assert np.array_equal(np.signbit(got), np.signbit(want)), (name, axis)
+                assert np.array_equal(got, want, equal_nan=True), (name, axis)
+                # a nan's sign bit depends on the operand order, not the sum
+                signed = ~np.isnan(want)
+                assert np.array_equal(np.signbit(got[signed]), np.signbit(want[signed])), (name, axis)
                 assert got.flags.c_contiguous if axis == 0 else got.flags.f_contiguous, (name, axis)
                 # every matrix form reads the same rows
                 s = grid.stencil(axis, int(name[1]), adjoint=name.endswith("_t"))
