@@ -55,6 +55,7 @@ from .growth import (
     GROWTH_PRESETS,
     GrowthFields,
     GrowthSpec,
+    GrowthSpecError,
     _check_terms,
     eval_growth,
     eval_poly,
@@ -578,7 +579,10 @@ def _run_solve_vk(cfg: ExperimentConfig) -> tuple[dict, Callable[[Path], None]]:
         opts = so.VKOptions(tol=tol, max_sweeps=max_sweeps, relaxation=relaxation)
     except ValueError as exc:  # a tol < 0 or a relaxation <= 0
         raise ConfigError(f"run: {exc}") from exc
-    state, report = so.solve_vk(model, cfg.growth, cfg.material, cfg.v0, opts)
+    try:
+        state, report = so.solve_vk(model, cfg.growth, cfg.material, cfg.v0, opts)
+    except GrowthSpecError as exc:  # finite growth whose sources overflow
+        raise ConfigError(f"growth: {exc}") from exc
 
     def write(outdir: Path) -> None:
         _save_fields(outdir, v=state.v, phi=state.phi)

@@ -305,11 +305,13 @@ def _quadrature(grid: Grid2D, qs, qb, r, penalty: float) -> tuple[float, float]:
 
 
 def _energy(functional, s, g, m, v0, penalty) -> tuple:
-    """(energy, constraint residual, (tr S, tr K)) of one functional at s."""
+    """(energy, constraint residual, (tr S, tr K), derivative planes) of one
+    functional at s, the planes in fields.PLATE_ROWS order."""
     _check(functional, s.vtilde is not None, s.grid, g, v0, penalty)
-    stretch, bend, r = _integrands(functional, *_stencil_planes(s), g, _v0_planes(functional, v0))
+    d, v_12 = _stencil_planes(s)
+    stretch, bend, r = _integrands(functional, d, v_12, g, _v0_planes(functional, v0))
     (qs, tr_s), (qb, tr_k) = _q2_planes(*stretch, m), _q2_planes(*bend, m)
-    return *_quadrature(s.grid, qs, qb, r, penalty), (tr_s, tr_k)
+    return *_quadrature(s.grid, qs, qb, r, penalty), (tr_s, tr_k), d
 
 
 def energy_i40(s: PlateState, g: GrowthFields, m: Material) -> float:

@@ -497,15 +497,6 @@ class VectorField2:
 
 
 @dataclass(frozen=True, eq=False)
-class VectorField3:
-    grid: Grid2D
-    data: np.ndarray  # (nx, ny, 3)
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _freeze(self.data, (3,), self.grid))
-
-
-@dataclass(frozen=True, eq=False)
 class MatrixField2:
     grid: Grid2D
     data: np.ndarray  # (nx, ny, 2, 2)
@@ -706,13 +697,7 @@ def sym_grad_values(grid: Grid2D, w: np.ndarray) -> np.ndarray:
 
 # -- CSV serialization --------------------------------------------------------
 
-_RANK_LABELS = {
-    1: ["c11"],
-    2: ["c11", "c12"],
-    3: ["c11", "c12", "c13"],
-    4: ["c11", "c12", "c21", "c22"],
-    9: ["c11", "c12", "c13", "c21", "c22", "c23", "c31", "c32", "c33"],
-}
+_RANK_LABELS = {1: ["c11"], 2: ["c11", "c12"]}  # the scalar and 2-vector fields the cli writes
 
 
 def save_csv(fld, path) -> None:
@@ -733,23 +718,3 @@ def save_csv(fld, path) -> None:
         for i, x1 in enumerate(grid.x1.tolist()):
             head = "%.17g" % x1
             fh.write((head + head.join(tails)) % tuple(comps[i].ravel().tolist()))
-
-
-def load_csv(path, grid: Grid2D):
-    """Read a field written by save_csv back onto the given grid."""
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if raw.shape[0] != grid.nx * grid.ny:
-        raise GridMismatchError(f"{path}: {raw.shape[0]} rows, expected {grid.nx * grid.ny}")
-    k = raw.shape[1] - 2
-    comps = raw[:, 2:].reshape(grid.nx, grid.ny, k)
-    if k == 1:
-        return ScalarField(grid, comps[..., 0])
-    if k == 2:
-        return VectorField2(grid, comps)
-    if k == 3:
-        return VectorField3(grid, comps)
-    if k == 4:
-        return MatrixField2(grid, comps.reshape(grid.nx, grid.ny, 2, 2))
-    if k == 9:
-        return MatrixField3(grid, comps.reshape(grid.nx, grid.ny, 3, 3))
-    raise ValueError(f"unsupported component count {k} in {path}")

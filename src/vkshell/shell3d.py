@@ -65,15 +65,22 @@ pulled-back metric shows the order-h^2 strain is exactly
 warping relaxes pointwise to Q2; the scaled energies then converge to the
 regime-matched two-dimensional functional.
 
-Sweep template.  d0, d1 and their in-plane gradients, the constrained
-regime's wtilde and the limit energy E2d do not depend on h.  They form a
-RecoveryTemplate, built by one pass of the energy module's integrand formula:
-E2d is that pass's quadrature and d0, d1 read its traces.  scaling_study
-builds the template once and hands it to each row's build_recovery, so a row is
-energy_3d(build_recovery(template, cfg), g, m): the deformation carries its
-shell, and the shell its Gauss rule.  A row's deformation keeps only its
-node-independent planes (grad Y, grad nu and nu + h^2 d0) and reads d1 and the
-gradients of d0 and d1 from the template.
+Sweep template.  Y is a ladder of powers of h over h-independent fields,
+so grad Y - Id is the same ladder over their gradients: h^2 grad w,
+gamma grad v0 (not at alpha = 1), h grad v and, in the constrained regime,
+h^(1+alpha) grad wtilde and h^(2-alpha) grad vtilde.  Those gradients, d0,
+d1 and their in-plane gradients, the constrained regime's wtilde and the
+limit energy E2d do not depend on h.  They form a RecoveryTemplate, built by
+one pass of the energy module's integrand formula: E2d is that pass's
+quadrature, d0 and d1 read its traces, and the ladder's terms hold its
+derivative planes (v0's are v0.planes).  Only grad wtilde is left to the
+rows, which keeps the constrained template's memory near the others'.
+scaling_study builds the template once and hands it to each row's
+build_recovery, so a row is energy_3d(build_recovery(template, cfg), g, m):
+the deformation carries its shell, and the shell its Gauss rule.  A row sums
+grad Y from the terms, differentiates only nu (and wtilde), and its
+deformation keeps only its node-independent planes (grad Y, grad nu and
+nu + h^2 d0) and reads d1 and the gradients of d0 and d1 from the template.
 """
 
 from __future__ import annotations
@@ -529,22 +536,27 @@ def _grad3(grid: Grid2D, comps: np.ndarray) -> np.ndarray:
 class RecoveryTemplate:
     """The thickness-independent part of a recovery, built once per sweep.
 
-    Holds the regime, the plate state (vtilde comes with the constrained
-    regime and only there, as the limit functional's argument check demands),
-    the constrained regime's compensator wtilde, the least-squares solve of
-    sym grad_h wtilde = -sym(grad v x grad v0) by solver.solve_sym_grad, and
-    the warping vectors d0 = l(eps_g) + 2 c_s and d1 = l(kappa_g) - 2 c_k
-    (c_s, c_k the Q2 completions of the regime's integrands S and K, from
-    their traces by energy.completion) with their in-plane gradients, and
-    e2d, the limit functional at the state (penalty 0), from the same
-    integrand pass.  scaling_study builds one before its rows and hands it to
-    each row's build_recovery.
+    Built from a plate state (vtilde comes with the constrained regime and
+    only there, as the limit functional's argument check demands), it holds
+    the regime, the constrained regime's compensator wtilde, the
+    least-squares solve of sym grad_h wtilde = -sym(grad v x grad v0) by
+    solver.solve_sym_grad, the warping vectors d0 = l(eps_g) + 2 c_s and
+    d1 = l(kappa_g) - 2 c_k (c_s, c_k the Q2 completions of the regime's
+    integrands S and K, from their traces by energy.completion) with their
+    in-plane gradients, and e2d, the limit functional at the state
+    (penalty 0), from the same integrand pass.  terms is grad Y's ladder: a
+    list of (entries (i, j) of grad Y, their h-independent planes, (p, q)),
+    each term weighted by h^(p + q alpha): grad w at h^2, grad v0 at gamma
+    (not in the blooming regime, whose v carries v0), grad v at h and, in
+    the constrained regime, grad vtilde at h^(2-alpha), all but v0's from
+    the integrand pass.  scaling_study builds one before its rows and hands
+    it to each row's build_recovery.
     """
 
     def __init__(self, state: en.PlateState, g: GrowthFields, v0: ScalarField, regime: str, m: en.Material):
         grid = v0.grid
         grid.require_same(state.grid, "state and shell")
-        self.v0, self.regime, self.state, self.wtilde = v0, regime, state, None
+        self.v0, self.regime, self.wtilde = v0, regime, None
         en._check(limit_functional_name(regime), state.vtilde is not None, grid, g, v0, 0.0)  # a misfit costs no solve
         if regime == CONSTRAINED:
             # sym grad wtilde = -sym(grad v x grad v0), solved before the
@@ -553,8 +565,17 @@ class RecoveryTemplate:
             self.wtilde = VectorField2(grid, solve_sym_grad(
                 grid, -(v_1 * p_1), -(v_2 * p_2), -(0.5 * (v_1 * p_2 + v_2 * p_1))))
         # the one integrand pass, the limit functional's value path: E2d is its
-        # energy (penalty 0), and c(S) and c(K) read only the traces of S and K
-        self.e2d, _, (tr_s, tr_k) = en._energy(limit_functional_name(regime), state, g, m, v0, 0.0)
+        # energy (penalty 0), c(S) and c(K) read only the traces of S and K, and
+        # grad Y reads its derivative planes
+        self.e2d, _, (tr_s, tr_k), d = en._energy(limit_functional_name(regime), state, g, m, v0, 0.0)
+        # grad Y - Id = sum of h^(p + q alpha) planes: (entries (i, j), planes, (p, q))
+        col3 = ((2, 0), (2, 1))
+        self.terms = [(((0, 0), (0, 1), (1, 0), (1, 1)), d[: en._V_1], (2.0, 0.0))]
+        if regime != DMV:  # the blooming Y_3 = h v carries its rest state v0 in v
+            self.terms.append((col3, v0.planes[:2], (0.0, 1.0)))
+        self.terms.append((col3, d[en._V_1 : en._V_11], (1.0, 0.0)))
+        if regime == CONSTRAINED:
+            self.terms.append((col3, d[en._VT_1 :], (2.0, -1.0)))
         self.d0 = en.warping_l(g.eps_g.data)
         self.d0[..., 2] += 2.0 * en.completion(tr_s, m)
         self.d1 = en.warping_l(g.kappa_g.data)
@@ -576,44 +597,36 @@ def build_recovery(template: RecoveryTemplate, cfg: ShellConfig) -> Deformation3
 
     with the exact unit normal of Y as the fiber direction and the limit
     warping d0 = l(eps_g) + 2 c(S), d1 = l(kappa_g) - 2 c(K) built from the
-    regime's stretching/bending integrands.  The state (w, v and vtilde) is
-    the template's, and so is the constrained regime's in-plane compensator
-    wtilde, solved on the grid's own stencils (sym grad_h wtilde =
-    -sym(grad v x grad v0), exactly solvable when the linearized isometry
-    constraint holds).  The template holds everything that does not depend
-    on h.
+    regime's stretching/bending integrands.  The template holds everything
+    that does not depend on h: the state's derivative planes, as grad Y's
+    terms, and the constrained regime's in-plane compensator wtilde, solved
+    on the grid's own stencils (sym grad_h wtilde = -sym(grad v x grad v0),
+    exactly solvable when the linearized isometry constraint holds).
 
-    No stack of grad y is formed here: the deformation returned keeps the
-    node-independent planes grad Y, grad nu and nu + h^2 d0 (15 planes, 5/3
-    of one point stack) and writes node k's grad y into the buffer energy_3d
-    hands it.
+    grad Y is Id plus the template's terms, each scaled by its power of h;
+    no displacement is assembled.  The row applies 6 stencils, to nu, and in
+    the constrained regime 4 more, to wtilde.  No stack of grad y is formed
+    here: the deformation returned keeps the node-independent planes grad Y,
+    grad nu and nu + h^2 d0 (15 planes, 5/3 of one point stack) and writes
+    node k's grad y into the buffer energy_3d hands it.
     """
     grid = cfg.grid
     regime = resolve_regime(cfg.v0, cfg.alpha)
     if template.regime != regime or not _same_field(template.v0, cfg.v0):
         raise ValueError("recovery template was built for another v0 or regime")
-    h = cfg.h
-    gamma = cfg.gamma
-
-    st = template.state
-    disp12 = h * h * st.w.data
-    if regime == FLAT:
-        y3 = gamma * cfg.v0.data + h * st.v.data
-    elif regime == DMV:
-        y3 = h * st.v.data
-    else:
-        y3 = gamma * cfg.v0.data + h * st.v.data + h ** (2.0 - cfg.alpha) * st.vtilde.data
-        disp12 = disp12 + h ** (1.0 + cfg.alpha) * template.wtilde.data
-
-    # Jacobian of Y: differentiate the displacement, not the raw coordinates
-    dy = _component_major((grid.nx, grid.ny, 3, 2))
-    dy[...] = 0.0
+    h, alpha = cfg.h, cfg.alpha
+    dy = _component_major((grid.nx, grid.ny, 3, 2), zeros=True)
     dy[..., 0, 0] = 1.0
     dy[..., 1, 1] = 1.0
-    for j in range(2):
-        dy[..., 0, j] += grid.d1(disp12[..., 0], j)
-        dy[..., 1, j] += grid.d1(disp12[..., 1], j)
-        dy[..., 2, j] = grid.d1(y3, j)
+    for entries, planes, (p, q) in template.terms:
+        scale = h ** (p + q * alpha)
+        for (i, j), plane in zip(entries, planes):
+            dy[..., i, j] += scale * plane
+    if template.wtilde is not None:  # h^(1+alpha) grad wtilde, the one term a row differentiates
+        scale = h ** (1.0 + alpha)
+        for i in range(2):
+            for j in range(2):
+                dy[..., i, j] += scale * grid.d1(template.wtilde.data[..., i], j)
 
     # nu = d1 Y x d2 Y / |d1 Y x d2 Y|, plane by plane in the rounding order of
     # np.cross (a1 b2 - a2 b1) and np.linalg.norm ((x^2 + y^2) + z^2)

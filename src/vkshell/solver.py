@@ -63,7 +63,7 @@ from .fields import (
     sym_planes,
     sym_stack,
 )
-from .growth import GrowthFields, lambda_g, omega_g
+from .growth import GrowthFields, GrowthSpecError, lambda_g, omega_g
 
 
 class SolverError(RuntimeError):
@@ -602,8 +602,11 @@ def _vk_sources(model: str, g: GrowthFields, m: en.Material, v0: ScalarField):
     if model not in ("old", "new"):
         raise ValueError(f"unknown model {model!r}; expected 'old' or 'new'")
     grid = g.grid
-    lam = lambda_g(g).data
-    om = omega_g(g, m.nu).data
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
+            lam, om = lambda_g(g).data, omega_g(g, m.nu).data
+    except ValueError as exc:  # field samples must all be finite
+        raise GrowthSpecError(f"lambda_g or omega_g overflows: {exc}") from exc
     if model == "new":
         hv0 = v0.planes[2:]  # bilap = lap lap, and lap v0 is bitwise d11 v0 + d22 v0
         return lam, om, hv0, grid.lap(hv0[0] + hv0[1])
@@ -749,9 +752,11 @@ def solve_vk(
     A residual above both its start and _DIVERGE_GAIN times the best one
     seen raises SolverError with a hint to lower the relaxation or the
     growth amplitude; its `report` has status DIVERGING and the residual
-    history.  A residual that has stopped falling and sits on its roundoff
-    floor above tol ends the solve with status ROUNDOFF_FLOOR (converged
-    stays False; extras["roundoff_floor"] holds the estimate).
+    history.  It is raised before the final solves, since the iterate may
+    have overflowed.  Growth whose lambda_g or omega_g overflows raises
+    GrowthSpecError.  A residual that has stopped falling and sits on its
+    roundoff floor above tol ends the solve with status ROUNDOFF_FLOOR
+    (converged stays False; extras["roundoff_floor"] holds the estimate).
     """
     opts = opts or VKOptions()
     grid = g.grid
@@ -823,27 +828,20 @@ def solve_vk(
             break
 
     del d_x, d_f, f
-    v = solve_biharmonic(ScalarField(grid, b_u))
-    if h0 is not None:
-        v = ScalarField(grid, v.data + (v0.data - v0.data.mean()))
-    state = VKState(v, solve_biharmonic(ScalarField(grid, b_phi)))
-    del b_u, b_phi
-    r1_raw, r2_raw = _stencil_residual(state, sources, m)
     report = SolveReport(
         iterations=sweeps,
         final_energy=None,
         grad_norm=rho,
         constraint_residual=0.0,
-        wall_time_s=time.perf_counter() - t0,
         extras={
             "residual_history": history,
-            "equation_residuals": {"r1": r1_raw, "r2": r2_raw},
             "projected_residuals": {"r1": 0.0, "r2": z * f_norm},
             "max_mean_projection": max_proj,
         },
         status=status,
     )
-    if status == DIVERGING:
+    if status == DIVERGING:  # before the final solves: a diverged iterate may not be finite
+        report.wall_time_s = time.perf_counter() - t0
         raise SolverError(
             "von Karman Picard iteration diverging: the residual rose above its "
             f"start and {_DIVERGE_GAIN:g} times its best; reduce the relaxation "
@@ -851,6 +849,14 @@ def solve_vk(
             residual=rho,
             report=report,
         )
+    v = solve_biharmonic(ScalarField(grid, b_u))
+    if h0 is not None:
+        v = ScalarField(grid, v.data + (v0.data - v0.data.mean()))
+    state = VKState(v, solve_biharmonic(ScalarField(grid, b_phi)))
+    del b_u, b_phi
+    r1_raw, r2_raw = _stencil_residual(state, sources, m)
+    report.extras["equation_residuals"] = {"r1": r1_raw, "r2": r2_raw}
+    report.wall_time_s = time.perf_counter() - t0
     if status == ROUNDOFF_FLOOR:
         report.extras["roundoff_floor"] = floor
     elif status == BUDGET_EXHAUSTED:

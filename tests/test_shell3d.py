@@ -752,15 +752,43 @@ def test_recovery_template_e2d_is_the_limit_functional(square33, regime):
     assert template.e2d > 0.0 and template.e2d == want
 
 
+@pytest.mark.parametrize("n", [33, 129])
+@pytest.mark.parametrize("regime", sh.REGIMES)
+def test_recovery_grad_y_is_the_stencil_of_its_displacement(n, regime):
+    # a row sums grad Y from the template's h-independent planes; the
+    # stencils of the assembled displacement ladder give it to roundoff
+    grid = Grid2D(n, n, (0.0, 1.0, 0.0, 1.0), bc=DIRICHLET)
+    m = en.Material(1.0, 1.0)
+    alpha, v0, st = sweep_case(grid, regime)
+    template = sh.RecoveryTemplate(st, sine_growth(grid), v0, regime, m)
+    for h in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        cfg = sh.ShellConfig(v0, alpha=alpha, h=h, n_t=3)
+        disp = h * h * st.w.data
+        y3 = h * st.v.data if regime == sh.DMV else cfg.gamma * v0.data + h * st.v.data
+        if regime == sh.CONSTRAINED:
+            disp = disp + h ** (1.0 + alpha) * template.wtilde.data
+            y3 = y3 + h ** (2.0 - alpha) * st.vtilde.data
+        want = np.zeros((n, n, 3, 2))
+        for j in range(2):
+            for i in range(2):
+                want[..., i, j] = float(i == j) + grid.d1(disp[..., i], j)
+            want[..., 2, j] = grid.d1(y3, j)
+        dy = sh.build_recovery(template, cfg)._dy
+        assert np.max(np.abs(dy - want)) <= 1e-12 * np.max(np.abs(want - np.eye(3, 2))), h
+
+
 # the stack helpers of fields and the energies, counted at every import site
 COUNTED = ("grad_values", "hessian_values", "sym_grad_values", "sym_values", "cof2_values", "det2_values",
              "airy_bracket", "total_energy", "grad_energy", "energy_i40", "energy_i41", "energy_i4inf", "q2")
 
 
-def test_scaling_study_applies_twelve_stencils_per_row_and_nothing_else(square33, monkeypatch):
-    # v0's planes, the state's and E2d are formed once per sweep, so a row
-    # applies only build_recovery's 12 stencils (grad Y, grad nu); the sweep
-    # calls no stack helper and no energy
+@pytest.mark.parametrize("regime,per_row", [(sh.FLAT, 6), (sh.DMV, 6), (sh.CONSTRAINED, 10)])
+def test_scaling_study_applies_six_stencils_per_row_and_four_for_wtilde(square33, monkeypatch, regime, per_row):
+    # v0's planes, the state's and E2d are formed once per sweep, and grad Y
+    # is read from the state's and v0's planes, so a row applies only
+    # build_recovery's 6 stencils for grad nu, and 4 for grad wtilde in the
+    # constrained regime (it read 12 a row when each row differentiated its
+    # displacement); the sweep calls no stack helper and no energy
     m = en.Material(1.0, 1.0)
     g = sine_growth(square33)
     calls = {}
@@ -780,13 +808,13 @@ def test_scaling_study_applies_twelve_stencils_per_row_and_nothing_else(square33
 
     def sweep(h_list):
         calls.clear()
-        alpha, v0, st = sweep_case(square33, sh.DMV)  # fresh fields: no planes formed yet
+        alpha, v0, st = sweep_case(square33, regime)  # fresh fields: no planes formed yet
         sh.scaling_study(alpha, h_list, g, v0, st, m, n_t=3)
         return dict(calls)
 
     one, three = sweep([1e-1]), sweep([1e-1, 1e-2, 1e-3])
     assert set(one) == {"stencil"}
-    assert three == {"stencil": one["stencil"] + 2 * 12}
+    assert three == {"stencil": one["stencil"] + 2 * per_row}
 
 
 def test_constrained_template_holds_few_planes_more_than_the_dmv_one():
